@@ -6,6 +6,8 @@ obstacle.  The contact region is an interior band whose free boundary sits
 at 1/(2 sqrt 2); the solver's active set recovers it to within one cell.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from dpvi import (
@@ -43,9 +45,10 @@ def main():
     print(f"free boundary reference 1/(2*sqrt(2)) = {1 / (2 * np.sqrt(2)):.4f}")
     print(f"residual recheck: {vi_residual(prob, u, eta, zeta):.3e}")
 
-    with open("obstacle_solution.csv", "w", encoding="utf-8") as fh:
-        fh.write(u.to_csv())
-    print("wrote obstacle_solution.csv")
+    path = Path("out") / "obstacle_solution.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(u.to_csv(), encoding="utf-8")
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -21,18 +21,19 @@ on the computed functions, never assumed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .mesh import FeFunction, fe_interpolate
-from .multifun import TruncationData, TwoArgIntervalMultifunction, assemble_source, penalty
+from .mesh import FeFunction
+from .multifun import TruncationData, TwoArgIntervalMultifunction, penalty
 from .visolve import (
     SolverError,
     SolverOptions,
     VIProblem,
+    _residual_vector,
+    _select_terms,
     build_auxiliary,
     solve_vi,
     vi_residual,
@@ -88,7 +89,7 @@ class OrderedInterval:
         if np.any(self.lower.coeffs > self.upper.coeffs):
             raise ValueError("interval out of order: lower > upper at some node")
 
-    def certified(self, tol=1e-9):
+    def certified(self):
         return (
             self.lower_certificate is not None
             and self.upper_certificate is not None
@@ -112,36 +113,6 @@ class SolutionSet:
 # certificates
 
 
-def _one_sided_margins(prob: VIProblem, u: FeFunction, rule, side, tol):
-    mesh = prob.mesh
-    eta = prob.f.select(u, rule) if prob.f is not None else None
-    zeta = prob.f_gamma.select(u, rule) if prob.f_gamma is not None else None
-    r = prob.operator.apply(u)
-    if eta is not None:
-        r = r + assemble_source(eta, mesh, "interior")
-    if zeta is not None:
-        r = r + assemble_source(zeta, mesh, "boundary_gamma")
-
-    lo, hi = prob.constraint.bounds(mesh)
-    free = mesh.free_node_mask
-    if side == "subsolution":
-        # directions (u - phi)^+ exist only where u sits strictly above the
-        # lower bound; the inequality there is r_i <= 0
-        testable = free & (u.coeffs > lo)
-        margins = -r
-    else:
-        # directions (phi - u)^+ exist only strictly below the upper bound;
-        # the inequality there is r_i >= 0
-        testable = free & (u.coeffs < hi)
-        margins = r
-    idx = np.flatnonzero(testable)
-    if len(idx) == 0:
-        return 0.0, None, 0
-    sub = margins[idx]
-    worst_pos = int(np.argmin(sub))
-    return float(sub[worst_pos]), int(idx[worst_pos]), len(idx)
-
-
 def _lattice_condition(prob: VIProblem, u: FeFunction, side):
     kind = prob.constraint.kind
     lo, hi = prob.constraint.bounds(prob.mesh)
@@ -161,6 +132,38 @@ def _lattice_condition(prob: VIProblem, u: FeFunction, side):
     return True, "automatic for this constraint set"
 
 
+def _certify(side, u: FeFunction, prob: VIProblem, rule, tol):
+    lattice_ok, note = _lattice_condition(prob, u, side)
+    r = _residual_vector(prob, u, *_select_terms(prob, u, rule))
+    lo, hi = prob.constraint.bounds(prob.mesh)
+    free = prob.mesh.free_node_mask
+    if side == "subsolution":
+        # directions (u - phi)^+ exist only where u sits strictly above the
+        # lower bound; the inequality there is r_i <= 0
+        testable = free & (u.coeffs > lo)
+        margins = -r
+    else:
+        # directions (phi - u)^+ exist only strictly below the upper bound;
+        # the inequality there is r_i >= 0
+        testable = free & (u.coeffs < hi)
+        margins = r
+    idx = np.flatnonzero(testable)
+    margin, worst = 0.0, None
+    if len(idx):
+        worst_pos = int(np.argmin(margins[idx]))
+        margin, worst = float(margins[idx[worst_pos]]), int(idx[worst_pos])
+    return CertificateReport(
+        side=side,
+        margin=margin,
+        worst_node=worst,
+        passed=bool(lattice_ok and margin >= -tol),
+        lattice_ok=lattice_ok,
+        lattice_note=note,
+        selection_rule=rule,
+        tested_nodes=len(idx),
+    )
+
+
 def verify_subsolution(u: FeFunction, prob: VIProblem, rule="lower", tol=1e-9):
     """Certificate that ``u`` is a discrete subsolution of the problem.
 
@@ -169,35 +172,13 @@ def verify_subsolution(u: FeFunction, prob: VIProblem, rule="lower", tol=1e-9):
     over the generating hat directions.  The reported margin is the worst
     signed slack (nonnegative means verified).
     """
-    lattice_ok, note = _lattice_condition(prob, u, "subsolution")
-    margin, worst, tested = _one_sided_margins(prob, u, rule, "subsolution", tol)
-    return CertificateReport(
-        side="subsolution",
-        margin=margin,
-        worst_node=worst,
-        passed=bool(lattice_ok and margin >= -tol),
-        lattice_ok=lattice_ok,
-        lattice_note=note,
-        selection_rule=rule,
-        tested_nodes=tested,
-    )
+    return _certify("subsolution", u, prob, rule, tol)
 
 
 def verify_supersolution(u: FeFunction, prob: VIProblem, rule="upper", tol=1e-9):
     """Certificate that ``u`` is a discrete supersolution (see
     :func:`verify_subsolution`)."""
-    lattice_ok, note = _lattice_condition(prob, u, "supersolution")
-    margin, worst, tested = _one_sided_margins(prob, u, rule, "supersolution", tol)
-    return CertificateReport(
-        side="supersolution",
-        margin=margin,
-        worst_node=worst,
-        passed=bool(lattice_ok and margin >= -tol),
-        lattice_ok=lattice_ok,
-        lattice_note=note,
-        selection_rule=rule,
-        tested_nodes=tested,
-    )
+    return _certify("supersolution", u, prob, rule, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +312,7 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
     if float(np.max(np.abs(pen))) > 10 * tol:
         raise EnclosureError("penalty does not vanish at the converged iterate")
 
-    eta_u = prob.f.select(u, opts.selection) if prob.f is not None else None
-    zeta_u = prob.f_gamma.select(u, opts.selection) if prob.f_gamma is not None else None
-    residual = vi_residual(prob, u, eta_u, zeta_u)
+    residual = vi_residual(prob, u, *_select_terms(prob, u, opts.selection))
     if residual > 10 * tol:
         raise SolverError(
             f"enclosed iterate does not solve the original problem: residual {residual:.3e}"

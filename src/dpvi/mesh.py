@@ -13,16 +13,26 @@ below solver tolerances for the variable powers that appear in integrands.
 Pointwise fields sampled at quadrature points ("quadrature fields") are
 plain float arrays of shape ``(n_elements, n_qp)``, or ``(n_facets, n_qp)``
 for boundary fields.
+
+All P1 assembly lives here, in one :class:`Layout` per quadrature layout
+(cells, gamma facets, gamma0 facets): values at quadrature points, dual
+vectors, and CSR data on one pattern per mesh shared by all its layouts.
+Other modules assemble only through a layout; none scatters by itself.
 """
 
 from __future__ import annotations
 
+import weakref
+from functools import cached_property
+
 import numpy as np
+import scipy.sparse as sp
 
 from .expr import ExprAst, eval_expression, parse_expression, variables_of
 
 __all__ = [
     "Mesh",
+    "Layout",
     "FeFunction",
     "build_mesh",
     "fe_interpolate",
@@ -140,15 +150,13 @@ class Mesh:
             gb[:, 2, 1] = e1[:, 0] / det
             gb[:, 0, :] = -gb[:, 1, :] - gb[:, 2, :]
             self.grad_basis = _freeze(gb)
+        cells = (self.elements, self.quad_points, self.quad_weights, self.basis)
+        self._layouts = {"interior": Layout(self, "interior", *cells)}
 
     def _build_boundary(self):
-        self._btag = {}
         for tag in ("gamma", "gamma0"):
             facets = [f for f, t in self.boundary_facets if t == tag]
-            if not facets:
-                self._btag[tag] = None
-                continue
-            fnodes = np.asarray(facets, dtype=np.intp)
+            fnodes = np.asarray(facets, dtype=np.intp).reshape(len(facets), self.dim)
             if self.dim == 1:
                 bq = self.nodes[fnodes[:, 0]][:, None, :]  # (nf, 1, 1)
                 bw = np.ones((len(facets), 1))  # counting measure at endpoints
@@ -160,18 +168,35 @@ class Mesh:
                 bq = a[:, None, :] + _SEG_QP[None, :, None] * (b - a)[:, None, :]
                 bw = length[:, None] * _SEG_QW[None, :]
                 bbasis = np.stack([1.0 - _SEG_QP, _SEG_QP], axis=1)
-            self._btag[tag] = {
-                "facets": _freeze(fnodes),
-                "quad_points": _freeze(bq),
-                "quad_weights": _freeze(bw),
-                "basis": _freeze(bbasis),
-            }
-        g0 = self._btag["gamma0"]
+            where = "boundary_" + tag
+            self._layouts[where] = Layout(
+                self, where, _freeze(fnodes), _freeze(bq), _freeze(bw), _freeze(bbasis)
+            )
         mask = np.zeros(len(self.nodes), dtype=bool)
-        if g0 is not None:
-            mask[g0["facets"].ravel()] = True
+        mask[self._layouts["boundary_gamma0"].conn.ravel()] = True
         self.gamma0_node_mask = _freeze(mask)
         self.free_node_mask = _freeze(~mask)
+
+    @cached_property
+    def _csr_pattern(self):
+        """``(indptr, indices, slots)``: the CSR pattern shared by all layouts and,
+        per layout, the position in ``indices`` of each raveled element-matrix
+        entry.  Built with one sort on first matrix assembly; meshes never change.
+        """
+        n, layouts = self.n_nodes, self._layouts.values()
+        keys = [(lay.conn[:, :, None] * n + lay.conn[:, None, :]).ravel() for lay in layouts]
+        flat = np.concatenate(keys)
+        idx = np.int32 if len(flat) < 2**31 else np.intp  # the index type scipy keeps
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        first = np.concatenate([[True], flat[1:] != flat[:-1]])
+        inverse = np.empty(len(flat), dtype=idx)
+        inverse[order] = np.cumsum(first) - 1
+        rows, cols = np.divmod(flat[first], n)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        ends = np.cumsum([k.size for k in keys])[:-1]
+        slots = dict(zip(self._layouts, np.split(inverse, ends)))
+        return _freeze(indptr.astype(idx)), _freeze(cols.astype(idx)), slots
 
     # -- queries -----------------------------------------------------------
 
@@ -183,33 +208,89 @@ class Mesh:
     def n_elements(self):
         return len(self.elements)
 
-    @property
-    def n_qp(self):
-        return self.quad_weights.shape[1]
+    def layout(self, where="interior"):
+        """Layout (holding the mesh weakly) of the cells (``'interior'``) or of the
+        gamma / gamma0 facets (``'boundary_gamma'``, ``'boundary_gamma0'``, maybe empty)."""
+        if where not in self._layouts:
+            raise ValueError(f"where must be one of {sorted(self._layouts)}, got {where!r}")
+        return self._layouts[where]
+
+    def csr(self, data):
+        """Matrix with ``data`` on the shared pattern (see :meth:`Layout.matrix_data`);
+        it owns copies of the index arrays, so in-place sparse operations are safe."""
+        indptr, indices, _ = self._csr_pattern
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(self.n_nodes,) * 2)
 
     def boundary(self, tag):
         """Boundary data dict for ``tag`` or None if no facet carries it."""
-        return self._btag[tag]
+        lay = self._layouts["boundary_" + tag]
+        if len(lay.conn) == 0:
+            return None
+        return {
+            "facets": lay.conn,
+            "quad_points": lay.points,
+            "quad_weights": lay.weights,
+            "basis": lay.basis,
+        }
 
     def sample(self, ast: ExprAst):
         """Evaluate a spatial expression at all interior quadrature points."""
-        return self.eval_at(ast, self.quad_points)
-
-    def sample_boundary(self, ast: ExprAst, tag):
-        bd = self._btag[tag]
-        if bd is None:
-            raise ValueError(f"no boundary facets tagged {tag!r}")
-        return self.eval_at(ast, bd["quad_points"])
-
-    def eval_at(self, ast: ExprAst, points):
-        """Evaluate a spatial expression at an array of points (...,dim)."""
-        pts = np.asarray(points, dtype=float)
+        pts = self.quad_points
         bindings = {"x": pts[..., 0]}
         if self.dim == 2:
             bindings["y"] = pts[..., 1]
         return np.broadcast_to(
             np.asarray(eval_expression(ast, bindings), dtype=float), pts.shape[:-1]
         ).copy()
+
+
+class Layout:
+    """P1 assembly on the cells of a mesh or on its facets of one tag.
+
+    ``conn`` (n, nloc) lists the nodes of each cell or facet; ``points``
+    (n, nq, dim), ``weights`` (n, nq) and ``basis`` (nq, nloc) are its
+    quadrature.  Vectors sum with ``bincount`` in element order, as
+    ``np.add.at`` does; :meth:`Mesh.csr` turns matrix data into a matrix.
+    """
+
+    def __init__(self, mesh, where, conn, points, weights, basis):
+        # weak: a mesh that held layouts holding it would wait for the cycle collector
+        self.mesh = weakref.proxy(mesh)
+        self.where = where
+        self.conn = conn
+        self.points = points
+        self.weights = weights
+        self.basis = basis
+
+    def values(self, coeffs):
+        """Values of the P1 function with nodal ``coeffs`` at the quadrature points."""
+        return coeffs[self.conn] @ self.basis.T
+
+    def scatter(self, local):
+        """Nodal vector summing the per-element entries ``local`` (n, nloc)."""
+        return np.bincount(
+            self.conn.ravel(), weights=np.ravel(local), minlength=self.mesh.n_nodes
+        )
+
+    def dual(self, field):
+        """Dual vector of a quadrature field: entries integral(field * hat_i)."""
+        field = np.asarray(field, dtype=float)
+        if field.shape != self.weights.shape:
+            raise ValueError(
+                f"{self.where} field shape {field.shape} does not match {self.weights.shape}"
+            )
+        return self.scatter(np.einsum("eq,qi->ei", self.weights * field, self.basis))
+
+    def matrix_data(self, local):
+        """CSR data of the sum of the element matrices ``local`` (n, nloc, nloc);
+        data of all layouts of one mesh add entrywise."""
+        _, indices, slots = self.mesh._csr_pattern
+        return np.bincount(slots[self.where], weights=np.ravel(local), minlength=len(indices))
+
+    def mass_data(self, field):
+        """CSR data of the weighted mass matrix integral(field * hat_i * hat_j)."""
+        wq = self.weights * field
+        return self.matrix_data(np.einsum("eq,qi,qj->eij", wq, self.basis, self.basis))
 
 
 class FeFunction:
@@ -237,8 +318,7 @@ class FeFunction:
 
     def values_at_quad(self):
         """Values at interior quadrature points, shape (n_elements, n_qp)."""
-        local = self.coeffs[self.mesh.elements]  # (ne, nloc)
-        return local @ self.mesh.basis.T
+        return self.mesh.layout("interior").values(self.coeffs)
 
     def gradient_at_elements(self):
         """Constant per-element gradient, shape (n_elements, dim)."""
@@ -247,11 +327,10 @@ class FeFunction:
 
     def boundary_values(self, tag):
         """Values at boundary quadrature points of ``tag`` facets, (nf, nbq)."""
-        bd = self.mesh.boundary(tag)
-        if bd is None:
+        lay = self.mesh.layout("boundary_" + tag)
+        if len(lay.conn) == 0:
             raise ValueError(f"no boundary facets tagged {tag!r}")
-        local = self.coeffs[bd["facets"]]  # (nf, nloc)
-        return local @ bd["basis"].T
+        return lay.values(self.coeffs)
 
     def __add__(self, other):
         if isinstance(other, FeFunction):

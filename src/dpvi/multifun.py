@@ -68,12 +68,19 @@ def pick_endpoint(rule, lo, hi):
     raise ValueError(f"selection rule must be one of {SELECTION_RULES}, got {rule!r}")
 
 
+def _select(mf, u: FeFunction, rule="lower"):
+    """Pointwise selection eta(x) in f(x, u(x)) at the quadrature points of ``mf.layout``."""
+    layout = mf.layout
+    lo, hi = mf.eval_interval(layout.points, layout.values(u.coeffs))
+    return pick_endpoint(rule, lo, hi)
+
+
 class IntervalMultifunction:
     """f(x,s) = [f1(x,s), f2(x,s)] from endpoint expressions.
 
     ``on_boundary`` marks whether the multifunction acts in the domain or on
-    the natural boundary part; it only affects which points it is evaluated
-    at.  Endpoint order f1 <= f2 is checked at every evaluation.
+    the natural boundary part; it only selects the mesh layout it acts on.
+    Endpoint order f1 <= f2 is checked at every evaluation.
     """
 
     def __init__(self, mesh: Mesh, lower, upper, on_boundary=False):
@@ -81,7 +88,7 @@ class IntervalMultifunction:
         self.mesh = mesh
         self.lower = parse_expression(lower, allowed) if isinstance(lower, str) else lower
         self.upper = parse_expression(upper, allowed) if isinstance(upper, str) else upper
-        self.on_boundary = bool(on_boundary)
+        self.layout = mesh.layout("boundary_gamma" if on_boundary else "interior")
         for name, ast in (("f1", self.lower), ("f2", self.upper)):
             extra = variables_of(ast) - set(allowed)
             if extra:
@@ -105,19 +112,7 @@ class IntervalMultifunction:
             )
         return lo.copy(), hi.copy()
 
-    def select(self, u: FeFunction, rule="lower"):
-        """Pointwise selection eta(x) in f(x, u(x)) at quadrature points."""
-        if self.on_boundary:
-            bd = self.mesh.boundary("gamma")
-            if bd is None:
-                raise ValueError("boundary multifunction needs gamma facets")
-            points = bd["quad_points"]
-            s = u.boundary_values("gamma")
-        else:
-            points = self.mesh.quad_points
-            s = u.values_at_quad()
-        lo, hi = self.eval_interval(points, s)
-        return pick_endpoint(rule, lo, hi)
+    select = _select
 
 
 class TwoArgIntervalMultifunction:
@@ -186,7 +181,7 @@ class FrozenIntervalMultifunction:
         self.base = base
         self.mesh = base.mesh
         self.r_func = r_func
-        self.on_boundary = False
+        self.layout = base.mesh.layout("interior")
 
     def eval_interval(self, points, s):
         # interior quadrature layout only; r is evaluated at the same points
@@ -196,9 +191,7 @@ class FrozenIntervalMultifunction:
             raise ValueError("frozen interval expects interior quadrature layout")
         return self.base.eval_interval(points, r, s)
 
-    def select(self, u: FeFunction, rule="lower"):
-        lo, hi = self.eval_interval(self.mesh.quad_points, u.values_at_quad())
-        return pick_endpoint(rule, lo, hi)
+    select = _select
 
 
 # ---------------------------------------------------------------------------
@@ -244,30 +237,18 @@ class TruncationData:
         zeta_hi = f_gamma.select(upper, upper_rule) if f_gamma is not None else None
         return cls(lower, upper, eta_lo, eta_hi, zeta_lo, zeta_hi)
 
-    def check_selections(self, f=None, f_gamma=None):
-        """Verify the frozen selections lie inside the intervals at the bounds."""
-        if f is not None and self.eta_lower is not None:
-            lo, hi = f.eval_interval(self.mesh.quad_points, self.lower.values_at_quad())
-            if np.any(self.eta_lower < lo - 1e-12) or np.any(self.eta_lower > hi + 1e-12):
-                raise ValueError("eta_lower is not a selection of f at the lower bound")
-            lo, hi = f.eval_interval(self.mesh.quad_points, self.upper.values_at_quad())
-            if np.any(self.eta_upper < lo - 1e-12) or np.any(self.eta_upper > hi + 1e-12):
-                raise ValueError("eta_upper is not a selection of f at the upper bound")
-
 
 def cutoff(s):
     """Piecewise-linear descending cutoff: 1 for s <= 0, 1 - s on [0,1], 0 for s >= 1."""
     return np.clip(1.0 - np.asarray(s, dtype=float), 0.0, 1.0)
 
 
-def penalty(td: TruncationData, q_field, s, points_kind="interior"):
+def penalty(td: TruncationData, q_field, s):
     """Penalty value at state s: grows like (excess)^(q-1) outside the bounds.
 
     Positive above the upper bound, negative below the lower bound, zero on
     the interval, so it always pushes the state back toward the bounds.
     """
-    if points_kind != "interior":
-        raise ValueError("penalty acts on interior quadrature fields")
     s = np.asarray(s, dtype=float)
     lo = td.lower.values_at_quad()
     hi = td.upper.values_at_quad()
@@ -309,31 +290,25 @@ class TruncatedMultifunction:
     :class:`IntervalMultifunction`.
     """
 
-    def __init__(self, base, td: TruncationData, on_boundary=False):
+    def __init__(self, base, td: TruncationData):
         self.base = base
         self.td = td
         self.mesh = td.mesh
-        self.on_boundary = bool(on_boundary)
-
-    def _bounds_and_frozen(self, s_shape):
-        td = self.td
-        if self.on_boundary:
-            lo_b = td.lower.boundary_values("gamma")
-            hi_b = td.upper.boundary_values("gamma")
-            eta_lo, eta_hi = td.zeta_lower, td.zeta_upper
+        self.layout = base.layout
+        self.bounds = (self.layout.values(td.lower.coeffs), self.layout.values(td.upper.coeffs))
+        if base.layout.where == "boundary_gamma":
+            self.frozen = (td.zeta_lower, td.zeta_upper)
         else:
-            lo_b = td.lower.values_at_quad()
-            hi_b = td.upper.values_at_quad()
-            eta_lo, eta_hi = td.eta_lower, td.eta_upper
-        if eta_lo is None or eta_hi is None:
-            raise ValueError("truncation data carries no frozen selections here")
-        if lo_b.shape != s_shape:
-            raise ValueError("state layout does not match the truncation bounds")
-        return lo_b, hi_b, eta_lo, eta_hi
+            self.frozen = (td.eta_lower, td.eta_upper)
 
     def eval_interval(self, points, s):
         s = np.asarray(s, dtype=float)
-        lo_b, hi_b, eta_lo, eta_hi = self._bounds_and_frozen(s.shape)
+        eta_lo, eta_hi = self.frozen
+        if eta_lo is None or eta_hi is None:
+            raise ValueError("truncation data carries no frozen selections here")
+        lo_b, hi_b = self.bounds
+        if lo_b.shape != s.shape:
+            raise ValueError("state layout does not match the truncation bounds")
         lo, hi = self.base.eval_interval(points, s)
         below = s < lo_b
         above = s > hi_b
@@ -341,19 +316,12 @@ class TruncatedMultifunction:
         hi = np.where(below, eta_lo, np.where(above, eta_hi, hi))
         return lo, hi
 
-    def select(self, u: FeFunction, rule="lower"):
-        if self.on_boundary:
-            bd = self.mesh.boundary("gamma")
-            points, s = bd["quad_points"], u.boundary_values("gamma")
-        else:
-            points, s = self.mesh.quad_points, u.values_at_quad()
-        lo, hi = self.eval_interval(points, s)
-        return pick_endpoint(rule, lo, hi)
+    select = _select
 
 
 def truncate_multifunction(mf, td: TruncationData):
     """Truncated evaluator for an interior or boundary interval multifunction."""
-    return TruncatedMultifunction(mf, td, on_boundary=getattr(mf, "on_boundary", False))
+    return TruncatedMultifunction(mf, td)
 
 
 def compensator(kind, selection_here, selection_combined, bound_here, bound_combined, s):
@@ -411,26 +379,4 @@ def assemble_source(field, mesh: Mesh, where="interior"):
     ``where`` selects the interior quadrature layout or the gamma boundary
     layout; an empty gamma part yields the zero vector.
     """
-    out = np.zeros(mesh.n_nodes)
-    if where == "interior":
-        field = np.asarray(field, dtype=float)
-        if field.shape != mesh.quad_weights.shape:
-            raise ValueError(
-                f"interior field shape {field.shape} does not match {mesh.quad_weights.shape}"
-            )
-        contrib = np.einsum("eq,qi->ei", mesh.quad_weights * field, mesh.basis)
-        np.add.at(out, mesh.elements, contrib)
-        return out
-    if where == "boundary_gamma":
-        bd = mesh.boundary("gamma")
-        if bd is None:
-            return out
-        field = np.asarray(field, dtype=float)
-        if field.shape != bd["quad_weights"].shape:
-            raise ValueError(
-                f"boundary field shape {field.shape} does not match {bd['quad_weights'].shape}"
-            )
-        contrib = np.einsum("fq,qi->fi", bd["quad_weights"] * field, bd["basis"])
-        np.add.at(out, bd["facets"], contrib)
-        return out
-    raise ValueError("where must be 'interior' or 'boundary_gamma'")
+    return mesh.layout(where).dual(field)

@@ -74,9 +74,7 @@ class DoublePhaseOperator:
         cw = np.sum(mesh.quad_weights * coeff, axis=1)  # (ne,)
         # flux . grad(hat_i) summed over quadrature, gradient constant per element
         contrib = cw[:, None] * np.einsum("ed,eid->ei", grad, mesh.grad_basis)
-        out = np.zeros(mesh.n_nodes)
-        np.add.at(out, mesh.elements, contrib)
-        return out
+        return mesh.layout("interior").scatter(contrib)
 
     def energy(self, u: FeFunction) -> float:
         """The convex potential: integral of |grad u|^p / p + mu |grad u|^q / q."""
@@ -101,6 +99,7 @@ class DoublePhaseOperator:
 
         Uses the smoothed magnitude g_eps = sqrt(|grad u|^2 + eps^2)
         in the power weights; positive definite on free nodes for eps > 0.
+        Its pattern is the mesh's shared one: layout CSR data adds to ``.data``.
         """
         self._check(u)
         if eps is None:
@@ -124,13 +123,7 @@ class DoublePhaseOperator:
             gu[:, :, None] * gu[:, None, :]
         )
 
-        nloc = gb.shape[1]
-        rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
-        cols = np.tile(mesh.elements, (1, nloc)).ravel()
-        mat = sp.coo_matrix(
-            (elem.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-        )
-        return mat.tocsr()
+        return mesh.csr(mesh.layout("interior").matrix_data(elem))
 
     def _check(self, u: FeFunction):
         if u.mesh is not self.mesh:

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import FeFunction, Mesh, fe_interpolate
+from .mesh import FeFunction, Mesh
 from .multifun import (
     TruncationData,
     assemble_source,
@@ -196,17 +195,6 @@ class SolveReport:
 # residual machinery
 
 
-def _weighted_mass(mesh: Mesh, weights):
-    """Sparse matrix of integral(w * hat_i * hat_j) for a quadrature weight field."""
-    basis = mesh.basis  # (nq, nloc)
-    wq = mesh.quad_weights * weights  # (ne, nq)
-    elem = np.einsum("eq,qi,qj->eij", wq, basis, basis)
-    nloc = basis.shape[1]
-    rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nloc)).ravel()
-    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-
-
 def _residual_vector(prob: VIProblem, u: FeFunction, eta, zeta):
     """Full nodal dual vector of the problem at u with frozen selections."""
     r = prob.operator.apply(u)
@@ -253,28 +241,9 @@ def _select_terms(prob: VIProblem, u: FeFunction, rule):
     return eta, zeta
 
 
-def _boundary_weighted_mass(mesh: Mesh, weights):
-    """Sparse matrix of the gamma-boundary integral(w * hat_i * hat_j)."""
-    bd = mesh.boundary("gamma")
-    if bd is None:
-        return sp.csr_matrix((mesh.n_nodes, mesh.n_nodes))
-    basis = bd["basis"]  # (nbq, nloc)
-    wq = bd["quad_weights"] * weights
-    elem = np.einsum("fq,qi,qj->fij", wq, basis, basis)
-    nloc = basis.shape[1]
-    rows = np.repeat(bd["facets"], nloc, axis=1).ravel()
-    cols = np.tile(bd["facets"], (1, nloc)).ravel()
-    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-
-
-def _selection_slope(mf, u: FeFunction, rule, boundary=False, clip=1e10):
+def _selection_slope(mf, u: FeFunction, rule, clip=1e10):
     """Finite-difference slope of the rule-selected endpoint with respect to s."""
-    mesh = u.mesh
-    if boundary:
-        bd = mesh.boundary("gamma")
-        points, s = bd["quad_points"], u.boundary_values("gamma")
-    else:
-        points, s = mesh.quad_points, u.values_at_quad()
+    points, s = mf.layout.points, mf.layout.values(u.coeffs)
     ds = 1e-6 * (1.0 + np.abs(s))
     lo_p, hi_p = mf.eval_interval(points, s + ds)
     lo_m, hi_m = mf.eval_interval(points, s - ds)
@@ -324,20 +293,21 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report,
         if phi <= opts.tol:
             return u, True
         uf = FeFunction(mesh, u)
+        # penalty and selection slopes do not depend on the smoothing eps
+        masses = []
+        if prob.aux is not None:
+            slope = prob.aux.slope_field(uf.values_at_quad())
+            masses.append(mesh.layout("interior").mass_data(slope))
+        for mf in (prob.f, prob.f_gamma) if frozen is None else ():
+            if mf is not None:
+                sl = _selection_slope(mf, uf, rule)
+                if nonneg_slopes:
+                    sl = np.maximum(sl, 0.0)
+                masses.append(mf.layout.mass_data(sl))
         for attempt in range(3):
             J = op.jacobian(uf, eps=eps * (100.0**attempt))
-            if prob.aux is not None:
-                J = J + _weighted_mass(mesh, prob.aux.slope_field(uf.values_at_quad()))
-            if frozen is None and prob.f is not None:
-                sl = _selection_slope(prob.f, uf, rule)
-                if nonneg_slopes:
-                    sl = np.maximum(sl, 0.0)
-                J = J + _weighted_mass(mesh, sl)
-            if frozen is None and prob.f_gamma is not None:
-                sl = _selection_slope(prob.f_gamma, uf, rule, boundary=True)
-                if nonneg_slopes:
-                    sl = np.maximum(sl, 0.0)
-                J = J + _boundary_weighted_mass(mesh, sl)
+            for mass in masses:  # left to right, the rounding of J + M_aux + M_f + M_gamma
+                J.data += mass
             rf = r[free]
             uf_free = u[free]
             lo_f, hi_f = lo[free], hi[free]
@@ -348,7 +318,9 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report,
             delta = np.zeros(len(free))
             delta[act_lo] = lo_f[act_lo] - uf_free[act_lo]
             delta[act_hi] = hi_f[act_hi] - uf_free[act_hi]
-            Jff = J[np.ix_(free, free)].tocsc()
+            Jff = J[np.ix_(free, free)]
+            Jff.eliminate_zeros()  # entries that cancel exactly only add fill to the LU
+            Jff = Jff.tocsc()
             idx_i = np.flatnonzero(inact)
             try:
                 if len(idx_i):
@@ -593,18 +565,12 @@ def _sample_on_sphere(prob: VIProblem, rng, R, kind, norm_tol=1e-6):
 
 def _min_pairing(prob: VIProblem, u: FeFunction, u0: FeFunction):
     """min over endpoint selections of <Au + eta + zeta, u - u0>."""
-    mesh = prob.mesh
     d = u.coeffs - u0.coeffs
     val = float(prob.operator.apply(u) @ d)
-    if prob.f is not None:
-        dq = FeFunction(mesh, d).values_at_quad()
-        lo, hi = prob.f.eval_interval(mesh.quad_points, u.values_at_quad())
-        integrand = np.where(dq > 0, lo * dq, hi * dq)
-        val += float(np.sum(mesh.quad_weights * integrand))
-    if prob.f_gamma is not None:
-        bd = mesh.boundary("gamma")
-        dq = FeFunction(mesh, d).boundary_values("gamma")
-        lo, hi = prob.f_gamma.eval_interval(bd["quad_points"], u.boundary_values("gamma"))
-        integrand = np.where(dq > 0, lo * dq, hi * dq)
-        val += float(np.sum(bd["quad_weights"] * integrand))
+    for mf in (prob.f, prob.f_gamma):
+        if mf is not None:
+            dq = mf.layout.values(d)
+            lo, hi = mf.eval_interval(mf.layout.points, mf.layout.values(u.coeffs))
+            integrand = np.where(dq > 0, lo * dq, hi * dq)
+            val += float(np.sum(mf.layout.weights * integrand))
     return val

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dpvi.expr import parse_expression
 from dpvi.mesh import FeFunction, build_mesh, fe_interpolate, join, lattice_op, meet, trace
+from dpvi.multifun import assemble_source
+from dpvi.operator import DoublePhaseOperator
+from dpvi.spaces import ExponentData
 
 
 def test_interval_mesh_basic():
@@ -153,3 +157,99 @@ def test_values_at_quad_reproduces_linear():
     grads = u.gradient_at_elements()
     np.testing.assert_allclose(grads[:, 0], 2.0, atol=1e-13)
     np.testing.assert_allclose(grads[:, 1], -3.0, atol=1e-13)
+
+
+# -- layout assembly against the np.add.at / COO construction ------------------------
+
+
+def _ref_dual(mesh, conn, weights, basis, field):
+    out = np.zeros(mesh.n_nodes)
+    np.add.at(out, conn, np.einsum("eq,qi->ei", weights * field, basis))
+    return out
+
+
+def _ref_matrix(mesh, conn, local):
+    nloc = conn.shape[1]
+    rows = np.repeat(conn, nloc, axis=1).ravel()
+    cols = np.tile(conn, (1, nloc)).ravel()
+    shape = (mesh.n_nodes, mesh.n_nodes)
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+def _ref_mass(mesh, conn, weights, basis, field):
+    return _ref_matrix(mesh, conn, np.einsum("eq,qi,qj->eij", weights * field, basis, basis))
+
+
+def _ref_jacobian(op, u, eps):
+    mesh, ed = op.mesh, op.exponents
+    grad = u.gradient_at_elements()
+    ge = np.maximum(np.sqrt(np.sum(grad**2, axis=1) + eps**2), 1e-12)
+    geq = np.broadcast_to(ge[:, None], mesh.quad_weights.shape)
+    h = geq ** (ed.p - 2.0) + ed.mu * geq ** (ed.q - 2.0)
+    hp = (ed.p - 2.0) * geq ** (ed.p - 3.0) + ed.mu * (ed.q - 2.0) * geq ** (ed.q - 3.0)
+    a_iso = np.sum(mesh.quad_weights * h, axis=1)
+    a_rank1 = np.sum(mesh.quad_weights * hp, axis=1) / ge
+    gb = mesh.grad_basis
+    gg = np.einsum("eid,ejd->eij", gb, gb)
+    gu = np.einsum("ed,eid->ei", grad, gb)
+    elem = a_iso[:, None, None] * gg + a_rank1[:, None, None] * (gu[:, :, None] * gu[:, None, :])
+    return _ref_matrix(mesh, mesh.elements, elem)
+
+
+def _assert_close(new, ref):
+    scale = max(abs(ref).max(), 1e-300)
+    assert abs(new - ref).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("dim,n,gamma", [(1, 7, None), (1, 7, "x - 0.5"),
+                                         (2, 5, None), (2, 5, "0.3 - y")])
+def test_layout_assembly_matches_reference(dim, n, gamma):
+    m = build_mesh(dim, n, gamma)
+    rng = np.random.default_rng(23)
+    cells, gam = m.layout("interior"), m.layout("boundary_gamma")
+    u = FeFunction(m, rng.normal(size=m.n_nodes))
+
+    # values and dual vectors: same arithmetic in the same order, so bitwise equal
+    np.testing.assert_array_equal(u.values_at_quad(), u.coeffs[m.elements] @ m.basis.T)
+    w = rng.normal(size=m.quad_weights.shape)
+    np.testing.assert_array_equal(
+        assemble_source(w, m), _ref_dual(m, m.elements, m.quad_weights, m.basis, w)
+    )
+    bd = m.boundary("gamma")
+    wg = rng.normal(size=gam.weights.shape)
+    if bd is None:
+        assert gam.weights.shape[0] == 0
+        np.testing.assert_array_equal(assemble_source(wg, m, "boundary_gamma"), 0.0)
+    else:
+        facets, bw, bbasis = bd["facets"], bd["quad_weights"], bd["basis"]
+        np.testing.assert_array_equal(u.boundary_values("gamma"), u.coeffs[facets] @ bbasis.T)
+        np.testing.assert_array_equal(
+            assemble_source(wg, m, "boundary_gamma"), _ref_dual(m, facets, bw, bbasis, wg)
+        )
+
+    # matrices: duplicates sum in another order, so equal to rounding, same pattern
+    ed = ExponentData.from_expressions(m, "1.8", "2.6", "x")
+    op = DoublePhaseOperator(m, ed)
+    J, J_ref = op.jacobian(u, eps=1e-3), _ref_jacobian(op, u, 1e-3)
+    M, M_ref = m.csr(cells.mass_data(w)), _ref_mass(m, m.elements, m.quad_weights, m.basis, w)
+    nloc = m.elements.shape[1]
+    local = rng.normal(size=(m.n_elements, nloc, nloc))  # unsymmetric: catches transposes
+    A, A_ref = m.csr(cells.matrix_data(local)), _ref_matrix(m, m.elements, local)
+    for new, ref in ((J, J_ref), (M, M_ref), (A, A_ref)):
+        np.testing.assert_array_equal(new.indptr, ref.indptr)
+        np.testing.assert_array_equal(new.indices, ref.indices)
+        _assert_close(new.toarray(), ref.toarray())
+    J.indices[:] = 0  # every matrix owns its index arrays; the shared pattern is untouched
+    np.testing.assert_array_equal(op.jacobian(u, eps=1e-3).indices, J_ref.indices)
+    G = m.csr(gam.mass_data(wg))
+    G_ref = sp.csr_matrix(M.shape)
+    if bd is not None:
+        G_ref = _ref_mass(m, facets, bw, bbasis, wg)
+        # the gamma mass lives on the shared pattern: its nonzeros are the facets' entries
+        assert set(zip(*G.nonzero())) == set(zip(*G_ref.nonzero()))
+    _assert_close(G.toarray(), G_ref.toarray())
+
+    # the Newton matrix: one data array on the shared pattern, one matrix
+    newton = op.jacobian(u, eps=1e-3)
+    newton.data += cells.mass_data(w) + gam.mass_data(wg)
+    _assert_close(newton.toarray(), (J_ref + (M_ref + G_ref)).toarray())
