@@ -16,7 +16,12 @@ and there the penalty vanishes, so the iterate solves the original problem.
 
 Extremal candidates are produced by monotone interval-shrinking iterations
 and certified post hoc: ordering, residuals and enclosure are all checked
-on the computed functions, never assumed.
+on the computed functions, never assumed.  Every enclosed solve of those
+iterations is warm-started from a solution it refines: the previous iterate
+of its side, or on the first step the fixed bound (greatest side) or the
+greatest candidate of the same interval (smallest side).  None starts on the
+bound that moves, where the truncation of an interval reaction jumps from
+the rule-selected endpoint to the frozen opposite one.
 """
 
 from __future__ import annotations
@@ -328,15 +333,22 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
 # extremal iterations
 
 
-def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, history):
+def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, history, start):
     """Monotone interval-shrinking iteration toward one extremal candidate.
 
     The greatest candidate is approached from the upper bound with lower
     endpoint selections (the weakest reaction leaves the largest solution);
     the smallest candidate symmetrically from below with upper endpoint
     selections.
+
+    The first enclosed solve starts from ``start`` and every later one from
+    the previous iterate, a converged solution lying in the new, smaller
+    interval (it then needs no Newton step).  ``start`` must not be the
+    moving bound (``oi.upper`` for the greatest side, ``oi.lower`` for the
+    smallest): there the truncation of an interval reaction switches from
+    the rule-selected endpoint to the frozen opposite one, and the solve
+    from that point fails to converge.
     """
-    mesh = prob.mesh
     members = []
     if side == "greatest":
         moving = oi.upper
@@ -348,7 +360,6 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, history)
     lower_cert, upper_cert = oi.lower_certificate, oi.upper_certificate
 
     it_opts = replace(opts, selection=rule)
-    prev = None
     for k in range(1, opts.max_outer + 1):
         if side == "greatest":
             interval = OrderedInterval(fixed_lower, moving, lower_cert,
@@ -363,19 +374,18 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, history)
                 f"iterate {k} failed its {bad.side} certificate "
                 f"(margin {bad.margin:.3e} at node {bad.worst_node})"
             )
-        u, rep = solve_enclosed(prob, interval, it_opts)
+        u, rep = solve_enclosed(prob, interval, replace(it_opts, initial=start))
         members.append((u, rep.residual))
         update = float(np.max(np.abs(u.coeffs - moving.coeffs)))
         history.append({"iter": k, "max_update": update, "residual": rep.residual})
-        if prev is not None:
-            drift = u.coeffs - prev.coeffs if side == "greatest" else prev.coeffs - u.coeffs
+        if k > 1:
+            drift = u.coeffs - moving.coeffs if side == "greatest" else moving.coeffs - u.coeffs
             if np.max(drift) > 1e-10:
                 raise EnclosureError(
                     f"extremal iteration not monotone at step {k} "
                     f"(worst drift {float(np.max(drift)):.3e})"
                 )
-        moving = u
-        prev = u
+        moving = start = u
         if update <= max(opts.tol, 1e-12):
             break
     return moving, members
@@ -395,8 +405,10 @@ def extremal_pair(prob: VIProblem, oi: OrderedInterval,
     if not oi.certified():
         raise ValueError("interval certificates missing or failed")
     hist_g, hist_s = [], []
-    greatest, members_g = _extremal_iterate(prob, oi, opts, "greatest", hist_g)
-    smallest, members_s = _extremal_iterate(prob, oi, opts, "smallest", hist_s)
+    # each side starts off its moving bound: the greatest from the fixed
+    # lower bound, the smallest from the greatest candidate just computed
+    greatest, members_g = _extremal_iterate(prob, oi, opts, "greatest", hist_g, oi.lower)
+    smallest, members_s = _extremal_iterate(prob, oi, opts, "smallest", hist_s, greatest)
 
     sset = SolutionSet(smallest=smallest, greatest=greatest)
     for u, res in members_s + members_g:

@@ -24,12 +24,13 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .expr import eval_expression, parse_expression, variables_of
-from .mesh import FeFunction, Mesh
+from .mesh import FeFunction, Mesh, _freeze
 
 __all__ = [
     "IntervalMultifunction",
@@ -225,6 +226,12 @@ class TruncationData:
     def mesh(self):
         return self.lower.mesh
 
+    @cached_property
+    def quad_bounds(self):
+        """``(lower, upper)`` at the interior quadrature points, sampled once and
+        read-only, since every penalty call and truncation shares them."""
+        return _freeze(self.lower.values_at_quad()), _freeze(self.upper.values_at_quad())
+
     @classmethod
     def from_bounds(cls, lower, upper, f=None, f_gamma=None,
                     lower_rule="lower", upper_rule="upper"):
@@ -250,8 +257,7 @@ def penalty(td: TruncationData, q_field, s):
     the interval, so it always pushes the state back toward the bounds.
     """
     s = np.asarray(s, dtype=float)
-    lo = td.lower.values_at_quad()
-    hi = td.upper.values_at_quad()
+    lo, hi = td.quad_bounds
     q = np.asarray(q_field, dtype=float)
     out = np.zeros_like(s)
     above = s > hi
@@ -266,8 +272,7 @@ def penalty(td: TruncationData, q_field, s):
 def penalty_slope(td: TruncationData, q_field, s, floor=1e-8):
     """d(penalty)/ds, clamped near the kinks when q(x) < 2."""
     s = np.asarray(s, dtype=float)
-    lo = td.lower.values_at_quad()
-    hi = td.upper.values_at_quad()
+    lo, hi = td.quad_bounds
     q = np.asarray(q_field, dtype=float)
     out = np.zeros_like(s)
     above = s > hi
@@ -295,10 +300,12 @@ class TruncatedMultifunction:
         self.td = td
         self.mesh = td.mesh
         self.layout = base.layout
-        self.bounds = (self.layout.values(td.lower.coeffs), self.layout.values(td.upper.coeffs))
         if base.layout.where == "boundary_gamma":
+            self.bounds = (self.layout.values(td.lower.coeffs),
+                           self.layout.values(td.upper.coeffs))
             self.frozen = (td.zeta_lower, td.zeta_upper)
         else:
+            self.bounds = td.quad_bounds
             self.frozen = (td.eta_lower, td.eta_upper)
 
     def eval_interval(self, points, s):

@@ -413,14 +413,20 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
 
     eta = zeta = None
     sel_gap = np.inf
+    repeated = None
     for outer in range(1, opts.max_outer + 1):
         report.outer_iterations = outer
         eta, zeta = _select_terms(prob, FeFunction(mesh, u), opts.selection)
+        u_start = u
         u, ok = _inner_solve(prob, u, opts, report)
         if not ok:
             # retry the round with slopes clipped nonnegative: keeps the
             # Newton matrix positive semidefinite for drift-dominated data
             u, ok = _inner_solve(prob, u, opts, report, nonneg_slopes=True)
+        if not ok and np.array_equal(u, u_start):
+            # the next round would start from the same iterate with the same
+            # selection and repeat this deterministic failure exactly
+            repeated = outer
         eta_new, zeta_new = _select_terms(prob, FeFunction(mesh, u), opts.selection)
         sel_gap = 0.0
         if eta_new is not None:
@@ -428,7 +434,7 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
         if zeta_new is not None:
             sel_gap = max(sel_gap, float(np.max(np.abs(zeta_new - zeta), initial=0.0)))
         eta, zeta = eta_new, zeta_new
-        if ok and sel_gap <= max(opts.tol, 1e-12):
+        if repeated or (ok and sel_gap <= max(opts.tol, 1e-12)):
             break
 
     uf = FeFunction(mesh, u)
@@ -438,6 +444,11 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
         report.message = (
             f"not converged: residual {report.residual:.3e}, selection gap {sel_gap:.3e}"
         )
+        if repeated:
+            report.message += (
+                f"; stopped at outer round {repeated}: its inner solve failed and "
+                "left the iterate unchanged, so every further round would repeat it"
+            )
     if prob.aux is not None:
         td = prob.aux.truncation
         below = float(np.max(td.lower.coeffs - u, initial=0.0))

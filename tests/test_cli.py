@@ -162,3 +162,29 @@ def test_flag_overrides_config(tmp_path):
                  "--selection", "upper", "--tol", "1e-8"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["selection_rule"] == "upper"
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+EXTREMAL_CONFIGS = sorted(
+    p.stem for p in CONFIGS.glob("*.yaml")
+    if "bounds" in yaml.safe_load(p.read_text(encoding="utf-8"))
+)
+
+
+def test_extremal_configs_found():
+    assert EXTREMAL_CONFIGS == ["interval_extremal", "noncoercive", "obstacle", "robin_step"]
+
+
+@pytest.mark.parametrize("name", EXTREMAL_CONFIGS)
+def test_extremal_on_shipped_config(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    code = main(["extremal", "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(out)])
+    err = capsys.readouterr().err
+    if name == "noncoercive":  # known non-convergence of the enclosed solve
+        assert code == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+        return
+    assert code == 0, err
+    lo = read_solution(out / "u_smallest.csv")
+    hi = read_solution(out / "u_greatest.csv")
+    assert np.all(lo <= hi + 1e-12)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpvi import extremal
 from dpvi.extremal import (
     EnclosureError,
     OrderedInterval,
@@ -191,6 +192,41 @@ def test_extremal_iterations_monotone():
     assert np.all(lo.coeffs <= hi.coeffs + 1e-12)
     for hist in sset.histories.values():
         assert all(row["residual"] <= 1e-8 for row in hist)
+
+
+def _obstacle_minus_half(m):
+    return ConstraintSet.obstacle(FeFunction.constant(m, -0.5))
+
+
+@pytest.mark.parametrize("single_valued, problem, bounds, n_solves", [
+    (True, dict(n=64, constraint=_obstacle_minus_half, f=("8", "8")),
+     dict(k1="8", k2="8", c_psi=0.1), (2, 2)),
+    # the lower bound is already the smallest solution: one smallest-side solve
+    (False, dict(n=16, f=("-1", "1")), dict(k1="1", k2="-1"), (2, 1)),
+    (False, dict(n=16, f=("-1 + 0.5*s", "1 + 0.5*s")), dict(k1="2", k2="-2"), (2, 2)),
+])
+def test_extremal_iterations_are_warm_started(monkeypatch, single_valued, problem, bounds,
+                                              n_solves):
+    prob, mesh = make_problem(1, **problem)
+    oi = construct_obstacle_bounds(prob, **bounds)
+    solves = {"lower": [], "upper": []}  # greatest side selects 'lower', smallest 'upper'
+    inner = extremal.solve_vi
+
+    def recording(prob, opts=None):
+        out = inner(prob, opts)
+        solves[opts.selection].append((opts.initial is not None, out[3].newton_iterations))
+        return out
+
+    monkeypatch.setattr(extremal, "solve_vi", recording)
+    extremal_pair(prob, oi, SolverOptions(tol=1e-10))
+    greatest, smallest = solves["lower"], solves["upper"]
+    assert (len(greatest), len(smallest)) == n_solves
+    assert all(started for started, _ in greatest + smallest)
+    # from k = 2 on, each solve starts from a solution of its own problem
+    assert all(steps == 0 for _, steps in greatest[1:] + smallest[1:])
+    if single_valued:
+        # the greatest candidate of the same interval already solves it
+        assert smallest[0][1] == 0
 
 
 # -- discontinuous fixed point ----------------------------------------------------

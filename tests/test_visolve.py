@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpvi import visolve
 from dpvi.mesh import FeFunction, build_mesh, fe_interpolate
 from dpvi.multifun import IntervalMultifunction, TruncationData
 from dpvi.operator import DoublePhaseOperator
@@ -309,6 +310,41 @@ def test_max_iter_exhaustion_flagged():
     u, eta, zeta, rep = solve_vi(prob, SolverOptions(tol=1e-13, max_iter=1, max_outer=1))
     assert not rep.converged
     assert "not converged" in rep.message
+
+
+def test_failed_round_that_repeats_itself_stops(monkeypatch):
+    prob, mesh = make_problem(1, 8, f=("1", "1"))
+    calls = []
+
+    def stuck(prob, u0, opts, report, frozen=None, nonneg_slopes=False):
+        calls.append(nonneg_slopes)
+        return u0.copy(), False
+
+    monkeypatch.setattr(visolve, "_inner_solve", stuck)
+    u, eta, zeta, rep = solve_vi(prob, SolverOptions(initial=FeFunction.zero(mesh)))
+    assert calls == [False, True]  # one round, with its nonnegative-slope retry
+    assert rep.outer_iterations == 1
+    assert not rep.converged
+    assert rep.message.startswith("not converged: residual")
+    assert "stopped at outer round 1" in rep.message
+    assert "left the iterate unchanged" in rep.message
+
+
+def test_failed_rounds_that_move_run_to_max_outer(monkeypatch):
+    prob, mesh = make_problem(1, 8, f=("1", "1"))
+    calls = []
+
+    def creeping(prob, u0, opts, report, frozen=None, nonneg_slopes=False):
+        calls.append(nonneg_slopes)
+        return u0 + 1e-3 * mesh.free_node_mask, False
+
+    monkeypatch.setattr(visolve, "_inner_solve", creeping)
+    u, eta, zeta, rep = solve_vi(prob, SolverOptions(initial=FeFunction.zero(mesh),
+                                                     max_outer=4))
+    assert len(calls) == 8
+    assert rep.outer_iterations == 4
+    assert not rep.converged
+    assert "stopped" not in rep.message
 
 
 def test_report_fields():
