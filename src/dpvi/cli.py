@@ -75,6 +75,10 @@ _BLOCK_KEYS = {
 }
 
 
+# the bound expressions each constraint kind reads, as (lower, upper)
+_CONSTRAINT_BOUNDS = {"whole_space": (), "obstacle": ("psi",), "box": ("psi", "psi_upper")}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -125,19 +129,19 @@ def build_problem(cfg):
         )
         op = DoublePhaseOperator(mesh, ed)
 
-        ccfg = cfg.get("constraint", {"kind": "whole_space"})
+        ccfg = cfg.get("constraint", {})
         kind = ccfg.get("kind", "whole_space")
-        if kind == "whole_space":
-            cs = ConstraintSet.whole_space()
-        elif kind == "obstacle":
-            cs = ConstraintSet.obstacle(fe_interpolate(str(ccfg["psi"]), mesh))
-        elif kind == "box":
-            cs = ConstraintSet.box(
-                fe_interpolate(str(ccfg["psi"]), mesh),
-                fe_interpolate(str(ccfg["psi_upper"]), mesh),
-            )
-        else:
+        if kind not in _CONSTRAINT_BOUNDS:
             raise ConfigError(f"unknown constraint kind {kind!r}")
+        keys = _CONSTRAINT_BOUNDS[kind]
+        missing = [key for key in keys if key not in ccfg]
+        if missing:
+            raise ConfigError(f"constraint kind {kind!r} needs the key {missing[0]!r}")
+        # the obstacle ceiling c_psi only applies to a set with bounds
+        extra = sorted(set(ccfg) - {"kind", *keys} - ({"c_psi"} if keys else set()))
+        if extra:
+            raise ConfigError(f"constraint kind {kind!r} does not take the key {extra[0]!r}")
+        cs = ConstraintSet(*(fe_interpolate(str(ccfg[key]), mesh) for key in keys))
 
         f = None
         if "f" in cfg:
@@ -331,8 +335,7 @@ def cmd_norm(cfg, args, out):
         lines.append(f"  violated: {v['condition']} at {v['count']} points")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if out is not None:
-        _write(out / "norm.txt", text)
+    _write(out / "norm.txt", text)
     return 0
 
 

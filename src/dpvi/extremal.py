@@ -16,17 +16,21 @@ and there the penalty vanishes, so the iterate solves the original problem.
 
 Extremal candidates are produced by monotone interval-shrinking iterations
 and certified post hoc: ordering, residuals and enclosure are all checked
-on the computed functions, never assumed.  Every enclosed solve of those
-iterations is warm-started from a solution it refines: the previous iterate
-of its side, or on the first step the fixed bound (greatest side) or the
-greatest candidate of the same interval (smallest side).  None starts on the
-bound that moves, where the truncation of an interval reaction jumps from
-the rule-selected endpoint to the frozen opposite one.
+on the computed functions, never assumed.  Both the extremal iterations and
+the frozen-variable fixed point run one loop, ``_monotone_iteration``: down
+from the supersolution and up from the subsolution, with one drift check
+and one stop test.  Every enclosed solve of the extremal iterations is
+warm-started from a solution it refines: the previous iterate of its side,
+or on the first step the fixed bound (greatest side) or the greatest
+candidate of the same interval (smallest side).  None starts on the bound
+that moves, where the truncation of an interval reaction jumps from the
+rule-selected endpoint to the frozen opposite one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -84,9 +88,6 @@ class OrderedInterval:
     lower_certificate: Optional[CertificateReport] = None
     upper_certificate: Optional[CertificateReport] = None
     M: float = 0.0
-    c_psi: Optional[float] = None
-    k1: object = None
-    k2: object = None
     u1: Optional[FeFunction] = None
     u2: Optional[FeFunction] = None
 
@@ -119,18 +120,17 @@ class SolutionSet:
 
 
 def _lattice_condition(prob: VIProblem, u: FeFunction, side):
-    kind = prob.constraint.kind
-    lo, hi = prob.constraint.bounds(prob.mesh)
+    cs = prob.constraint
     if side == "subsolution":
         # join(u, K) stays in K: automatic unless an upper bound exists
-        if kind == "box":
-            ok = bool(np.all(u.coeffs <= hi + 1e-12))
+        if cs.upper is not None:
+            ok = bool(np.all(u.coeffs <= cs.upper.coeffs + 1e-12))
             return ok, "join with the set respects the upper bound" if ok else (
                 "join with the set exceeds the upper bound"
             )
         return True, "automatic for this constraint set"
-    if kind in ("obstacle", "box"):
-        ok = bool(np.all(u.coeffs >= lo - 1e-12))
+    if cs.lower is not None:
+        ok = bool(np.all(u.coeffs >= cs.lower.coeffs - 1e-12))
         return ok, "meet with the set respects the lower bound" if ok else (
             "meet with the set violates the obstacle"
         )
@@ -247,7 +247,7 @@ def construct_obstacle_bounds(prob: VIProblem, k1, k2, c_psi=None, margin=1e-3,
     u2 = _dirichlet_solve(prob, k2_ast, opts)
 
     terms = [0.0, float(np.max(u1.coeffs - u2.coeffs))]
-    if prob.constraint.kind in ("obstacle", "box") and c_psi is not None:
+    if prob.constraint.lower is not None and c_psi is not None:
         terms.append(float(c_psi) - float(np.min(u2.coeffs)))
     M = max(terms) + float(margin)
     upper = u2 + M
@@ -270,9 +270,6 @@ def construct_obstacle_bounds(prob: VIProblem, k1, k2, c_psi=None, margin=1e-3,
         lower_certificate=lower_cert,
         upper_certificate=upper_cert,
         M=M,
-        c_psi=c_psi,
-        k1=k1_ast,
-        k2=k2_ast,
         u1=u1,
         u2=u2,
     )
@@ -283,7 +280,7 @@ def construct_obstacle_bounds(prob: VIProblem, k1, k2, c_psi=None, margin=1e-3,
 
 
 def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
-                   opts: Optional[SolverOptions] = None, require_certificates=True):
+                   opts: Optional[SolverOptions] = None):
     """Solve inside a certified interval via the truncated-penalized problem.
 
     Returns ``(u, report)`` where u solves the *original* problem with
@@ -293,7 +290,7 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
     never silently accepted.
     """
     opts = opts or SolverOptions()
-    if require_certificates and not oi.certified():
+    if not oi.certified():
         raise ValueError("interval certificates missing or failed; cannot enclose")
     td = TruncationData.from_bounds(oi.lower, oi.upper, f=prob.f, f_gamma=prob.f_gamma)
     aux_prob = build_auxiliary(prob, td)
@@ -333,13 +330,50 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
 # extremal iterations
 
 
-def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, history, start):
+def _require_certified(interval: OrderedInterval, what):
+    """Raise :class:`EnclosureError` naming ``what`` unless both certificates passed."""
+    if not interval.certified():
+        lower = interval.lower_certificate
+        bad = lower if not lower.passed else interval.upper_certificate
+        raise EnclosureError(
+            f"{what} failed its {bad.side} certificate "
+            f"(margin {bad.margin:.3e} at node {bad.worst_node})"
+        )
+
+
+def _monotone_iteration(side, start, opts, step, what):
+    """Monotone sub-supersolution iteration from the bound ``start``.
+
+    ``step(k, moving)`` returns the next iterate and its residual.  From step
+    2 on an iterate of the greatest side may not rise above, and one of the
+    smallest side not fall below, its predecessor; ``what`` names the
+    iteration in that error.  Returns ``(last iterate, history rows)``.
+    """
+    moving, history = start, []
+    for k in range(1, opts.max_outer + 1):
+        u, residual = step(k, moving)
+        update = float(np.max(np.abs(u.coeffs - moving.coeffs)))
+        history.append({"iter": k, "max_update": update, "residual": residual})
+        if k > 1:
+            drift = u.coeffs - moving.coeffs if side == "greatest" else moving.coeffs - u.coeffs
+            if np.max(drift) > 1e-10:
+                raise EnclosureError(
+                    f"{what} not monotone at step {k} "
+                    f"(worst drift {float(np.max(drift)):.3e})"
+                )
+        moving = u
+        if update <= max(opts.tol, 1e-12):
+            break
+    return moving, history
+
+
+def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
     """Monotone interval-shrinking iteration toward one extremal candidate.
 
     The greatest candidate is approached from the upper bound with lower
     endpoint selections (the weakest reaction leaves the largest solution);
     the smallest candidate symmetrically from below with upper endpoint
-    selections.
+    selections.  Returns ``(candidate, members, history)``.
 
     The first enclosed solve starts from ``start`` and every later one from
     the previous iterate, a converged solution lying in the new, smaller
@@ -349,46 +383,26 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, history,
     the rule-selected endpoint to the frozen opposite one, and the solve
     from that point fails to converge.
     """
-    members = []
-    if side == "greatest":
-        moving = oi.upper
-        rule = "lower"
-    else:
-        moving = oi.lower
-        rule = "upper"
-    fixed_lower, fixed_upper = oi.lower, oi.upper
-    lower_cert, upper_cert = oi.lower_certificate, oi.upper_certificate
+    members = []  # the converged iterates
+    it_opts = replace(opts, selection="lower" if side == "greatest" else "upper")
 
-    it_opts = replace(opts, selection=rule)
-    for k in range(1, opts.max_outer + 1):
+    def step(k, moving):
         if side == "greatest":
-            interval = OrderedInterval(fixed_lower, moving, lower_cert,
+            interval = OrderedInterval(oi.lower, moving, oi.lower_certificate,
                                        verify_supersolution(moving, prob, "upper"))
         else:
-            interval = OrderedInterval(moving, fixed_upper,
+            interval = OrderedInterval(moving, oi.upper,
                                        verify_subsolution(moving, prob, "lower"),
-                                       upper_cert)
-        if not interval.certified():
-            bad = interval.upper_certificate if side == "greatest" else interval.lower_certificate
-            raise EnclosureError(
-                f"iterate {k} failed its {bad.side} certificate "
-                f"(margin {bad.margin:.3e} at node {bad.worst_node})"
-            )
-        u, rep = solve_enclosed(prob, interval, replace(it_opts, initial=start))
-        members.append((u, rep.residual))
-        update = float(np.max(np.abs(u.coeffs - moving.coeffs)))
-        history.append({"iter": k, "max_update": update, "residual": rep.residual})
-        if k > 1:
-            drift = u.coeffs - moving.coeffs if side == "greatest" else moving.coeffs - u.coeffs
-            if np.max(drift) > 1e-10:
-                raise EnclosureError(
-                    f"extremal iteration not monotone at step {k} "
-                    f"(worst drift {float(np.max(drift)):.3e})"
-                )
-        moving = start = u
-        if update <= max(opts.tol, 1e-12):
-            break
-    return moving, members
+                                       oi.upper_certificate)
+        _require_certified(interval, f"iterate {k}")
+        initial = start if k == 1 else moving
+        u, rep = solve_enclosed(prob, interval, replace(it_opts, initial=initial))
+        members.append(u)
+        return u, rep.residual
+
+    bound = oi.upper if side == "greatest" else oi.lower
+    u, history = _monotone_iteration(side, bound, opts, step, "extremal iteration")
+    return u, members, history
 
 
 def extremal_pair(prob: VIProblem, oi: OrderedInterval,
@@ -404,23 +418,20 @@ def extremal_pair(prob: VIProblem, oi: OrderedInterval,
     opts = opts or SolverOptions()
     if not oi.certified():
         raise ValueError("interval certificates missing or failed")
-    hist_g, hist_s = [], []
     # each side starts off its moving bound: the greatest from the fixed
     # lower bound, the smallest from the greatest candidate just computed
-    greatest, members_g = _extremal_iterate(prob, oi, opts, "greatest", hist_g, oi.lower)
-    smallest, members_s = _extremal_iterate(prob, oi, opts, "smallest", hist_s, greatest)
+    greatest, members_g, hist_g = _extremal_iterate(prob, oi, opts, "greatest", oi.lower)
+    smallest, members_s, hist_s = _extremal_iterate(prob, oi, opts, "smallest", greatest)
 
-    sset = SolutionSet(smallest=smallest, greatest=greatest)
-    for u, res in members_s + members_g:
-        sset.members.append(u)
-        sset.residuals.append(res)
+    sset = SolutionSet(members=members_s + members_g, smallest=smallest, greatest=greatest,
+                       residuals=[row["residual"] for row in hist_s + hist_g],
+                       histories={"greatest": hist_g, "smallest": hist_s})
     tol = 10 * opts.tol
     if np.any(smallest.coeffs > greatest.coeffs + tol):
         raise EnclosureError("extremal candidates out of order")
     for u in sset.members:
         if np.any(u.coeffs < smallest.coeffs - tol) or np.any(u.coeffs > greatest.coeffs + tol):
             raise EnclosureError("a collected solution escapes the extremal pair")
-    sset.histories = {"greatest": hist_g, "smallest": hist_s}
     return smallest, greatest, sset
 
 
@@ -429,8 +440,7 @@ def extremal_pair(prob: VIProblem, oi: OrderedInterval,
 
 
 def discontinuous_fixed_point(prob: VIProblem, j: TwoArgIntervalMultifunction,
-                              oi: OrderedInterval, opts: Optional[SolverOptions] = None,
-                              h3_samples=(5, 7)):
+                              oi: OrderedInterval, opts: Optional[SolverOptions] = None):
     """Extremal solutions for a reaction with a frozen-variable dependence.
 
     The two-argument interval [j1(x,r,s), j2(x,r,s)] must have both
@@ -449,8 +459,8 @@ def discontinuous_fixed_point(prob: VIProblem, j: TwoArgIntervalMultifunction,
     lo_v = float(np.min(oi.lower.coeffs))
     hi_v = float(np.max(oi.upper.coeffs))
     pad = 0.05 * (hi_v - lo_v) + 1e-9
-    r_values = np.linspace(lo_v - pad, hi_v + pad, h3_samples[0])
-    s_values = np.linspace(lo_v - pad, hi_v + pad, h3_samples[1])
+    r_values = np.linspace(lo_v - pad, hi_v + pad, 5)
+    s_values = np.linspace(lo_v - pad, hi_v + pad, 7)
     mono = j.check_monotone(r_values, s_values)
     if not (mono["lower_nonincreasing"] and mono["upper_nonincreasing"]):
         raise ValueError(
@@ -459,54 +469,25 @@ def discontinuous_fixed_point(prob: VIProblem, j: TwoArgIntervalMultifunction,
             "the fixed-point scheme is not applicable"
         )
 
-    histories = {"greatest": [], "smallest": []}
+    def step(side, k, moving):
+        frozen = j.freeze(moving)
+        probv = replace(prob, f=frozen)
+        lower, upper = (oi.lower, moving) if side == "greatest" else (moving, oi.upper)
+        interval = OrderedInterval(lower, upper, verify_subsolution(lower, probv, "lower"),
+                                   verify_supersolution(upper, probv, "upper"))
+        _require_certified(interval, f"outer iterate {k}")
+        smallest, greatest, _ = extremal_pair(probv, interval, opts)
+        nxt, rule = (greatest, "lower") if side == "greatest" else (smallest, "upper")
+        res = vi_residual(
+            probv, nxt, frozen.select(nxt, rule),
+            prob.f_gamma.select(nxt, opts.selection) if prob.f_gamma else None,
+        )
+        return nxt, res
 
-    def outer(side):
-        moving = oi.upper if side == "greatest" else oi.lower
-        prev = None
-        for k in range(1, opts.max_outer + 1):
-            frozen = j.freeze(moving)
-            probv = replace(prob, f=frozen)
-            if side == "greatest":
-                sup_cert = verify_supersolution(moving, probv, "upper")
-                sub_cert = verify_subsolution(oi.lower, probv, "lower")
-                interval = OrderedInterval(oi.lower, moving, sub_cert, sup_cert)
-            else:
-                sub_cert = verify_subsolution(moving, probv, "lower")
-                sup_cert = verify_supersolution(oi.upper, probv, "upper")
-                interval = OrderedInterval(moving, oi.upper, sub_cert, sup_cert)
-            if not interval.certified():
-                bad = sub_cert if not sub_cert.passed else sup_cert
-                raise EnclosureError(
-                    f"outer iterate {k} failed its {bad.side} certificate "
-                    f"(margin {bad.margin:.3e})"
-                )
-            if side == "greatest":
-                _, nxt, _ = extremal_pair(probv, interval, opts)
-            else:
-                nxt, _, _ = extremal_pair(probv, interval, opts)
-            update = float(np.max(np.abs(nxt.coeffs - moving.coeffs)))
-            res = vi_residual(
-                probv, nxt,
-                frozen.select(nxt, "lower" if side == "greatest" else "upper"),
-                prob.f_gamma.select(nxt, opts.selection) if prob.f_gamma else None,
-            )
-            histories[side].append({"iter": k, "max_update": update, "residual": res})
-            if prev is not None:
-                drift = nxt.coeffs - prev if side == "greatest" else prev - nxt.coeffs
-                if np.max(drift) > 1e-10:
-                    raise EnclosureError(
-                        f"outer iterates not monotone at step {k} "
-                        f"(worst drift {float(np.max(drift)):.3e})"
-                    )
-            prev = nxt.coeffs.copy()
-            moving = nxt
-            if update <= max(opts.tol, 1e-12):
-                break
-        return moving
-
-    greatest = outer("greatest")
-    smallest = outer("smallest")
+    greatest, hist_g = _monotone_iteration("greatest", oi.upper, opts,
+                                           partial(step, "greatest"), "outer iterates")
+    smallest, hist_s = _monotone_iteration("smallest", oi.lower, opts,
+                                           partial(step, "smallest"), "outer iterates")
     if np.any(smallest.coeffs > greatest.coeffs + 10 * opts.tol):
         raise EnclosureError("fixed-point extremals out of order")
-    return smallest, greatest, histories
+    return smallest, greatest, {"greatest": hist_g, "smallest": hist_s}

@@ -233,15 +233,14 @@ class TruncationData:
         return _freeze(self.lower.values_at_quad()), _freeze(self.upper.values_at_quad())
 
     @classmethod
-    def from_bounds(cls, lower, upper, f=None, f_gamma=None,
-                    lower_rule="lower", upper_rule="upper"):
-        """Freeze default selections: lower endpoint at the lower bound,
-        upper endpoint at the upper bound (the choices under which one-sided
-        bound constructions verify)."""
-        eta_lo = f.select(lower, lower_rule) if f is not None else None
-        eta_hi = f.select(upper, upper_rule) if f is not None else None
-        zeta_lo = f_gamma.select(lower, lower_rule) if f_gamma is not None else None
-        zeta_hi = f_gamma.select(upper, upper_rule) if f_gamma is not None else None
+    def from_bounds(cls, lower, upper, f=None, f_gamma=None):
+        """Freeze the selections: lower endpoint at the lower bound, upper
+        endpoint at the upper bound (the choices under which one-sided bound
+        constructions verify)."""
+        eta_lo = f.select(lower, "lower") if f is not None else None
+        eta_hi = f.select(upper, "upper") if f is not None else None
+        zeta_lo = f_gamma.select(lower, "lower") if f_gamma is not None else None
+        zeta_hi = f_gamma.select(upper, "upper") if f_gamma is not None else None
         return cls(lower, upper, eta_lo, eta_hi, zeta_lo, zeta_hi)
 
 
@@ -269,7 +268,7 @@ def penalty(td: TruncationData, q_field, s):
     return out
 
 
-def penalty_slope(td: TruncationData, q_field, s, floor=1e-8):
+def penalty_slope(td: TruncationData, q_field, s):
     """d(penalty)/ds, clamped near the kinks when q(x) < 2."""
     s = np.asarray(s, dtype=float)
     lo, hi = td.quad_bounds
@@ -278,10 +277,10 @@ def penalty_slope(td: TruncationData, q_field, s, floor=1e-8):
     above = s > hi
     below = s < lo
     if np.any(above):
-        d = np.maximum(s[above] - hi[above], floor)
+        d = np.maximum(s[above] - hi[above], 1e-8)
         out[above] = (q[above] - 1.0) * d ** (q[above] - 2.0)
     if np.any(below):
-        d = np.maximum(lo[below] - s[below], floor)
+        d = np.maximum(lo[below] - s[below], 1e-8)
         out[below] = (q[below] - 1.0) * d ** (q[below] - 2.0)
     return out
 

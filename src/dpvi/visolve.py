@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .mesh import FeFunction, Mesh
+from .mesh import FeFunction, Mesh, _freeze
 from .multifun import (
     TruncationData,
     assemble_source,
@@ -57,58 +57,60 @@ class SolverError(RuntimeError):
     """Unrecoverable solver failure (singular systems after retries, ...)."""
 
 
-class ConstraintSet:
-    """Feasible set: the whole working subspace, a lower obstacle, or a box.
+# shortest line-search step before a Newton step counts as stalled
+_LINE_SEARCH_MIN = 1e-8
 
-    Obstacle admissibility requires the obstacle to be nonpositive at
-    essential-boundary nodes, so that the set is nonempty within the
-    subspace of functions vanishing there.
+
+class ConstraintSet:
+    """Feasible set ``lower <= u <= upper`` at the nodes; either bound may be None.
+
+    No bound gives the whole working subspace, ``lower`` alone an obstacle,
+    both a box.  The essential boundary Gamma0 stays out of the bounds (no
+    lo = hi = 0 there), because certificates test bounds such as ``u2 + M``
+    that do not vanish on it: :meth:`project` zeroes Gamma0 instead, and
+    admissibility needs lower <= 0 <= upper at every Gamma0 node.
     """
 
-    def __init__(self, kind, psi=None, psi_upper=None):
-        if kind not in ("whole_space", "obstacle", "box"):
-            raise ValueError(f"unknown constraint kind {kind!r}")
-        self.kind = kind
-        self.psi = psi
-        self.psi_upper = psi_upper
-        if kind == "obstacle" and psi is None:
-            raise ValueError("obstacle constraint needs an obstacle function")
-        if kind == "box":
-            if psi is None or psi_upper is None:
-                raise ValueError("box constraint needs both bounds")
-            if np.any(psi.coeffs > psi_upper.coeffs):
-                raise ValueError("box bounds out of order")
+    def __init__(self, lower: Optional[FeFunction] = None, upper: Optional[FeFunction] = None):
+        if lower is not None and upper is not None and np.any(lower.coeffs > upper.coeffs):
+            raise ValueError("box bounds out of order")
+        self.lower = lower
+        self.upper = upper
+        self._bounds = {}  # n_nodes -> read-only (lo, hi)
 
     @classmethod
     def whole_space(cls):
-        return cls("whole_space")
+        return cls()
 
     @classmethod
     def obstacle(cls, psi: FeFunction):
-        return cls("obstacle", psi=psi)
+        if psi is None:
+            raise ValueError("obstacle constraint needs an obstacle function")
+        return cls(lower=psi)
 
     @classmethod
     def box(cls, psi_lower: FeFunction, psi_upper: FeFunction):
-        return cls("box", psi=psi_lower, psi_upper=psi_upper)
+        if psi_lower is None or psi_upper is None:
+            raise ValueError("box constraint needs both bounds")
+        return cls(psi_lower, psi_upper)
 
     def bounds(self, mesh: Mesh):
-        """Nodal bounds as arrays, with +-inf where unconstrained."""
-        lo = np.full(mesh.n_nodes, -np.inf)
-        hi = np.full(mesh.n_nodes, np.inf)
-        if self.kind in ("obstacle", "box"):
-            lo = self.psi.coeffs.copy()
-        if self.kind == "box":
-            hi = self.psi_upper.coeffs.copy()
-        return lo, hi
+        """Nodal bounds as read-only arrays, with +-inf where a bound is absent."""
+        n = mesh.n_nodes
+        if n not in self._bounds:
+            lo = self.lower.coeffs if self.lower is not None else _freeze(np.full(n, -np.inf))
+            hi = self.upper.coeffs if self.upper is not None else _freeze(np.full(n, np.inf))
+            self._bounds[n] = (lo, hi)
+        return self._bounds[n]
 
     def check_admissible(self, mesh: Mesh):
-        if self.kind in ("obstacle", "box"):
-            on_gamma0 = mesh.gamma0_node_mask
-            if np.any(self.psi.coeffs[on_gamma0] > 0):
-                raise ValueError(
-                    "obstacle is positive at an essential-boundary node; "
-                    "the constraint set is empty in the working subspace"
-                )
+        lo, hi = self.bounds(mesh)
+        on_gamma0 = mesh.gamma0_node_mask
+        if np.any(lo[on_gamma0] > 0) or np.any(hi[on_gamma0] < 0):
+            raise ValueError(
+                "the bounds exclude 0 at an essential-boundary node; "
+                "the constraint set is empty in the working subspace"
+            )
 
     def project(self, coeffs, mesh: Mesh):
         """Clip nodal values into the bounds and zero the essential boundary."""
@@ -171,8 +173,6 @@ class SolverOptions:
     max_outer: int = 50
     selection: str = "midpoint"
     seed: int = 0
-    eps: float = 1e-8
-    line_search_min: float = 1e-8
     initial: Optional[FeFunction] = None
 
 
@@ -241,14 +241,14 @@ def _select_terms(prob: VIProblem, u: FeFunction, rule):
     return eta, zeta
 
 
-def _selection_slope(mf, u: FeFunction, rule, clip=1e10):
+def _selection_slope(mf, u: FeFunction, rule):
     """Finite-difference slope of the rule-selected endpoint with respect to s."""
     points, s = mf.layout.points, mf.layout.values(u.coeffs)
     ds = 1e-6 * (1.0 + np.abs(s))
     lo_p, hi_p = mf.eval_interval(points, s + ds)
     lo_m, hi_m = mf.eval_interval(points, s - ds)
     slope = (pick_endpoint(rule, lo_p, hi_p) - pick_endpoint(rule, lo_m, hi_m)) / (2.0 * ds)
-    return np.clip(slope, -clip, clip)
+    return np.clip(slope, -1e10, 1e10)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,6 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report,
     lo, hi = prob.constraint.bounds(mesh)
     u = prob.constraint.project(u0.copy(), mesh)
     op = prob.operator
-    eps = opts.eps
     rule = opts.selection
 
     def terms(uf):
@@ -305,7 +304,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report,
                     sl = np.maximum(sl, 0.0)
                 masses.append(mf.layout.mass_data(sl))
         for attempt in range(3):
-            J = op.jacobian(uf, eps=eps * (100.0**attempt))
+            J = op.jacobian(uf, eps=op.eps * (100.0**attempt))
             for mass in masses:  # left to right, the rounding of J + M_aux + M_f + M_gamma
                 J.data += mass
             rf = r[free]
@@ -341,7 +340,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report,
         step[free] = delta
         t = 1.0
         accepted = False
-        while t >= opts.line_search_min:
+        while t >= _LINE_SEARCH_MIN:
             trial = prob.constraint.project(u + t * step, mesh)
             r_t, phi_t = merit(trial)
             if phi_t < phi * (1.0 - 1e-4 * t) or phi_t <= opts.tol:
@@ -352,7 +351,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report,
         report.newton_iterations += 1
         if not accepted:
             stall += 1
-            trial = prob.constraint.project(u + opts.line_search_min * step, mesh)
+            trial = prob.constraint.project(u + _LINE_SEARCH_MIN * step, mesh)
             r_t, phi_t = merit(trial)
             if phi_t < phi:
                 u, r, phi = trial, r_t, phi_t
@@ -379,11 +378,10 @@ def _warm_start(prob: VIProblem, opts) -> np.ndarray:
     frozen = _select_terms(prob, FeFunction(mesh, flat), opts.selection)
     shape = mesh.quad_weights.shape
     ed2 = ExponentData(mesh, np.full(shape, 2.0), np.full(shape, 3.0), np.zeros(shape))
-    op2 = DoublePhaseOperator(mesh, ed2, eps=opts.eps)
+    op2 = DoublePhaseOperator(mesh, ed2)
     prob2 = VIProblem(op2, prob.constraint, prob.f, prob.f_gamma, aux=prob.aux)
     rep = SolveReport()
-    sub = SolverOptions(tol=max(opts.tol, 1e-10), max_iter=60, eps=opts.eps,
-                        selection=opts.selection)
+    sub = SolverOptions(tol=max(opts.tol, 1e-10), max_iter=60, selection=opts.selection)
     try:
         u, _ = _inner_solve(prob2, flat, sub, rep, frozen=frozen)
         return u
@@ -504,7 +502,6 @@ def check_coercivity(prob: VIProblem, u0: FeFunction, radii, samples_per_radius=
     violation found at the sampled points*, never a coercivity proof.
     """
     mesh = prob.mesh
-    ed = prob.exponents
     lo, hi = prob.constraint.bounds(mesh)
     if np.any(u0.coeffs < lo - 1e-12) or np.any(u0.coeffs > hi + 1e-12):
         raise ValueError("base point is infeasible")
@@ -539,7 +536,7 @@ def check_coercivity(prob: VIProblem, u0: FeFunction, radii, samples_per_radius=
     return {"rows": rows, "summary": summary}
 
 
-def _sample_on_sphere(prob: VIProblem, rng, R, kind, norm_tol=1e-6):
+def _sample_on_sphere(prob: VIProblem, rng, R, kind):
     mesh, ed = prob.mesh, prob.exponents
     for _ in range(8):
         g = rng.normal(size=mesh.n_nodes)
@@ -563,13 +560,13 @@ def _sample_on_sphere(prob: VIProblem, rng, R, kind, norm_tol=1e-6):
         for _ in range(200):
             mid = 0.5 * (t_lo + t_hi)
             n = norm_of(mid)
-            if abs(n - R) <= norm_tol:
+            if abs(n - R) <= 1e-6:
                 return projected(mid)
             if n < R:
                 t_lo = mid
             else:
                 t_hi = mid
-        if abs(norm_of(t_hi) - R) <= norm_tol:
+        if abs(norm_of(t_hi) - R) <= 1e-6:
             return projected(t_hi)
     return None
 

@@ -42,6 +42,36 @@ def test_solve_obstacle(tmp_path, capsys):
     assert report["residual"] <= 1e-9
 
 
+def test_solve_box(tmp_path):
+    payload = obstacle_config()
+    payload["mesh"]["n"] = 32
+    payload["constraint"] = {"kind": "box", "psi": "-0.2", "psi_upper": "0.2", "c_psi": 0.1}
+    payload["f"] = {"f1": "24*(1 - 2*x)", "f2": "24*(1 - 2*x)"}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    vals = read_solution(out / "solution.csv")
+    assert vals.min() == -0.2 and vals.max() == 0.2  # feasible, with both bounds active
+
+
+@pytest.mark.parametrize("constraint, message", [
+    ({"kind": "obstacle"}, "constraint kind 'obstacle' needs the key 'psi'"),
+    ({"kind": "box", "psi": "-1"}, "constraint kind 'box' needs the key 'psi_upper'"),
+    ({"kind": "whole_space", "psi": "-1"},
+     "constraint kind 'whole_space' does not take the key 'psi'"),
+    ({"c_psi": 0.1}, "constraint kind 'whole_space' does not take the key 'c_psi'"),
+    ({"kind": "obstacle", "psi": "-1", "psi_upper": "1"},
+     "constraint kind 'obstacle' does not take the key 'psi_upper'"),
+], ids=["obstacle_without_psi", "box_without_psi_upper", "whole_space_with_psi",
+        "whole_space_with_c_psi", "obstacle_with_psi_upper"])
+def test_constraint_block_validated(tmp_path, capsys, constraint, message):
+    payload = obstacle_config()
+    payload["constraint"] = constraint
+    cfg = write_config(tmp_path, payload)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_norm_plastic_number(tmp_path, capsys):
     payload = {
         "schema": 1,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,18 @@ def test_failed_supersolution_reports_node():
     assert sup.passed
     assert not sub.passed
     assert sub.worst_node is not None
+
+
+def test_subsolution_above_box_fails_lattice():
+    # join(u, K) leaves the box where u exceeds the upper bound 0.1
+    prob, mesh = make_problem(
+        1, 8, constraint=lambda m: ConstraintSet.box(FeFunction.constant(m, -1.0),
+                                                     FeFunction.constant(m, 0.1)),
+        f=("0", "0"),
+    )
+    sub = verify_subsolution(fe_interpolate("x*(1 - x)", mesh), prob)
+    assert not sub.lattice_ok and not sub.passed
+    assert sub.lattice_note == "join with the set exceeds the upper bound"
 
 
 def test_k1_zero_gives_zero_lower_bound():
@@ -265,3 +279,55 @@ def test_fixed_point_rejects_bad_monotonicity():
     j = TwoArgIntervalMultifunction(mesh, "r - 1", "r + 1")  # increasing in r
     with pytest.raises(ValueError, match="monotonicity"):
         discontinuous_fixed_point(prob, j, oi, SolverOptions(tol=1e-9))
+
+
+# -- guards of the shared monotone loop ---------------------------------------------
+
+
+def _interval_problem():
+    # the greatest side takes two steps here (see the warm-start test above)
+    prob, mesh = make_problem(1, 16, f=("-1", "1"))
+    return prob, mesh, construct_obstacle_bounds(prob, k1="1", k2="-1")
+
+
+def _altered_on_call(inner, call, shift):
+    """Wrap ``inner`` so that its ``call``-th result is changed by ``shift``."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        out = inner(*args, **kwargs)
+        return shift(out) if len(calls) == call else out
+
+    return wrapped
+
+
+def _up(u):
+    return FeFunction(u.mesh, u.coeffs + 1e-3 * u.mesh.free_node_mask)
+
+
+def test_extremal_iteration_not_monotone_raises(monkeypatch):
+    prob, mesh, oi = _interval_problem()
+    monkeypatch.setattr(extremal, "solve_enclosed", _altered_on_call(
+        extremal.solve_enclosed, 2, lambda out: (_up(out[0]), out[1])))
+    with pytest.raises(EnclosureError, match="extremal iteration not monotone at step 2"):
+        extremal_pair(prob, oi, SolverOptions(tol=1e-10))
+
+
+def test_fixed_point_outer_iterates_not_monotone_raises(monkeypatch):
+    prob, mesh, oi = _interval_problem()
+    j = TwoArgIntervalMultifunction(mesh, "-1", "1")
+    monkeypatch.setattr(extremal, "extremal_pair", _altered_on_call(
+        extremal.extremal_pair, 2, lambda out: (out[0], _up(out[1]), out[2])))
+    with pytest.raises(EnclosureError, match="outer iterates not monotone at step 2"):
+        discontinuous_fixed_point(prob.with_terms(f=None), j, oi, SolverOptions(tol=1e-10))
+
+
+def test_failed_certificate_names_the_iterate(monkeypatch):
+    prob, mesh, oi = _interval_problem()
+    failed = {"passed": False, "margin": -1.0, "worst_node": 3}
+    monkeypatch.setattr(extremal, "verify_supersolution", _altered_on_call(
+        extremal.verify_supersolution, 2, lambda cert: dataclasses.replace(cert, **failed)))
+    with pytest.raises(EnclosureError, match=r"^iterate 2 failed its supersolution "
+                       r"certificate \(margin -1\.000e\+00 at node 3\)$"):
+        extremal_pair(prob, oi, SolverOptions(tol=1e-10))

@@ -51,16 +51,17 @@ def hand_load_1d(n, g):
     return M @ g
 
 
-def projected_sor(K, rhs, lo, free, omega=1.8, iters=30000, tol=1e-13):
-    """Independent obstacle-QP oracle: projected SOR on K u = rhs, u >= lo."""
-    u = np.maximum(lo, 0.0)
+def projected_sor(K, rhs, lo, free, omega=1.8, iters=30000, tol=1e-13, hi=None):
+    """Independent obstacle-QP oracle: projected SOR on K u = rhs, lo <= u (<= hi)."""
+    hi = np.full(len(lo), np.inf) if hi is None else hi
+    u = np.minimum(np.maximum(lo, 0.0), hi)
     u[~free] = 0.0
     idx = np.flatnonzero(free)
     for _ in range(iters):
         u_old = u.copy()
         for i in idx:
             resid = rhs[i] - K[i] @ u + K[i, i] * u[i]
-            u[i] = max(lo[i], (1 - omega) * u[i] + omega * resid / K[i, i])
+            u[i] = min(hi[i], max(lo[i], (1 - omega) * u[i] + omega * resid / K[i, i]))
         if np.max(np.abs(u - u_old)) < tol:
             break
     return u
@@ -110,6 +111,36 @@ def test_obstacle_oracle_and_free_boundary():
     x_first = mesh.nodes[active[0], 0]
     assert abs(x_first - 1 / (2 * np.sqrt(2))) <= 1.0 / n
     assert np.all(u.coeffs >= -0.5 - 1e-15)
+
+
+def test_box_oracle_1d():
+    # reaction 24(1 - 2x): the unconstrained solution -4x(2x - 1)(x - 1) reaches
+    # -0.375 and 0.375, so the box [-0.2, 0.2] is active on both sides
+    n = 32
+
+    def box(m):
+        return ConstraintSet.box(FeFunction.constant(m, -0.2), FeFunction.constant(m, 0.2))
+
+    prob, mesh = make_problem(1, n, constraint=box, f=("24*(1 - 2*x)", "24*(1 - 2*x)"))
+    u, eta, zeta, rep = solve_vi(prob, SolverOptions(tol=1e-10))
+    assert rep.converged
+    K = hand_stiffness_1d(n)
+    rhs = -hand_load_1d(n, 24.0 * (1.0 - 2.0 * mesh.nodes[:, 0]))
+    oracle = projected_sor(K, rhs, np.full(n + 1, -0.2), mesh.free_node_mask,
+                           hi=np.full(n + 1, 0.2))
+    assert np.max(np.abs(u.coeffs - oracle)) <= 1e-8
+    assert u.coeffs.min() == -0.2 and u.coeffs.max() == 0.2
+
+
+@pytest.mark.parametrize("constraint", [
+    lambda m: ConstraintSet.obstacle(FeFunction.constant(m, 0.5)),
+    lambda m: ConstraintSet.box(FeFunction.constant(m, -2.0), FeFunction.constant(m, -1.0)),
+], ids=["obstacle_above_zero", "box_below_zero"])
+def test_empty_constraint_set_rejected(constraint):
+    # every function of the working subspace vanishes on the essential
+    # boundary, so a set whose bounds exclude 0 there is empty
+    with pytest.raises(ValueError, match="essential-boundary node"):
+        make_problem(1, 8, constraint=constraint, f=("1", "1"))
 
 
 def test_vi_residual_zero_iterate_matches_load():
