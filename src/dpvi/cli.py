@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -175,13 +176,12 @@ def make_interval(prob, cfg, opts, command):
 
         lower = fe_interpolate(str(bcfg["u_lower"]), prob.mesh)
         upper = fe_interpolate(str(bcfg["u_upper"]), prob.mesh)
-        oi = OrderedInterval(
+        return OrderedInterval(
             lower,
             upper,
             verify_subsolution(lower, prob, "lower"),
             verify_supersolution(upper, prob, "upper"),
         )
-        return oi
     if not ("k1" in bcfg and "k2" in bcfg):
         raise ConfigError("bounds block needs k1/k2 or u_lower/u_upper")
     c_psi = cfg.get("constraint", {}).get("c_psi")
@@ -214,19 +214,6 @@ def _history_csv(rows):
     for row in rows:
         lines.append(f"{row['iter']},{row['max_update']!r},{row['residual']!r}")
     return "\n".join(lines) + "\n"
-
-
-def _certificate_payload(cert):
-    return {
-        "side": cert.side,
-        "margin": cert.margin,
-        "passed": cert.passed,
-        "worst_node": cert.worst_node,
-        "lattice_ok": cert.lattice_ok,
-        "lattice_note": cert.lattice_note,
-        "selection_rule": cert.selection_rule,
-        "tested_nodes": cert.tested_nodes,
-    }
 
 
 def _report_payload(report):
@@ -296,22 +283,20 @@ def cmd_verify(cfg, args, out):
     opts = solver_options(cfg, args)
     oi = make_interval(prob, cfg, opts, "verify")
     payload = {
-        "lower": _certificate_payload(oi.lower_certificate),
-        "upper": _certificate_payload(oi.upper_certificate),
+        "lower": asdict(oi.lower_certificate),
+        "upper": asdict(oi.upper_certificate),
         "ordered": bool(np.all(oi.lower.coeffs <= oi.upper.coeffs)),
         "M": oi.M,
     }
     _write(out / "certificates.json", _json_text(payload))
-    lines = [
-        "verify: lower {} (margin {:.3e}), upper {} (margin {:.3e})".format(
-            "passed" if payload["lower"]["passed"] else "FAILED",
-            payload["lower"]["margin"],
-            "passed" if payload["upper"]["passed"] else "FAILED",
-            payload["upper"]["margin"],
-        )
-    ]
-    _write(out / "certificates.txt", "\n".join(lines) + "\n")
-    print(lines[0])
+    line = "verify: lower {} (margin {:.3e}), upper {} (margin {:.3e})".format(
+        "passed" if payload["lower"]["passed"] else "FAILED",
+        payload["lower"]["margin"],
+        "passed" if payload["upper"]["passed"] else "FAILED",
+        payload["upper"]["margin"],
+    )
+    _write(out / "certificates.txt", line + "\n")
+    print(line)
     return 0 if payload["lower"]["passed"] and payload["upper"]["passed"] else 3
 
 
@@ -357,6 +342,15 @@ def cmd_probe_coercivity(cfg, args, out):
     return 0
 
 
+_COMMANDS = {
+    "solve": cmd_solve,
+    "extremal": cmd_extremal,
+    "verify": cmd_verify,
+    "norm": cmd_norm,
+    "probe-coercivity": cmd_probe_coercivity,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dpvi",
@@ -364,7 +358,7 @@ def main(argv=None) -> int:
         "variational inequalities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "extremal", "verify", "norm", "probe-coercivity"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML problem description")
         p.add_argument("--out", default="out", help="output directory")
@@ -380,18 +374,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        out = Path(args.out)
-        if args.command == "solve":
-            return cmd_solve(cfg, args, out)
-        if args.command == "extremal":
-            return cmd_extremal(cfg, args, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, args, out)
-        if args.command == "norm":
-            return cmd_norm(cfg, args, out)
-        if args.command == "probe-coercivity":
-            return cmd_probe_coercivity(cfg, args, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](cfg, args, Path(args.out))
     except (ConfigError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -70,7 +70,7 @@ class EnclosureError(RuntimeError):
 @dataclass
 class CertificateReport:
     side: str  # 'subsolution' | 'supersolution'
-    margin: float  # worst signed slack; nonnegative (to tol) means verified
+    margin: float  # worst signed slack; nonnegative (to 1e-9) means verified
     worst_node: Optional[int]
     passed: bool
     lattice_ok: bool
@@ -137,7 +137,7 @@ def _lattice_condition(prob: VIProblem, u: FeFunction, side):
     return True, "automatic for this constraint set"
 
 
-def _certify(side, u: FeFunction, prob: VIProblem, rule, tol):
+def _certify(side, u: FeFunction, prob: VIProblem, rule):
     lattice_ok, note = _lattice_condition(prob, u, side)
     r = _residual_vector(prob, u, *_select_terms(prob, u, rule))
     lo, hi = prob.constraint.bounds(prob.mesh)
@@ -161,7 +161,7 @@ def _certify(side, u: FeFunction, prob: VIProblem, rule, tol):
         side=side,
         margin=margin,
         worst_node=worst,
-        passed=bool(lattice_ok and margin >= -tol),
+        passed=bool(lattice_ok and margin >= -1e-9),
         lattice_ok=lattice_ok,
         lattice_note=note,
         selection_rule=rule,
@@ -169,7 +169,7 @@ def _certify(side, u: FeFunction, prob: VIProblem, rule, tol):
     )
 
 
-def verify_subsolution(u: FeFunction, prob: VIProblem, rule="lower", tol=1e-9):
+def verify_subsolution(u: FeFunction, prob: VIProblem, rule="lower"):
     """Certificate that ``u`` is a discrete subsolution of the problem.
 
     Checks the lattice compatibility of the constraint set, selects the
@@ -177,13 +177,13 @@ def verify_subsolution(u: FeFunction, prob: VIProblem, rule="lower", tol=1e-9):
     over the generating hat directions.  The reported margin is the worst
     signed slack (nonnegative means verified).
     """
-    return _certify("subsolution", u, prob, rule, tol)
+    return _certify("subsolution", u, prob, rule)
 
 
-def verify_supersolution(u: FeFunction, prob: VIProblem, rule="upper", tol=1e-9):
+def verify_supersolution(u: FeFunction, prob: VIProblem, rule="upper"):
     """Certificate that ``u`` is a discrete supersolution (see
     :func:`verify_subsolution`)."""
-    return _certify("supersolution", u, prob, rule, tol)
+    return _certify("supersolution", u, prob, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +204,12 @@ def _dirichlet_solve(prob: VIProblem, k_expr, opts):
     return u
 
 
-def _check_one_sided_envelopes(prob, k1_field, k2_field, s_lo, s_hi, n_samples=33):
+def _check_one_sided_envelopes(prob, k1_field, k2_field, s_lo, s_hi):
     """Sampled check that f1 <= k1 and f2 >= k2 over the relevant state range."""
     if prob.f is None:
         return
     mesh = prob.mesh
-    for s in np.linspace(s_lo, s_hi, n_samples):
+    for s in np.linspace(s_lo, s_hi, 33):
         s_arr = np.full(mesh.quad_weights.shape, float(s))
         lo, hi = prob.f.eval_interval(mesh.quad_points, s_arr)
         gap1 = np.max(lo - k1_field)
@@ -299,11 +299,10 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
         raise SolverError(f"auxiliary solve failed: {report.message}")
 
     tol = opts.tol
-    below = oi.lower.coeffs - u.coeffs
-    above = u.coeffs - oi.upper.coeffs
-    worst = max(float(np.max(below)), float(np.max(above)))
-    if worst > 10 * tol:
-        node = int(np.argmax(np.maximum(below, above)))
+    status = report.enclosure_status  # solve_vi's check against the same bounds
+    if not status["enclosed"]:
+        worst = max(status["below_lower"], status["above_upper"])
+        node = int(np.argmax(np.maximum(oi.lower.coeffs - u.coeffs, u.coeffs - oi.upper.coeffs)))
         raise EnclosureError(
             f"enclosure violated by {worst:.3e} at node {node}; "
             "certificate or solver failure"
@@ -320,9 +319,6 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
             f"enclosed iterate does not solve the original problem: residual {residual:.3e}"
         )
     report.residual = residual
-    report.enclosure_status = {"below_lower": float(np.max(below, initial=0.0)),
-                               "above_upper": float(np.max(above, initial=0.0)),
-                               "enclosed": True}
     return u, report
 
 

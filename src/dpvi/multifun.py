@@ -147,7 +147,7 @@ class TwoArgIntervalMultifunction:
         """Bind r to a finite-element function, yielding a one-argument interval."""
         return FrozenIntervalMultifunction(self, r_func)
 
-    def check_monotone(self, r_values, s_values, tol=1e-10):
+    def check_monotone(self, r_values, s_values):
         """Sample whether r -> j1 and r -> j2 are nonincreasing.
 
         Returns a dict with flags and the worst signed increase found
@@ -166,8 +166,8 @@ class TwoArgIntervalMultifunction:
                     worst_hi = max(worst_hi, float(np.max(hi - prev[1])))
                 prev = (lo, hi)
         return {
-            "lower_nonincreasing": worst_lo <= tol,
-            "upper_nonincreasing": worst_hi <= tol,
+            "lower_nonincreasing": worst_lo <= 1e-10,
+            "upper_nonincreasing": worst_hi <= 1e-10,
             "worst_lower_increase": worst_lo,
             "worst_upper_increase": worst_hi,
         }

@@ -255,30 +255,29 @@ def _selection_slope(mf, u: FeFunction, rule):
 # inner semismooth Newton / active set
 
 
-def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report,
-                 frozen=None, nonneg_slopes=False):
+def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, frozen=None):
     """Semismooth Newton / primal active-set iteration for the selected VI.
 
     The rule-selected reaction endpoints are evaluated at the running
     iterate (with their slopes entering the Newton matrix); ``frozen``
     optionally supplies fixed selection fields instead (used by the warm
-    start).  Returns (coefficients, converged flag).
+    start).  A singular Newton system is retried twice with only the Jacobian
+    re-assembled, its smoothing eps 100 times larger each time.  A line
+    search without sufficient decrease down to ``_LINE_SEARCH_MIN`` leaves
+    the iterate unchanged; three in a row end the solve.  Returns
+    (coefficients, converged flag).
     """
     mesh = prob.mesh
     free = np.flatnonzero(mesh.free_node_mask)
     lo, hi = prob.constraint.bounds(mesh)
+    lo_f, hi_f = lo[free], hi[free]
     u = prob.constraint.project(u0.copy(), mesh)
     op = prob.operator
     rule = opts.selection
 
-    def terms(uf):
-        if frozen is not None:
-            return frozen
-        return _select_terms(prob, uf, rule)
-
     def merit(coeffs):
         uf = FeFunction(mesh, coeffs)
-        eta, zeta = terms(uf)
+        eta, zeta = frozen if frozen is not None else _select_terms(prob, uf, rule)
         r = _residual_vector(prob, uf, eta, zeta)
         return r, float(np.max(np.abs(_complementarity(prob, coeffs, r)), initial=0.0))
 
@@ -291,74 +290,59 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report,
         report.residual_history.append(phi)
         if phi <= opts.tol:
             return u, True
-        uf = FeFunction(mesh, u)
-        # penalty and selection slopes do not depend on the smoothing eps
-        masses = []
-        if prob.aux is not None:
-            slope = prob.aux.slope_field(uf.values_at_quad())
-            masses.append(mesh.layout("interior").mass_data(slope))
-        for mf in (prob.f, prob.f_gamma) if frozen is None else ():
-            if mf is not None:
-                sl = _selection_slope(mf, uf, rule)
-                if nonneg_slopes:
-                    sl = np.maximum(sl, 0.0)
-                masses.append(mf.layout.mass_data(sl))
-        for attempt in range(3):
-            J = op.jacobian(uf, eps=op.eps * (100.0**attempt))
-            for mass in masses:  # left to right, the rounding of J + M_aux + M_f + M_gamma
-                J.data += mass
-            rf = r[free]
-            uf_free = u[free]
-            lo_f, hi_f = lo[free], hi[free]
-            # active where the bound wins the pointwise min/max in the NCP
-            act_lo = np.isfinite(lo_f) & (uf_free - lo_f <= rf)
-            act_hi = np.isfinite(hi_f) & (hi_f - uf_free <= -rf) & ~act_lo
-            inact = ~(act_lo | act_hi)
-            delta = np.zeros(len(free))
-            delta[act_lo] = lo_f[act_lo] - uf_free[act_lo]
-            delta[act_hi] = hi_f[act_hi] - uf_free[act_hi]
-            Jff = J[np.ix_(free, free)]
-            Jff.eliminate_zeros()  # entries that cancel exactly only add fill to the LU
-            Jff = Jff.tocsc()
-            idx_i = np.flatnonzero(inact)
-            try:
-                if len(idx_i):
-                    rhs = -rf[idx_i] - Jff[np.ix_(idx_i, np.flatnonzero(~inact))] @ delta[~inact]
-                    sol = spla.spsolve(Jff[np.ix_(idx_i, idx_i)], rhs)
-                    if not np.all(np.isfinite(sol)):
-                        raise RuntimeError("singular Newton system")
-                    delta[idx_i] = sol
-                break
-            except RuntimeError:
-                if attempt == 2:
-                    raise SolverError(
-                        "Newton system singular after smoothing retries"
-                    ) from None
-        report.active_set_history.append(int(np.count_nonzero(act_lo | act_hi)))
+        rf, u_free = r[free], u[free]
+        # active where the bound wins the pointwise min/max in the NCP
+        act_lo = np.isfinite(lo_f) & (u_free - lo_f <= rf)
+        act_hi = np.isfinite(hi_f) & (hi_f - u_free <= -rf) & ~act_lo
+        inact = ~(act_lo | act_hi)
+        delta = np.zeros(len(free))
+        delta[act_lo] = lo_f[act_lo] - u_free[act_lo]
+        delta[act_hi] = hi_f[act_hi] - u_free[act_hi]
+        rows, cols = free[inact], free[~inact]
+        if len(rows):
+            uf = FeFunction(mesh, u)
+            # penalty and selection slopes do not depend on the smoothing eps
+            masses = []
+            if prob.aux is not None:
+                slope = prob.aux.slope_field(uf.values_at_quad())
+                masses.append(mesh.layout("interior").mass_data(slope))
+            for mf in (prob.f, prob.f_gamma) if frozen is None else ():
+                if mf is not None:
+                    masses.append(mf.layout.mass_data(_selection_slope(mf, uf, rule)))
+            for attempt in range(3):
+                J = op.jacobian(uf, eps=op.eps * (100.0**attempt))
+                for mass in masses:  # left to right, the rounding of J + M_aux + M_f + M_gamma
+                    J.data += mass
+                K = J[np.ix_(rows, rows)]
+                K.eliminate_zeros()  # entries that cancel exactly only add fill to the LU
+                rhs = -rf[inact] - J[np.ix_(rows, cols)] @ delta[~inact]
+                try:
+                    sol = spla.spsolve(K.tocsc(), rhs)
+                except RuntimeError:  # exactly singular factor
+                    continue
+                if np.all(np.isfinite(sol)):
+                    break
+            else:
+                raise SolverError("Newton system singular after smoothing retries")
+            delta[inact] = sol
+        report.active_set_history.append(int(np.count_nonzero(~inact)))
+        report.newton_iterations += 1
 
         step = np.zeros(mesh.n_nodes)
         step[free] = delta
         t = 1.0
-        accepted = False
         while t >= _LINE_SEARCH_MIN:
             trial = prob.constraint.project(u + t * step, mesh)
             r_t, phi_t = merit(trial)
             if phi_t < phi * (1.0 - 1e-4 * t) or phi_t <= opts.tol:
                 u, r, phi = trial, r_t, phi_t
-                accepted = True
+                stall = 0
                 break
             t *= 0.5
-        report.newton_iterations += 1
-        if not accepted:
-            stall += 1
-            trial = prob.constraint.project(u + _LINE_SEARCH_MIN * step, mesh)
-            r_t, phi_t = merit(trial)
-            if phi_t < phi:
-                u, r, phi = trial, r_t, phi_t
-            if stall >= 3:
-                return u, phi <= opts.tol
         else:
-            stall = 0
+            stall += 1
+            if stall >= 3:
+                return u, False
     report.residual_history.append(phi)
     return u, phi <= opts.tol
 
@@ -417,10 +401,6 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
         eta, zeta = _select_terms(prob, FeFunction(mesh, u), opts.selection)
         u_start = u
         u, ok = _inner_solve(prob, u, opts, report)
-        if not ok:
-            # retry the round with slopes clipped nonnegative: keeps the
-            # Newton matrix positive semidefinite for drift-dominated data
-            u, ok = _inner_solve(prob, u, opts, report, nonneg_slopes=True)
         if not ok and np.array_equal(u, u_start):
             # the next round would start from the same iterate with the same
             # selection and repeat this deterministic failure exactly

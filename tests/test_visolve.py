@@ -347,13 +347,13 @@ def test_failed_round_that_repeats_itself_stops(monkeypatch):
     prob, mesh = make_problem(1, 8, f=("1", "1"))
     calls = []
 
-    def stuck(prob, u0, opts, report, frozen=None, nonneg_slopes=False):
-        calls.append(nonneg_slopes)
+    def stuck(prob, u0, opts, report, frozen=None):
+        calls.append(frozen)
         return u0.copy(), False
 
     monkeypatch.setattr(visolve, "_inner_solve", stuck)
     u, eta, zeta, rep = solve_vi(prob, SolverOptions(initial=FeFunction.zero(mesh)))
-    assert calls == [False, True]  # one round, with its nonnegative-slope retry
+    assert calls == [None]  # one round
     assert rep.outer_iterations == 1
     assert not rep.converged
     assert rep.message.startswith("not converged: residual")
@@ -365,17 +365,51 @@ def test_failed_rounds_that_move_run_to_max_outer(monkeypatch):
     prob, mesh = make_problem(1, 8, f=("1", "1"))
     calls = []
 
-    def creeping(prob, u0, opts, report, frozen=None, nonneg_slopes=False):
-        calls.append(nonneg_slopes)
+    def creeping(prob, u0, opts, report, frozen=None):
+        calls.append(frozen)
         return u0 + 1e-3 * mesh.free_node_mask, False
 
     monkeypatch.setattr(visolve, "_inner_solve", creeping)
     u, eta, zeta, rep = solve_vi(prob, SolverOptions(initial=FeFunction.zero(mesh),
                                                      max_outer=4))
-    assert len(calls) == 8
+    assert len(calls) == 4
     assert rep.outer_iterations == 4
     assert not rep.converged
     assert "stopped" not in rep.message
+
+
+def _spy_singular_solves(monkeypatch, n_singular):
+    """Make the first ``n_singular`` linear solves return NaN; record Jacobian eps values."""
+    solves, eps_seen = [], []
+    spsolve, jacobian = visolve.spla.spsolve, DoublePhaseOperator.jacobian
+
+    def nan_solve(A, b):
+        solves.append(len(b))
+        return np.full(len(b), np.nan) if len(solves) <= n_singular else spsolve(A, b)
+
+    def spy_jacobian(self, u, eps=None):
+        eps_seen.append(eps)
+        return jacobian(self, u, eps)
+
+    monkeypatch.setattr(visolve.spla, "spsolve", nan_solve)
+    monkeypatch.setattr(DoublePhaseOperator, "jacobian", spy_jacobian)
+    return eps_seen
+
+
+def test_singular_newton_system_retried_with_larger_smoothing(monkeypatch):
+    prob, mesh = make_problem(1, 8, f=("1", "1"))
+    eps_seen = _spy_singular_solves(monkeypatch, 1)
+    u, eta, zeta, rep = solve_vi(prob)
+    assert rep.converged
+    assert eps_seen[:2] == [pytest.approx(1e-8), pytest.approx(1e-6)]
+
+
+def test_newton_system_singular_after_every_retry_raises(monkeypatch):
+    prob, mesh = make_problem(1, 8, f=("1", "1"))
+    eps_seen = _spy_singular_solves(monkeypatch, np.inf)
+    with pytest.raises(visolve.SolverError, match="singular after smoothing retries"):
+        solve_vi(prob)
+    assert eps_seen == [pytest.approx(1e-8), pytest.approx(1e-6), pytest.approx(1e-4)]
 
 
 def test_report_fields():
