@@ -11,8 +11,7 @@ directory:
     dpvi probe-coercivity --config problem.yaml --radii 1,2,4,8 --out results/
 
 Exit codes: 0 success, 2 configuration/validation error, 3 non-convergence.
-Identical configuration and seed produce byte-identical output files; wall
-times are printed to standard error only.
+Identical configuration and seed produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import yaml
 from .expr import ExprError
 from .extremal import (
     EnclosureError,
+    OrderedInterval,
     construct_obstacle_bounds,
     discontinuous_fixed_point,
     extremal_pair,
@@ -160,10 +160,23 @@ def build_problem(cfg):
 
 def solver_options(cfg, args):
     scfg = cfg.get("solver", {})
-    tol = args.tol if args.tol is not None else float(scfg.get("tol", 1e-9))
-    max_iter = args.max_iter if args.max_iter is not None else int(scfg.get("max_iter", 200))
+
+    def number(key, flag, convert, default):
+        if flag is not None:
+            return flag
+        try:
+            return convert(scfg.get(key, default))
+        except (TypeError, ValueError):
+            raise ConfigError(f"solver option {key!r} must be a number, got {scfg[key]!r}") from None
+
+    tol = number("tol", args.tol, float, 1e-9)
+    max_iter = number("max_iter", args.max_iter, int, 200)
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"solver option 'tol' must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ConfigError(f"solver option 'max_iter' must be at least 1, got {max_iter}")
     selection = args.selection or scfg.get("selection", "midpoint")
-    seed = args.seed if args.seed is not None else int(scfg.get("seed", 0))
+    seed = number("seed", args.seed, int, 0)
     return SolverOptions(tol=tol, max_iter=max_iter, selection=selection, seed=seed)
 
 
@@ -172,8 +185,6 @@ def make_interval(prob, cfg, opts, command):
     if "u_lower" in bcfg or "u_upper" in bcfg:
         if not ("u_lower" in bcfg and "u_upper" in bcfg):
             raise ConfigError("explicit bounds need both u_lower and u_upper")
-        from .extremal import OrderedInterval
-
         lower = fe_interpolate(str(bcfg["u_lower"]), prob.mesh)
         upper = fe_interpolate(str(bcfg["u_upper"]), prob.mesh)
         return OrderedInterval(
@@ -219,7 +230,6 @@ def _history_csv(rows):
 def _report_payload(report):
     return {
         "converged": report.converged,
-        "outer_iterations": report.outer_iterations,
         "newton_iterations": report.newton_iterations,
         "residual": report.residual,
         "selection_rule": report.selection_rule,
@@ -242,7 +252,7 @@ def cmd_solve(cfg, args, out):
     _write(out / "report.json", _json_text(payload))
     _write(
         out / "report.txt",
-        "solve: converged={converged} residual={residual!r} outer={outer_iterations} "
+        "solve: converged={converged} residual={residual!r} "
         "newton={newton_iterations}\n".format(**payload),
     )
     print(f"solve: residual {report.residual:.3e} after {report.newton_iterations} iterations",

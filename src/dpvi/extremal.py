@@ -35,9 +35,11 @@ from typing import Optional
 
 import numpy as np
 
+from .expr import parse_expression
 from .mesh import FeFunction
-from .multifun import TruncationData, TwoArgIntervalMultifunction, penalty
+from .multifun import IntervalMultifunction, TruncationData, TwoArgIntervalMultifunction, penalty
 from .visolve import (
+    ConstraintSet,
     SolverError,
     SolverOptions,
     VIProblem,
@@ -192,9 +194,6 @@ def verify_supersolution(u: FeFunction, prob: VIProblem, rule="upper"):
 
 def _dirichlet_solve(prob: VIProblem, k_expr, opts):
     """Solution of the operator equation with constant-in-s reaction k."""
-    from .multifun import IntervalMultifunction
-    from .visolve import ConstraintSet
-
     mesh = prob.mesh
     f = IntervalMultifunction(mesh, k_expr, k_expr)
     sub = VIProblem(prob.operator, ConstraintSet.whole_space(), f)
@@ -239,8 +238,6 @@ def construct_obstacle_bounds(prob: VIProblem, k1, k2, c_psi=None, margin=1e-3,
     opts = opts or SolverOptions(tol=1e-10)
     mesh = prob.mesh
     allowed = ("x",) if mesh.dim == 1 else ("x", "y")
-    from .expr import parse_expression
-
     k1_ast = parse_expression(k1, allowed) if isinstance(k1, str) else k1
     k2_ast = parse_expression(k2, allowed) if isinstance(k2, str) else k2
     u1 = _dirichlet_solve(prob, k1_ast, opts)

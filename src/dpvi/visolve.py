@@ -2,11 +2,11 @@
 
 A problem couples the double-phase operator with a constraint set (whole
 working subspace, lower obstacle, or box), an optional interval reaction in
-the domain and an optional one on the natural boundary part.  Multi-valued
-terms are handled by an outer freeze-selection loop: the selection rule is
-applied at the current iterate, an inner semismooth Newton / primal
-active-set iteration solves the resulting single-valued VI, and the loop
-stops when the frozen selection is consistent with the converged iterate.
+the domain and an optional one on the natural boundary part.  One semismooth
+Newton / primal active-set loop solves it: every merit evaluation applies
+the selection rule at the iterate it measures and the Newton matrix carries
+the selection slopes, so the selection always belongs to the iterate and no
+outer selection loop is needed.
 
 Feasibility of the returned iterate is exact (active nodes are set onto
 their bound, inactive updates are projected), and convergence is measured
@@ -57,7 +57,7 @@ class SolverError(RuntimeError):
     """Unrecoverable solver failure (singular systems after retries, ...)."""
 
 
-# shortest line-search step before a Newton step counts as stalled
+# shortest line-search step; no sufficient decrease down to it ends the solve
 _LINE_SEARCH_MIN = 1e-8
 
 
@@ -170,7 +170,7 @@ class VIProblem:
 class SolverOptions:
     tol: float = 1e-9
     max_iter: int = 200
-    max_outer: int = 50
+    max_outer: int = 50  # bounds the monotone extremal iterations only, not solve_vi
     selection: str = "midpoint"
     seed: int = 0
     initial: Optional[FeFunction] = None
@@ -179,12 +179,10 @@ class SolverOptions:
 @dataclass
 class SolveReport:
     converged: bool = False
-    outer_iterations: int = 0
     newton_iterations: int = 0
     residual: float = np.inf
     residual_history: list = field(default_factory=list)
     active_set_history: list = field(default_factory=list)
-    inner_spans: list = field(default_factory=list)
     selection_rule: str = "midpoint"
     enclosure_status: Optional[dict] = None
     wall_time: float = 0.0
@@ -256,16 +254,17 @@ def _selection_slope(mf, u: FeFunction, rule):
 
 
 def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, frozen=None):
-    """Semismooth Newton / primal active-set iteration for the selected VI.
+    """Semismooth Newton / primal active-set iteration for the multi-valued VI.
 
     The rule-selected reaction endpoints are evaluated at the running
     iterate (with their slopes entering the Newton matrix); ``frozen``
     optionally supplies fixed selection fields instead (used by the warm
     start).  A singular Newton system is retried twice with only the Jacobian
-    re-assembled, its smoothing eps 100 times larger each time.  A line
-    search without sufficient decrease down to ``_LINE_SEARCH_MIN`` leaves
-    the iterate unchanged; three in a row end the solve.  Returns
-    (coefficients, converged flag).
+    re-assembled, its smoothing eps 100 times larger each time.  The first
+    line search without sufficient decrease down to ``_LINE_SEARCH_MIN`` ends
+    the solve: it leaves the iterate and its residual unchanged, so every
+    later step would repeat it exactly.  Returns (coefficients, cause), where
+    cause is None on convergence and otherwise names why the solve stopped.
     """
     mesh = prob.mesh
     free = np.flatnonzero(mesh.free_node_mask)
@@ -282,14 +281,10 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
         return r, float(np.max(np.abs(_complementarity(prob, coeffs, r)), initial=0.0))
 
     r, phi = merit(u)
-    stall = 0
-    span_start = len(report.residual_history)
-    report.inner_spans.append([span_start, span_start])
-    for it in range(opts.max_iter):
-        report.inner_spans[-1][1] = len(report.residual_history) + 1
+    for _ in range(opts.max_iter):
         report.residual_history.append(phi)
         if phi <= opts.tol:
-            return u, True
+            return u, None
         rf, u_free = r[free], u[free]
         # active where the bound wins the pointwise min/max in the NCP
         act_lo = np.isfinite(lo_f) & (u_free - lo_f <= rf)
@@ -336,15 +331,12 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
             r_t, phi_t = merit(trial)
             if phi_t < phi * (1.0 - 1e-4 * t) or phi_t <= opts.tol:
                 u, r, phi = trial, r_t, phi_t
-                stall = 0
                 break
             t *= 0.5
         else:
-            stall += 1
-            if stall >= 3:
-                return u, False
+            return u, "the line search found no decrease"
     report.residual_history.append(phi)
-    return u, phi <= opts.tol
+    return u, None if phi <= opts.tol else f"{opts.max_iter} Newton steps spent"
 
 
 def _warm_start(prob: VIProblem, opts) -> np.ndarray:
@@ -376,12 +368,15 @@ def _warm_start(prob: VIProblem, opts) -> np.ndarray:
 def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
     """Solve the multi-valued VI; returns (u, eta, zeta, report).
 
-    The returned iterate is feasible to machine precision, the selections
-    satisfy eta(x) in f(x, u(x)) pointwise (by construction of the selection
-    rule), and the complementarity residual is at most ``opts.tol`` when
-    ``report.converged`` is set.  On iteration exhaustion the best iterate
-    is returned flagged non-converged.  If the Newton system is singular the
-    smoothing is enlarged twice before a :class:`SolverError` is raised.
+    One Newton loop (:func:`_inner_solve`) runs from ``opts.initial`` or the
+    warm start, with at most ``opts.max_iter`` steps; the selections are then
+    taken at its final iterate.  The returned iterate is feasible to machine
+    precision, the selections satisfy eta(x) in f(x, u(x)) pointwise (by
+    construction of the selection rule), and the complementarity residual is
+    at most ``opts.tol`` when ``report.converged`` is set.  Otherwise the last
+    iterate is returned flagged non-converged, and the message names the
+    cause.  If the Newton system is singular the smoothing is enlarged twice
+    before a :class:`SolverError` is raised.
     """
     opts = opts or SolverOptions()
     report = SolveReport(selection_rule=opts.selection)
@@ -392,41 +387,14 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
         u = prob.constraint.project(opts.initial.coeffs.copy(), mesh)
     else:
         u = _warm_start(prob, opts)
-
-    eta = zeta = None
-    sel_gap = np.inf
-    repeated = None
-    for outer in range(1, opts.max_outer + 1):
-        report.outer_iterations = outer
-        eta, zeta = _select_terms(prob, FeFunction(mesh, u), opts.selection)
-        u_start = u
-        u, ok = _inner_solve(prob, u, opts, report)
-        if not ok and np.array_equal(u, u_start):
-            # the next round would start from the same iterate with the same
-            # selection and repeat this deterministic failure exactly
-            repeated = outer
-        eta_new, zeta_new = _select_terms(prob, FeFunction(mesh, u), opts.selection)
-        sel_gap = 0.0
-        if eta_new is not None:
-            sel_gap = max(sel_gap, float(np.max(np.abs(eta_new - eta), initial=0.0)))
-        if zeta_new is not None:
-            sel_gap = max(sel_gap, float(np.max(np.abs(zeta_new - zeta), initial=0.0)))
-        eta, zeta = eta_new, zeta_new
-        if repeated or (ok and sel_gap <= max(opts.tol, 1e-12)):
-            break
+    u, cause = _inner_solve(prob, u, opts, report)
 
     uf = FeFunction(mesh, u)
+    eta, zeta = _select_terms(prob, uf, opts.selection)
     report.residual = vi_residual(prob, uf, eta, zeta)
-    report.converged = report.residual <= opts.tol and sel_gap <= max(opts.tol, 1e-12)
+    report.converged = report.residual <= opts.tol
     if not report.converged:
-        report.message = (
-            f"not converged: residual {report.residual:.3e}, selection gap {sel_gap:.3e}"
-        )
-        if repeated:
-            report.message += (
-                f"; stopped at outer round {repeated}: its inner solve failed and "
-                "left the iterate unchanged, so every further round would repeat it"
-            )
+        report.message = f"not converged: residual {report.residual:.3e}; {cause}"
     if prob.aux is not None:
         td = prob.aux.truncation
         below = float(np.max(td.lower.coeffs - u, initial=0.0))
@@ -480,7 +448,17 @@ def check_coercivity(prob: VIProblem, u0: FeFunction, radii, samples_per_radius=
 
     is recorded.  This is a sampling probe: a nonnegative minimum means *no
     violation found at the sampled points*, never a coercivity proof.
+    At least one radius is needed, each finite and positive, and at least
+    one sample per radius.
     """
+    radii = [float(R) for R in radii]
+    if not radii:
+        raise ValueError("the coercivity probe needs at least one radius")
+    bad = [R for R in radii if not 0 < R < np.inf]
+    if bad:
+        raise ValueError(f"coercivity radii must be finite and positive, got {bad[0]!r}")
+    if samples_per_radius < 1:
+        raise ValueError(f"samples per radius must be at least 1, got {samples_per_radius}")
     mesh = prob.mesh
     lo, hi = prob.constraint.bounds(mesh)
     if np.any(u0.coeffs < lo - 1e-12) or np.any(u0.coeffs > hi + 1e-12):
@@ -492,7 +470,7 @@ def check_coercivity(prob: VIProblem, u0: FeFunction, radii, samples_per_radius=
         best = np.inf
         found = 0
         for _ in range(int(samples_per_radius)):
-            u = _sample_on_sphere(prob, rng, float(R), kind)
+            u = _sample_on_sphere(prob, rng, R, kind)
             if u is None:
                 continue
             found += 1
@@ -502,7 +480,7 @@ def check_coercivity(prob: VIProblem, u0: FeFunction, radii, samples_per_radius=
             raise ValueError(f"no feasible sample found at radius {R}")
         rows.append(
             {
-                "radius": float(R),
+                "radius": R,
                 "samples": found,
                 "min_pairing": float(best),
                 "violation_found": bool(best <= 0.0),

@@ -136,6 +136,44 @@ def test_probe_coercivity_command(tmp_path, capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--radii", "0"], "coercivity radii must be finite and positive, got 0.0"),
+    (["--radii", "1,-1"], "coercivity radii must be finite and positive, got -1.0"),
+    (["--radii", "inf"], "coercivity radii must be finite and positive, got inf"),
+    (["--radii", "nan"], "coercivity radii must be finite and positive, got nan"),
+    (["--radii", ","], "the coercivity probe needs at least one radius"),
+    (["--samples", "0"], "samples per radius must be at least 1, got 0"),
+], ids=["zero_radius", "negative_radius", "infinite_radius", "nan_radius", "no_radius",
+        "no_samples"])
+def test_probe_coercivity_inputs_validated(tmp_path, capsys, flags, message):
+    cfg = write_config(tmp_path, obstacle_config())
+    out = tmp_path / "out"
+    assert main(["probe-coercivity", "--config", cfg, "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver, flags, message", [
+    ({}, ["--tol", "0"], "solver option 'tol' must be finite and positive, got 0.0"),
+    ({}, ["--tol", "-1"], "solver option 'tol' must be finite and positive, got -1.0"),
+    ({}, ["--tol", "nan"], "solver option 'tol' must be finite and positive, got nan"),
+    ({"tol": float("inf")}, [], "solver option 'tol' must be finite and positive, got inf"),
+    ({}, ["--max-iter", "0"], "solver option 'max_iter' must be at least 1, got 0"),
+    ({"max_iter": -3}, [], "solver option 'max_iter' must be at least 1, got -3"),
+    ({"max_iter": [1]}, [], "solver option 'max_iter' must be a number, got [1]"),
+    ({"tol": "abc"}, [], "solver option 'tol' must be a number, got 'abc'"),
+    ({"seed": "x"}, [], "solver option 'seed' must be a number, got 'x'"),
+], ids=["flag_tol_zero", "flag_tol_negative", "flag_tol_nan", "config_tol_inf",
+        "flag_max_iter_zero", "config_max_iter_negative", "config_max_iter_list",
+        "config_tol_text", "config_seed_text"])
+def test_solver_options_validated(tmp_path, capsys, solver, flags, message):
+    payload = obstacle_config()
+    payload["solver"].update(solver)
+    cfg = write_config(tmp_path, payload)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
     payload = obstacle_config()
     payload["exponentz"] = {"p": "2"}
@@ -213,6 +251,7 @@ def test_extremal_on_shipped_config(tmp_path, capsys, name):
     if name == "noncoercive":  # known non-convergence of the enclosed solve
         assert code == 3
         assert err.startswith("error: ") and "Traceback" not in err
+        assert "the line search found no decrease" in err
         return
     assert code == 0, err
     lo = read_solution(out / "u_smallest.csv")

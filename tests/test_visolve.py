@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dpvi import visolve
+from dpvi.cli import build_problem, load_config
 from dpvi.mesh import FeFunction, build_mesh, fe_interpolate
 from dpvi.multifun import IntervalMultifunction, TruncationData
 from dpvi.operator import DoublePhaseOperator
@@ -15,6 +18,8 @@ from dpvi.visolve import (
     solve_vi,
     vi_residual,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def make_problem(dim=1, n=8, p="2", q="3", mu="0", constraint=None, f=None, f_gamma=None,
@@ -343,39 +348,27 @@ def test_max_iter_exhaustion_flagged():
     assert "not converged" in rep.message
 
 
-def test_failed_round_that_repeats_itself_stops(monkeypatch):
-    prob, mesh = make_problem(1, 8, f=("1", "1"))
-    calls = []
+def obstacle_yaml_problem():
+    return build_problem(load_config(CONFIGS / "obstacle.yaml"))
 
-    def stuck(prob, u0, opts, report, frozen=None):
-        calls.append(frozen)
-        return u0.copy(), False
 
-    monkeypatch.setattr(visolve, "_inner_solve", stuck)
-    u, eta, zeta, rep = solve_vi(prob, SolverOptions(initial=FeFunction.zero(mesh)))
-    assert calls == [None]  # one round
-    assert rep.outer_iterations == 1
+def test_failed_line_search_ends_the_solve():
+    # no iterate reaches tol = 1e-16: the first failed line search ends the solve
+    u, eta, zeta, rep = solve_vi(obstacle_yaml_problem(), SolverOptions(tol=1e-16))
     assert not rep.converged
     assert rep.message.startswith("not converged: residual")
-    assert "stopped at outer round 1" in rep.message
-    assert "left the iterate unchanged" in rep.message
+    assert rep.message.endswith("; the line search found no decrease")
+    history = rep.residual_history
+    assert len(history) == rep.newton_iterations  # the failed step records no residual
+    assert all(a != b for a, b in zip(history, history[1:]))
 
 
-def test_failed_rounds_that_move_run_to_max_outer(monkeypatch):
-    prob, mesh = make_problem(1, 8, f=("1", "1"))
-    calls = []
-
-    def creeping(prob, u0, opts, report, frozen=None):
-        calls.append(frozen)
-        return u0 + 1e-3 * mesh.free_node_mask, False
-
-    monkeypatch.setattr(visolve, "_inner_solve", creeping)
-    u, eta, zeta, rep = solve_vi(prob, SolverOptions(initial=FeFunction.zero(mesh),
-                                                     max_outer=4))
-    assert len(calls) == 4
-    assert rep.outer_iterations == 4
+def test_max_iter_bounds_the_whole_solve():
+    prob = obstacle_yaml_problem()
+    u, eta, zeta, rep = solve_vi(prob, SolverOptions(tol=1e-13, max_iter=1))
+    assert rep.newton_iterations == 1
     assert not rep.converged
-    assert "stopped" not in rep.message
+    assert rep.message.endswith("; 1 Newton steps spent")
 
 
 def _spy_singular_solves(monkeypatch, n_singular):
@@ -416,7 +409,6 @@ def test_report_fields():
     prob, mesh = make_problem(1, 8, f=("1", "1"))
     u, eta, zeta, rep = solve_vi(prob)
     assert rep.converged
-    assert rep.outer_iterations >= 1
     assert rep.wall_time >= 0.0
     assert rep.selection_rule == "midpoint"
     assert len(rep.residual_history) >= 1
@@ -426,10 +418,9 @@ def test_residual_history_nonincreasing_in_final_inner_solve():
     prob, mesh = make_problem(1, 16, p="2.5", q="3", mu="x", f=("s - 2", "s + 2"))
     u, eta, zeta, rep = solve_vi(prob, SolverOptions(tol=1e-10))
     assert rep.converged
-    start, end = rep.inner_spans[-1]
-    tail = rep.residual_history[start:end]
-    assert len(tail) >= 1
-    assert all(a >= b - 1e-15 for a, b in zip(tail, tail[1:]))
+    history = rep.residual_history
+    assert len(history) >= 1
+    assert all(a >= b - 1e-15 for a, b in zip(history, history[1:]))
 
 
 def test_immutability_of_functions_and_meshes():
