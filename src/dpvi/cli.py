@@ -161,22 +161,31 @@ def build_problem(cfg):
 def solver_options(cfg, args):
     scfg = cfg.get("solver", {})
 
-    def number(key, flag, convert, default):
+    def number(key, flag, default):
         if flag is not None:
             return flag
+        value = scfg.get(key, default)
         try:
-            return convert(scfg.get(key, default))
+            if isinstance(value, bool):
+                raise TypeError
+            return float(value)
         except (TypeError, ValueError):
-            raise ConfigError(f"solver option {key!r} must be a number, got {scfg[key]!r}") from None
+            raise ConfigError(f"solver option {key!r} must be a number, got {value!r}") from None
 
-    tol = number("tol", args.tol, float, 1e-9)
-    max_iter = number("max_iter", args.max_iter, int, 200)
+    def integer(key, flag, default):
+        value = number(key, flag, default)
+        if not float(value).is_integer():
+            raise ConfigError(f"solver option {key!r} must be an integer, got {scfg[key]!r}")
+        return int(value)
+
+    tol = number("tol", args.tol, 1e-9)
+    max_iter = integer("max_iter", args.max_iter, 200)
     if not 0 < tol < np.inf:
         raise ConfigError(f"solver option 'tol' must be finite and positive, got {tol!r}")
     if max_iter < 1:
         raise ConfigError(f"solver option 'max_iter' must be at least 1, got {max_iter}")
     selection = args.selection or scfg.get("selection", "midpoint")
-    seed = number("seed", args.seed, int, 0)
+    seed = integer("seed", args.seed, 0)
     return SolverOptions(tol=tol, max_iter=max_iter, selection=selection, seed=seed)
 
 

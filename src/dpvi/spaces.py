@@ -9,9 +9,10 @@ are provided:
 * ``weighted_lq``  : integral of mu |u|^q (a seminorm modular: it vanishes
   on nonzero functions wherever mu does, so no definiteness is claimed)
 
-A Luxemburg norm is the scaling lambda with modular(u/lambda) = 1, located
-by bracketing and bisection; the modular is continuous and strictly
-decreasing in lambda whenever it is positive, so bisection is safe.
+A Luxemburg norm is the scaling lambda with modular(u/lambda) = 1.  Each
+modular is a positive sum of terms c_i lambda^(-r_i), so its logarithm is
+convex and increasing in log(1/lambda), and Newton's method on that
+logarithm reaches the root in a few steps from any start.
 """
 
 from __future__ import annotations
@@ -166,41 +167,79 @@ def validate_exponents(ed: ExponentData) -> ExponentReport:
     return ExponentReport(violations=violations, notes=notes)
 
 
+# Newton steps per norm; 2-7 are typical, so the cap only stops a broken modular
+_NORM_MAX_NEWTON = 50
+
+
 def _check_function(ed, u):
     if u.mesh is not ed.mesh:
         raise ValueError("function and exponent data live on different meshes")
 
 
-def _modular_from_samples(kind: ModularKind, ed: ExponentData, vals, grad_norm, scale=1.0):
-    """Quadrature sum of the modular integrand for pre-sampled |u| and |grad u|."""
+def _integrand_terms(kind: ModularKind, ed: ExponentData, u: FeFunction):
+    """(weight, magnitude, exponent) triples sampled at the quadrature points.
+
+    modular(u/lam) = sum over the triples of sum(weight * (magnitude/lam)**exponent).
+    """
+    _check_function(ed, u)
     w = ed.mesh.quad_weights
-    a = np.abs(vals) * scale
+    a = np.abs(u.values_at_quad())
     if kind.kind == "variable_lp":
-        return float(np.sum(w * a**kind.r))
+        return [(w, a, kind.r)]
     if kind.kind == "weighted_lq":
-        return float(np.sum(w * ed.mu * a**ed.q))
-    total = np.sum(w * (a**ed.p + ed.mu * a**ed.q))
+        return [(w * ed.mu, a, ed.q)]
+    terms = [(w, a, ed.p), (w * ed.mu, a, ed.q)]
     if kind.kind == "sobolev_H":
-        g = np.abs(grad_norm) * scale
-        total += np.sum(w * (g**ed.p + ed.mu * g**ed.q))
-    return float(total)
+        g = np.linalg.norm(u.gradient_at_elements(), axis=1)
+        g = np.broadcast_to(g[:, None], w.shape)
+        terms += [(w, g, ed.p), (w * ed.mu, g, ed.q)]
+    return terms
+
+
+def _modular_from_samples(terms, scale=1.0):
+    """Quadrature sum of the modular integrand, with the function scaled by ``scale``."""
+    return float(sum(np.sum(c * (a * scale) ** r) for c, a, r in terms))
 
 
 def modular(kind: ModularKind, ed: ExponentData, u: FeFunction) -> float:
     """Quadrature approximation of the requested modular of ``u``."""
-    _check_function(ed, u)
-    vals = u.values_at_quad()
-    grad_norm = None
-    if kind.kind == "sobolev_H":
-        g = u.gradient_at_elements()
-        grad_norm = np.broadcast_to(
-            np.linalg.norm(g, axis=1)[:, None], vals.shape
-        )
-    return _modular_from_samples(kind, ed, vals, grad_norm)
+    return _modular_from_samples(_integrand_terms(kind, ed, u))
+
+
+def _log_terms(terms):
+    """Log-weights and exponents of the positive terms.
+
+    modular(u/lam) = sum_i exp(logc_i + r_i * tau) with tau = log(1/lam).
+    """
+    logc, r = [], []
+    for coef, mag, expo in terms:
+        if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(mag))):
+            raise ValueError("modular is not finite; cannot compute the norm")
+        if np.any((coef < 0) & (mag > 0)):
+            raise ValueError("the modular has a negative weight mu(x) < 0; no norm exists")
+        keep = (coef > 0) & (mag > 0)
+        logc.append(np.log(coef[keep]) + expo[keep] * np.log(mag[keep]))
+        r.append(expo[keep])
+    return np.concatenate(logc), np.concatenate(r)
+
+
+def _log_modular(logc, r, tau):
+    """log modular(u/lam) at tau = log(1/lam), and its slope in tau."""
+    e = logc + r * tau
+    top = np.max(e)
+    t = np.exp(e - top)
+    total = np.sum(t)
+    return top + np.log(total), float(r @ t) / total
 
 
 def luxemburg_norm(kind: ModularKind, ed: ExponentData, u: FeFunction, tol=1e-10) -> float:
     """The scaling lambda with modular(u/lambda) = 1, to |modular - 1| <= tol.
+
+    The modular of u/lambda is a positive sum of terms c_i exp(r_i tau) in
+    tau = log(1/lambda), so g(tau) = log modular is convex and increasing with
+    slope between min r and max r.  Newton on g from lambda = 1 overshoots the
+    root at most once and then decreases monotonically onto it, in a handful
+    of steps.  The result is checked against the modular evaluated directly.
 
     Returns 0 for the zero function, and 0 when the modular vanishes
     identically under scaling (the weighted seminorm case with mu = 0 on the
@@ -208,46 +247,22 @@ def luxemburg_norm(kind: ModularKind, ed: ExponentData, u: FeFunction, tol=1e-10
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    _check_function(ed, u)
-    vals = u.values_at_quad()
-    grad_norm = None
-    if kind.kind == "sobolev_H":
-        g = u.gradient_at_elements()
-        grad_norm = np.broadcast_to(np.linalg.norm(g, axis=1)[:, None], vals.shape)
-
-    def rho(lam):
-        value = _modular_from_samples(kind, ed, vals, grad_norm, scale=1.0 / lam)
-        if not np.isfinite(value):
-            raise ValueError("modular is not finite; cannot bracket the norm")
-        return value
-
-    if not np.any(vals) and (grad_norm is None or not np.any(grad_norm)):
+    terms = _integrand_terms(kind, ed, u)
+    logc, r = _log_terms(terms)
+    if logc.size == 0:
+        # the zero function, or a degenerate direction of a seminorm
         return 0.0
-    if rho(1.0) == 0.0:
-        # positive-degree seminorm degenerate direction
-        return 0.0
-
-    lo = hi = 1.0
-    while rho(hi) > 1.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ValueError("modular does not drop below 1; cannot bracket the norm")
-    while rho(lo) < 1.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise ValueError("modular does not exceed 1; cannot bracket the norm")
-    # rho(lo) >= 1 >= rho(hi); bisect until the bracket is negligibly thin
-    for _ in range(200):
-        if hi - lo <= 1e-13 * hi:
+    tau = 0.0
+    for _ in range(_NORM_MAX_NEWTON):
+        value, slope = _log_modular(logc, r, tau)
+        step = value / slope
+        tau -= step
+        if abs(step) <= 1e-12 * (1.0 + abs(tau)):
             break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if rho(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    if abs(rho(lam) - 1.0) > tol:
-        raise ValueError("bisection failed to meet the modular tolerance")
+    else:
+        raise ValueError("Newton iteration for the norm did not converge")
+    lam = float(np.exp(-tau))
+    rho = _modular_from_samples(terms, scale=1.0 / lam)
+    if not abs(rho - 1.0) <= tol:
+        raise ValueError(f"the norm misses the modular tolerance: modular {rho!r} at the root")
     return lam

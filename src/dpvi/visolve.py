@@ -437,12 +437,17 @@ def build_auxiliary(prob: VIProblem, td: TruncationData) -> VIProblem:
 # coercivity probe
 
 
+# distance |norm - R| at which a sphere sample is accepted
+_SPHERE_TOL = 1e-6
+
+
 def check_coercivity(prob: VIProblem, u0: FeFunction, radii, samples_per_radius=8, seed=0):
     """Sample the sphere of each radius for the leading-term pairing.
 
     For each radius R, feasible samples with Luxemburg norm R are drawn
-    (Gaussian nodal vectors projected onto the constraint set, rescaled by
-    bisection) and the minimum over endpoint selections of
+    (Gaussian nodal vectors projected onto the constraint set and rescaled
+    onto the sphere, see ``_sample_on_sphere``) and the minimum over
+    endpoint selections of
 
         <Au + eta + zeta, u - u0>
 
@@ -495,37 +500,61 @@ def check_coercivity(prob: VIProblem, u0: FeFunction, radii, samples_per_radius=
 
 
 def _sample_on_sphere(prob: VIProblem, rng, R, kind):
+    """A feasible u = P(t g) with Luxemburg norm R, g a Gaussian nodal vector.
+
+    P(t g) = t P(g) while no bound clips and the norm is positively
+    homogeneous, so t = R / |P(g)| is tried first.  Otherwise the root in t
+    is bracketed (down to the base point P(0), or up by doubling) and found by
+    Illinois regula falsi.  Up to 8 directions are drawn; None if all fail.
+    """
     mesh, ed = prob.mesh, prob.exponents
     for _ in range(8):
         g = rng.normal(size=mesh.n_nodes)
 
-        def projected(t):
-            return FeFunction(mesh, prob.constraint.project(t * g, mesh))
+        def at(t):
+            u = FeFunction(mesh, prob.constraint.project(t * g, mesh))
+            return u, luxemburg_norm(kind, ed, u) - R
 
-        def norm_of(t):
-            return luxemburg_norm(kind, ed, projected(t))
-
-        t_hi = 1.0
-        grew = False
+        u, f1 = at(1.0)
+        if f1 == -R:
+            continue  # P(t g) = 0 for every t >= 0
+        t = R / (f1 + R)
+        u, f = at(t)
+        if abs(f) <= _SPHERE_TOL:
+            return u
+        (a, fa), (b, fb) = sorted([(1.0, f1), (t, f)])
+        if fa > 0 and fb > 0:
+            b, fb = a, fa
+            a = 0.0
+            u, fa = at(a)
+            if fa >= 0:
+                continue
         for _ in range(200):
-            if norm_of(t_hi) >= R:
-                grew = True
+            if (fa > 0) != (fb > 0):
                 break
-            t_hi *= 2.0
-        if not grew:
+            a, fa = b, fb
+            b *= 2.0
+            u, fb = at(b)
+            if abs(fb) <= _SPHERE_TOL:
+                return u
+        else:
             continue
-        t_lo = 0.0
+        side = 0
         for _ in range(200):
-            mid = 0.5 * (t_lo + t_hi)
-            n = norm_of(mid)
-            if abs(n - R) <= 1e-6:
-                return projected(mid)
-            if n < R:
-                t_lo = mid
+            t = (a * fb - b * fa) / (fb - fa)
+            u, f = at(t)
+            if abs(f) <= _SPHERE_TOL:
+                return u
+            if (f > 0) == (fb > 0):
+                b, fb = t, f
+                if side == -1:
+                    fa *= 0.5
+                side = -1
             else:
-                t_hi = mid
-        if abs(norm_of(t_hi) - R) <= 1e-6:
-            return projected(t_hi)
+                a, fa = t, f
+                if side == 1:
+                    fb *= 0.5
+                side = 1
     return None
 
 

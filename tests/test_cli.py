@@ -163,9 +163,17 @@ def test_probe_coercivity_inputs_validated(tmp_path, capsys, flags, message):
     ({"max_iter": [1]}, [], "solver option 'max_iter' must be a number, got [1]"),
     ({"tol": "abc"}, [], "solver option 'tol' must be a number, got 'abc'"),
     ({"seed": "x"}, [], "solver option 'seed' must be a number, got 'x'"),
+    ({"max_iter": 2.5}, [], "solver option 'max_iter' must be an integer, got 2.5"),
+    ({"seed": 1.7}, [], "solver option 'seed' must be an integer, got 1.7"),
+    ({"max_iter": float("inf")}, [], "solver option 'max_iter' must be an integer, got inf"),
+    ({"max_iter": True}, [], "solver option 'max_iter' must be a number, got True"),
+    ({"seed": False}, [], "solver option 'seed' must be a number, got False"),
+    ({"tol": True}, [], "solver option 'tol' must be a number, got True"),
 ], ids=["flag_tol_zero", "flag_tol_negative", "flag_tol_nan", "config_tol_inf",
         "flag_max_iter_zero", "config_max_iter_negative", "config_max_iter_list",
-        "config_tol_text", "config_seed_text"])
+        "config_tol_text", "config_seed_text", "config_max_iter_fraction",
+        "config_seed_fraction", "config_max_iter_inf", "config_max_iter_bool",
+        "config_seed_bool", "config_tol_bool"])
 def test_solver_options_validated(tmp_path, capsys, solver, flags, message):
     payload = obstacle_config()
     payload["solver"].update(solver)

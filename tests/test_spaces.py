@@ -209,3 +209,61 @@ def test_modular_monotone_in_scale():
 def test_variable_lp_requires_r_above_one():
     with pytest.raises(ValueError):
         ModularKind.variable_lp(np.array([[0.5]]))
+
+
+def _bisection_norm(kind, ed, u, guess):
+    # independent oracle: bisect modular(u/lam) = 1 down to adjacent floats
+    def rho(lam):
+        return modular(kind, ed, u * (1.0 / lam))
+
+    lo = hi = guess
+    while rho(hi) > 1.0:
+        hi *= 2.0
+    while rho(lo) < 1.0:
+        lo *= 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if rho(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("p, q", [("1.05", "6"), ("1.2", "2")])
+@pytest.mark.parametrize("scale", [1e-100, 1e-6, 1.0, 1e6, 1e100])
+@pytest.mark.parametrize("kind", [ModularKind.sobolev(), ModularKind.lebesgue()],
+                         ids=["sobolev_H", "lebesgue_H"])
+def test_norm_matches_bisection_oracle(p, q, scale, kind):
+    # 1e-100 and 1e100 lie far from the start lambda = 1 (the modular of u
+    # itself overflows at 1e100); the norm works on log-scaled terms
+    rng = np.random.default_rng(17)
+    m = build_mesh(1, 16)
+    ed = exponents(m, p, q, "0.5 + x")
+    u = FeFunction(m, scale * rng.normal(size=m.n_nodes))
+    lam = luxemburg_norm(kind, ed, u)
+    assert lam == pytest.approx(_bisection_norm(kind, ed, u, scale), rel=1e-12)
+
+
+def test_norm_needs_few_modular_evaluations(monkeypatch):
+    from dpvi import spaces
+
+    calls = []
+    for name in ("_log_modular", "_modular_from_samples"):
+
+        def counted(*args, _original=getattr(spaces, name), **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, name, counted)
+    rng = np.random.default_rng(23)
+    for dim, n in ((1, 32), (2, 6)):
+        m = build_mesh(dim, n)
+        ed = exponents(m, "1.05", "6", "x")
+        for scale in (1e-6, 1.0, 1e6):
+            for kind in (ModularKind.sobolev(), ModularKind.lebesgue()):
+                u = FeFunction(m, scale * rng.normal(size=m.n_nodes))
+                calls.clear()
+                luxemburg_norm(kind, ed, u)
+                assert 1 <= len(calls) <= 12

@@ -8,7 +8,7 @@ from dpvi.cli import build_problem, load_config
 from dpvi.mesh import FeFunction, build_mesh, fe_interpolate
 from dpvi.multifun import IntervalMultifunction, TruncationData
 from dpvi.operator import DoublePhaseOperator
-from dpvi.spaces import ExponentData
+from dpvi.spaces import ExponentData, ModularKind, luxemburg_norm
 from dpvi.visolve import (
     ConstraintSet,
     SolverOptions,
@@ -339,6 +339,45 @@ def test_coercivity_probe_drift_thresholds():
                            samples_per_radius=6, seed=3)
     assert all(row["violation_found"] for row in rep["rows"])
     assert rep["summary"] == "violation found at sampled radii"
+
+
+@pytest.mark.parametrize("constraint", [
+    None,
+    lambda m: ConstraintSet.obstacle(FeFunction.constant(m, -0.5)),
+    lambda m: ConstraintSet.box(FeFunction.constant(m, -0.2), FeFunction.constant(m, 0.2)),
+], ids=["whole_space", "obstacle", "box"])
+def test_sphere_samples_have_the_radius(constraint):
+    prob, mesh = make_problem(1, 32, constraint=constraint, f=("0", "0"))
+    kind = ModularKind.sobolev()
+    lo, hi = prob.constraint.bounds(mesh)
+    rng = np.random.default_rng(4)
+    for R in (0.5, 1.0, 2.0, 4.0, 8.0):
+        u = visolve._sample_on_sphere(prob, rng, R, kind)
+        assert abs(luxemburg_norm(kind, prob.exponents, u) - R) <= 1e-6
+        assert np.all((lo <= u.coeffs) & (u.coeffs <= hi))
+        assert np.all(u.coeffs[mesh.gamma0_node_mask] == 0.0)
+
+
+def test_coercivity_probe_norm_budget(monkeypatch):
+    # default probe: 4 radii x 8 samples; homogeneity makes a whole-space
+    # sample cost two norms, a clipped one a few more
+    calls = []
+    original = visolve.luxemburg_norm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(visolve, "luxemburg_norm", counted)
+    prob, mesh = make_problem(1, 32, p="1.2", q="2", f=("-100*s", "-100*s"))
+    check_coercivity(prob, FeFunction.zero(mesh), radii=(1.0, 2.0, 4.0, 8.0))
+    assert len(calls) <= 64
+    calls.clear()
+    prob = build_problem(load_config(CONFIGS / "noncoercive.yaml"))
+    mesh = prob.mesh
+    u0 = FeFunction(mesh, prob.constraint.project(np.zeros(mesh.n_nodes), mesh))
+    check_coercivity(prob, u0, radii=(1.0, 2.0, 4.0, 8.0))
+    assert len(calls) <= 160
 
 
 def test_max_iter_exhaustion_flagged():
