@@ -18,6 +18,8 @@ All P1 assembly lives here, in one :class:`Layout` per quadrature layout
 (cells, gamma facets, gamma0 facets): values at quadrature points, dual
 vectors, and CSR data on one pattern per mesh shared by all its layouts.
 Other modules assemble only through a layout; none scatters by itself.
+Each mesh also ranks its nodes in a nested-dissection order, in which the
+Newton matrices are factorised.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ _TRI_BARY = np.array(
 )
 _TRI_QW = np.array([_TRI_W1, _TRI_W1, _TRI_W1, _TRI_W2, _TRI_W2, _TRI_W2])
 
+# parts of at most this many nodes end the nested dissection
+_ND_LEAF = 16
+
 
 def _freeze(a):
     a = np.ascontiguousarray(a)
@@ -92,6 +97,9 @@ class Mesh:
         Constant per-element basis gradients.
     boundary_facets : list of (node_tuple, tag)
         All boundary facets with their gamma / gamma0 tag.
+    elimination_rank : (n_nodes,) int array
+        Position of each node in a nested-dissection order for sparse LU,
+        built on first use (see the property).
     """
 
     def __init__(self, dim, nodes, elements, boundary_facets):
@@ -197,6 +205,73 @@ class Mesh:
         ends = np.cumsum([k.size for k in keys])[:-1]
         slots = dict(zip(self._layouts, np.split(inverse, ends)))
         return _freeze(indptr.astype(idx)), _freeze(cols.astype(idx)), slots
+
+    @cached_property
+    def elimination_rank(self):
+        """Read-only position of each node in a nested-dissection elimination order.
+
+        Recursive coordinate bisection over the CSR pattern: a part splits at
+        the median of its longest coordinate extent, the nodes on the right
+        that touch the left form its separator, and the separator is ordered
+        after both halves.  Parts of at most ``_ND_LEAF`` nodes are not split.
+        All parts of one level split together.  In 1D the nodes are
+        ranked along the line (the natural order of :func:`build_mesh`): the
+        matrix is then tridiagonal and its LU has no fill.  The order induced
+        on any subset of the nodes has no more fill than the whole-mesh order,
+        because a fill path in a subgraph is one in the whole graph, so one
+        order serves every active set.  Built on first use.
+        """
+        n = self.n_nodes
+        rank = np.empty(n, dtype=np.intp)
+        if self.dim == 1:
+            rank[np.argsort(self.nodes[:, 0], kind="stable")] = np.arange(n)
+            return _freeze(rank)
+        indptr, indices, _ = self._csr_pattern
+        row = np.repeat(np.arange(n), np.diff(indptr))
+        col = indices.astype(np.intp)
+        nodes = np.arange(n)  # unranked nodes, grouped by part
+        part = np.zeros(n, dtype=np.intp)  # their part, 0 .. len(start) - 1
+        start = np.zeros(1, dtype=np.intp)  # first rank of each part
+        label = np.empty(n, dtype=np.intp)  # part of each unranked node, -1 once ranked
+        while True:
+            size = np.bincount(part, minlength=len(start))
+            offset = np.arange(len(nodes)) - (np.cumsum(size) - size)[part]
+            leaf = size[part] <= _ND_LEAF
+            rank[nodes[leaf]] = start[part[leaf]] + offset[leaf]
+            split = size > _ND_LEAF
+            if not split.any():
+                return _freeze(rank)
+            nodes, offset = nodes[~leaf], offset[~leaf]
+            part = (np.cumsum(split) - 1)[part[~leaf]]
+            start, size = start[split], size[split]
+            label.fill(-1)
+            label[nodes] = part
+            inner = (label[row] == label[col]) & (label[row] >= 0)
+            row, col = row[inner], col[inner]
+            first = np.cumsum(size) - size
+            xy = self.nodes[nodes]
+            extent = np.maximum.reduceat(xy, first) - np.minimum.reduceat(xy, first)
+            c = xy[np.arange(len(nodes)), np.argmax(extent, axis=1)[part]]
+            order = np.lexsort((c, part))  # part is sorted, so offset still holds
+            nodes, c = nodes[order], c[order]
+            # left of the median; ties go left only if nothing else would,
+            # and a part with every coordinate equal splits by position
+            med = c[first + size // 2][part]
+            left = c < med
+            left |= (np.bincount(part, left, len(size)) == 0)[part] & (c <= med)
+            full = np.bincount(part, left, len(size)) == size
+            left = np.where(full[part], offset < (size // 2)[part], left)
+            on_left = np.zeros(n, dtype=bool)
+            on_left[nodes] = left
+            sep = np.zeros(n, dtype=bool)
+            sep[row[~on_left[row] & on_left[col]]] = True
+            sep = sep[nodes]
+            n_sep = np.bincount(part[sep], minlength=len(size))
+            n_left = np.bincount(part[left], minlength=len(size))
+            sep_offset = np.cumsum(sep) - 1 - (np.cumsum(n_sep) - n_sep)[part]
+            rank[nodes[sep]] = (start + size - n_sep)[part[sep]] + sep_offset[sep]
+            start = np.stack([start, start + n_left], axis=1).ravel()
+            nodes, part = nodes[~sep], (2 * part + ~left)[~sep]
 
     # -- queries -----------------------------------------------------------
 

@@ -190,7 +190,9 @@ def _integrand_terms(kind: ModularKind, ed: ExponentData, u: FeFunction):
         return [(w * ed.mu, a, ed.q)]
     terms = [(w, a, ed.p), (w * ed.mu, a, ed.q)]
     if kind.kind == "sobolev_H":
-        g = np.linalg.norm(u.gradient_at_elements(), axis=1)
+        grad = u.gradient_at_elements()
+        # |grad u| without squaring, which would underflow or overflow far from 1
+        g = np.abs(grad[:, 0]) if ed.N == 1 else np.hypot(grad[:, 0], grad[:, 1])
         g = np.broadcast_to(g[:, None], w.shape)
         terms += [(w, g, ed.p), (w * ed.mu, g, ed.q)]
     return terms

@@ -16,6 +16,12 @@ by the nodal complementarity residual
 
 which vanishes exactly when the discrete variational inequality holds for
 every feasible direction.
+
+Each Newton step ends in one sparse LU of the inactive free rows.  They are
+taken in the mesh's nested-dissection order (:attr:`Mesh.elimination_rank`,
+built once per mesh), and SuperLU factorises in that order instead of
+choosing its own; the order a subset inherits never adds fill, so it holds
+for every active set.
 """
 
 from __future__ import annotations
@@ -253,21 +259,36 @@ def _selection_slope(mf, u: FeFunction, rule):
 # inner semismooth Newton / active set
 
 
+def _factor_solve(K, rhs):
+    """Solve K x = rhs by sparse LU with K's rows and columns already in elimination order.
+
+    SuperLU keeps the given column order (``NATURAL``) and prefers diagonal
+    pivots (``SymmetricMode``); the default pivot threshold still allows row
+    interchanges, which an indefinite K may need.  Raises RuntimeError on an
+    exactly singular factor.
+    """
+    lu = spla.splu(K.tocsc(), permc_spec="NATURAL", options={"SymmetricMode": True})
+    return lu.solve(rhs)
+
+
 def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, frozen=None):
     """Semismooth Newton / primal active-set iteration for the multi-valued VI.
 
     The rule-selected reaction endpoints are evaluated at the running
     iterate (with their slopes entering the Newton matrix); ``frozen``
     optionally supplies fixed selection fields instead (used by the warm
-    start).  A singular Newton system is retried twice with only the Jacobian
-    re-assembled, its smoothing eps 100 times larger each time.  The first
-    line search without sufficient decrease down to ``_LINE_SEARCH_MIN`` ends
-    the solve: it leaves the iterate and its residual unchanged, so every
-    later step would repeat it exactly.  Returns (coefficients, cause), where
+    start).  The Newton system on the inactive free nodes is sliced with its
+    rows in the mesh's nested-dissection order and factorised in that order
+    by :func:`_factor_solve`.  A singular Newton system is retried twice with
+    only the Jacobian re-assembled, its smoothing eps 100 times larger each
+    time.  The first line search without sufficient decrease down to
+    ``_LINE_SEARCH_MIN`` ends the solve: it leaves the iterate and its
+    residual unchanged, so every later step would repeat it exactly.  Returns (coefficients, cause), where
     cause is None on convergence and otherwise names why the solve stopped.
     """
     mesh = prob.mesh
     free = np.flatnonzero(mesh.free_node_mask)
+    by_rank = np.argsort(mesh.elimination_rank[free])  # free positions, elimination order
     lo, hi = prob.constraint.bounds(mesh)
     lo_f, hi_f = lo[free], hi[free]
     u = prob.constraint.project(u0.copy(), mesh)
@@ -293,7 +314,8 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
         delta = np.zeros(len(free))
         delta[act_lo] = lo_f[act_lo] - u_free[act_lo]
         delta[act_hi] = hi_f[act_hi] - u_free[act_hi]
-        rows, cols = free[inact], free[~inact]
+        pos = by_rank[inact[by_rank]]
+        rows, cols = free[pos], free[~inact]
         if len(rows):
             uf = FeFunction(mesh, u)
             # penalty and selection slopes do not depend on the smoothing eps
@@ -310,16 +332,16 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
                     J.data += mass
                 K = J[np.ix_(rows, rows)]
                 K.eliminate_zeros()  # entries that cancel exactly only add fill to the LU
-                rhs = -rf[inact] - J[np.ix_(rows, cols)] @ delta[~inact]
+                rhs = -rf[pos] - J[np.ix_(rows, cols)] @ delta[~inact]
                 try:
-                    sol = spla.spsolve(K.tocsc(), rhs)
+                    sol = _factor_solve(K, rhs)
                 except RuntimeError:  # exactly singular factor
                     continue
                 if np.all(np.isfinite(sol)):
                     break
             else:
                 raise SolverError("Newton system singular after smoothing retries")
-            delta[inact] = sol
+            delta[pos] = sol
         report.active_set_history.append(int(np.count_nonzero(~inact)))
         report.newton_iterations += 1
 
@@ -505,11 +527,15 @@ def _sample_on_sphere(prob: VIProblem, rng, R, kind):
     P(t g) = t P(g) while no bound clips and the norm is positively
     homogeneous, so t = R / |P(g)| is tried first.  Otherwise the root in t
     is bracketed (down to the base point P(0), or up by doubling) and found by
-    Illinois regula falsi.  Up to 8 directions are drawn; None if all fail.
+    Illinois regula falsi.  Doubling ends the direction once every node has
+    clipped at the bound g points to: P(t g) and its norm no longer change, so
+    a norm still below R never reaches it.  Up to 8 directions are drawn; None
+    if all fail.
     """
     mesh, ed = prob.mesh, prob.exponents
     for _ in range(8):
         g = rng.normal(size=mesh.n_nodes)
+        far = prob.constraint.project(np.copysign(np.inf, g), mesh)  # P(t g) for large t
 
         def at(t):
             u = FeFunction(mesh, prob.constraint.project(t * g, mesh))
@@ -529,15 +555,17 @@ def _sample_on_sphere(prob: VIProblem, rng, R, kind):
             u, fa = at(a)
             if fa >= 0:
                 continue
+        saturated = False
         for _ in range(200):
-            if (fa > 0) != (fb > 0):
+            if (fa > 0) != (fb > 0) or saturated:
                 break
             a, fa = b, fb
             b *= 2.0
             u, fb = at(b)
             if abs(fb) <= _SPHERE_TOL:
                 return u
-        else:
+            saturated = np.array_equal(u.coeffs, far)
+        if (fa > 0) == (fb > 0):
             continue
         side = 0
         for _ in range(200):

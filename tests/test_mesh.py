@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from dpvi.expr import parse_expression
-from dpvi.mesh import FeFunction, build_mesh, fe_interpolate, join, lattice_op, meet, trace
+from dpvi.mesh import FeFunction, Mesh, build_mesh, fe_interpolate, join, lattice_op, meet, trace
 from dpvi.multifun import assemble_source
 from dpvi.operator import DoublePhaseOperator
 from dpvi.spaces import ExponentData
@@ -253,3 +253,38 @@ def test_layout_assembly_matches_reference(dim, n, gamma):
     newton = op.jacobian(u, eps=1e-3)
     newton.data += cells.mass_data(w) + gam.mass_data(wg)
     _assert_close(newton.toarray(), (J_ref + (M_ref + G_ref)).toarray())
+
+
+# -- nested-dissection elimination order ------------------------------------------
+
+
+def _relabelled(mesh, seed):
+    """The same mesh with its nodes numbered in a random order."""
+    perm = np.random.default_rng(seed).permutation(mesh.n_nodes)  # new -> old
+    old_to_new = np.argsort(perm)
+    facets = [(tuple(old_to_new[list(f)]), tag) for f, tag in mesh.boundary_facets]
+    return Mesh(mesh.dim, mesh.nodes[perm], old_to_new[mesh.elements], facets)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1), (1, 40), (2, 1), (2, 3), (2, 17), (2, 64)])
+def test_elimination_rank_is_a_read_only_permutation(dim, n):
+    for m in (build_mesh(dim, n), _relabelled(build_mesh(dim, n), n)):
+        rank = m.elimination_rank
+        np.testing.assert_array_equal(np.sort(rank), np.arange(m.n_nodes))
+        assert m.elimination_rank is rank  # built once per mesh
+        with pytest.raises(ValueError):
+            rank[0] = 1
+
+
+def test_elimination_rank_is_natural_in_1d():
+    np.testing.assert_array_equal(build_mesh(1, 40).elimination_rank, np.arange(41))
+    m = _relabelled(build_mesh(1, 40), 3)  # any 1D mesh is ranked along the line
+    np.testing.assert_array_equal(m.nodes[np.argsort(m.elimination_rank), 0],
+                                  np.linspace(0.0, 1.0, 41))
+
+
+def test_elimination_rank_orders_separators_last():
+    # on the 2D grid the first split takes the middle column x = 1/2 last
+    m = build_mesh(2, 16)
+    last = np.argsort(m.elimination_rank)[-17:]
+    np.testing.assert_array_equal(m.nodes[last, 0], 0.5)

@@ -267,3 +267,17 @@ def test_norm_needs_few_modular_evaluations(monkeypatch):
                 calls.clear()
                 luxemburg_norm(kind, ed, u)
                 assert 1 <= len(calls) <= 12
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 6)])
+@pytest.mark.parametrize("kind", [ModularKind.sobolev(), ModularKind.lebesgue()],
+                         ids=["sobolev_H", "lebesgue_H"])
+def test_norm_is_homogeneous_at_extreme_scales(dim, n, kind):
+    # |grad u| is taken without squaring, which would underflow at 1e-300 (the
+    # gradient term vanishing) and overflow at 1e300
+    m = build_mesh(dim, n)
+    ed = exponents(m, "1.05", "6", "1")
+    g = FeFunction(m, np.random.default_rng(29).normal(size=m.n_nodes))
+    base = luxemburg_norm(kind, ed, g)
+    for s in (1e-300, 1e300):
+        assert luxemburg_norm(kind, ed, g * s) == pytest.approx(s * base, rel=1e-12)

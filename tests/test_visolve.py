@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from dpvi import visolve
 from dpvi.cli import build_problem, load_config
@@ -413,17 +414,17 @@ def test_max_iter_bounds_the_whole_solve():
 def _spy_singular_solves(monkeypatch, n_singular):
     """Make the first ``n_singular`` linear solves return NaN; record Jacobian eps values."""
     solves, eps_seen = [], []
-    spsolve, jacobian = visolve.spla.spsolve, DoublePhaseOperator.jacobian
+    factor_solve, jacobian = visolve._factor_solve, DoublePhaseOperator.jacobian
 
     def nan_solve(A, b):
         solves.append(len(b))
-        return np.full(len(b), np.nan) if len(solves) <= n_singular else spsolve(A, b)
+        return np.full(len(b), np.nan) if len(solves) <= n_singular else factor_solve(A, b)
 
     def spy_jacobian(self, u, eps=None):
         eps_seen.append(eps)
         return jacobian(self, u, eps)
 
-    monkeypatch.setattr(visolve.spla, "spsolve", nan_solve)
+    monkeypatch.setattr(visolve, "_factor_solve", nan_solve)
     monkeypatch.setattr(DoublePhaseOperator, "jacobian", spy_jacobian)
     return eps_seen
 
@@ -469,3 +470,84 @@ def test_immutability_of_functions_and_meshes():
         u.coeffs[0] = 1.0
     with pytest.raises(ValueError):
         mesh.nodes[0, 0] = 0.5
+
+
+# -- Newton systems factorised in the mesh's elimination order -------------------
+
+
+def test_elimination_order_cuts_lu_fill(monkeypatch):
+    # the first system (warm start, p = 2) is the P1 Laplacian, whose entries on
+    # the right triangles' hypotenuses cancel; the last (p = 2.5, u != 0) keeps
+    # all seven points per row
+    prob, mesh = make_problem(2, 64, p="2.5", f=("1", "1"))
+    lus = []
+    splu = visolve.spla.splu
+
+    def spy(*args, **kwargs):
+        lus.append((args[0], splu(*args, **kwargs)))
+        return lus[-1][1]
+
+    monkeypatch.setattr(visolve.spla, "splu", spy)
+    u, eta, zeta, rep = solve_vi(prob)
+    assert rep.converged and len(lus) >= 2
+    K, lu = lus[-1]
+    assert K.shape == (63 * 63,) * 2 and K.nnz > 6.5 * 63 * 63
+    default = splu(K)
+    assert lu.L.nnz + lu.U.nnz <= 0.8 * (default.L.nnz + default.U.nnz)
+
+
+def _whole_space_2d():
+    return make_problem(2, 16, p="1.8", q="3", mu="x", f=("s - 1", "s + 3"))[0]
+
+
+def _obstacle_2d():
+    return make_problem(
+        2, 16, p="2.5", q="3", f=("8", "8"),
+        constraint=lambda m: ConstraintSet.obstacle(FeFunction.constant(m, -0.02)),
+    )[0]
+
+
+def _noncoercive():
+    return build_problem(load_config(CONFIGS / "noncoercive.yaml"))
+
+
+@pytest.mark.parametrize("build", [_whole_space_2d, _obstacle_2d, _noncoercive],
+                         ids=["whole_space", "obstacle", "noncoercive"])
+def test_newton_solutions_match_spsolve(monkeypatch, build):
+    prob = build()
+    seen, factor_solve = [], visolve._factor_solve
+
+    def spy(K, rhs):
+        seen.append((K, rhs, factor_solve(K, rhs)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(visolve, "_factor_solve", spy)
+    # the upper selection -100 s + 1 has a source, so u = 0 does not solve noncoercive
+    u, eta, zeta, rep = solve_vi(prob, SolverOptions(max_iter=20, selection="upper"))
+    assert seen
+    for K, rhs, sol in seen:
+        ref = spla.spsolve(K.tocsc(), rhs)
+        assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+    if build is _obstacle_2d:
+        assert rep.converged and max(rep.active_set_history) > 0
+    if build is _noncoercive:
+        # negative selection slopes: some Newton matrix has a negative eigenvalue
+        assert any(np.linalg.eigvalsh(K.toarray()).min() < 0 for K, _, _ in seen)
+
+
+def test_saturated_sphere_search_ends_early(monkeypatch):
+    # a box [-0.2, 0.2] caps the norm below R = 16: every direction clips
+    # all its nodes and the probe must give up, without 200 doublings each
+    calls = []
+    original = visolve.luxemburg_norm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(visolve, "luxemburg_norm", counted)
+    prob, mesh = make_problem(1, 32, constraint=lambda m: ConstraintSet.box(
+        FeFunction.constant(m, -0.2), FeFunction.constant(m, 0.2)))
+    with pytest.raises(ValueError, match="no feasible sample found at radius 16"):
+        check_coercivity(prob, FeFunction.zero(mesh), radii=(16.0,), samples_per_radius=1)
+    assert len(calls) <= 161  # 1616 with 200 doublings per direction
