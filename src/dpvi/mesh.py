@@ -324,8 +324,10 @@ class Layout:
 
     ``conn`` (n, nloc) lists the nodes of each cell or facet; ``points``
     (n, nq, dim), ``weights`` (n, nq) and ``basis`` (nq, nloc) are its
-    quadrature.  Vectors sum with ``bincount`` in element order, as
-    ``np.add.at`` does; :meth:`Mesh.csr` turns matrix data into a matrix.
+    quadrature.  Every quadrature sum is one matrix product with the basis
+    table, over all elements at once.  Vectors sum with ``bincount`` in
+    element order, as ``np.add.at`` does; :meth:`Mesh.csr` turns matrix
+    data into a matrix.
     """
 
     def __init__(self, mesh, where, conn, points, weights, basis):
@@ -348,13 +350,16 @@ class Layout:
         )
 
     def dual(self, field):
-        """Dual vector of a quadrature field: entries integral(field * hat_i)."""
+        """Dual vector of a quadrature field: entries integral(field * hat_i).
+
+        The local vectors are one product (weights * field) @ basis.
+        """
         field = np.asarray(field, dtype=float)
         if field.shape != self.weights.shape:
             raise ValueError(
                 f"{self.where} field shape {field.shape} does not match {self.weights.shape}"
             )
-        return self.scatter(np.einsum("eq,qi->ei", self.weights * field, self.basis))
+        return self.scatter((self.weights * field) @ self.basis)
 
     def matrix_data(self, local):
         """CSR data of the sum of the element matrices ``local`` (n, nloc, nloc);
@@ -363,9 +368,14 @@ class Layout:
         return np.bincount(slots[self.where], weights=np.ravel(local), minlength=len(indices))
 
     def mass_data(self, field):
-        """CSR data of the weighted mass matrix integral(field * hat_i * hat_j)."""
-        wq = self.weights * field
-        return self.matrix_data(np.einsum("eq,qi,qj->eij", wq, self.basis, self.basis))
+        """CSR data of the weighted mass matrix integral(field * hat_i * hat_j).
+
+        The local matrices, flattened, are one product of the weighted field
+        with the (nq, nloc * nloc) table of basis products.
+        """
+        b = self.basis
+        bb = (b[:, :, None] * b[:, None, :]).reshape(len(b), -1)
+        return self.matrix_data((self.weights * field) @ bb)
 
 
 class FeFunction:

@@ -9,6 +9,12 @@ gradient vanishes and an exponent is below 2 the flux extends continuously
 by zero, so residual assembly never smooths.  Only the Newton linearization
 uses a regularized gradient magnitude sqrt(|g|^2 + eps^2) inside the power
 weights, standard practice for p-Laplacian-type problems.
+
+The gradient of a P1 function is constant per element, and |grad u| is
+taken without squaring it (``abs`` in 1D, ``hypot`` in 2D), so the operator
+stays homogeneous far from unit scale.  Each power law then costs one
+``log`` per element and one ``exp`` per exponent and quadrature point, and
+the products with the basis gradients are broadcast over the dimension.
 """
 
 from __future__ import annotations
@@ -22,17 +28,31 @@ from .spaces import ExponentData
 __all__ = ["DoublePhaseOperator"]
 
 
+def _grad_magnitude(grad):
+    """|grad u| per element from its (n_elements, dim) gradient, without squaring,
+    which would underflow or overflow far from unit scale."""
+    return np.abs(grad[:, 0]) if grad.shape[1] == 1 else np.hypot(grad[:, 0], grad[:, 1])
+
+
+def _dot(a, b):
+    """Dot product over the last (dimension) axis, with the others broadcast."""
+    out = a[..., 0] * b[..., 0]
+    for d in range(1, a.shape[-1]):
+        out += a[..., d] * b[..., d]
+    return out
+
+
 def _flux_coefficient(w, p, q, mu):
-    """h(w) = w^(p-2) + mu w^(q-2) with the continuous extension h(0)*0 = 0.
+    """h(w) = w^(p-2) + mu w^(q-2) at the quadrature points, for one magnitude w
+    per element, with the continuous extension h(0)*0 = 0.
 
     Returned as the coefficient multiplying grad u; zero where w = 0.
     """
-    out = np.zeros_like(w)
     pos = w > 0.0
-    if np.any(pos):
-        wp = w[pos]
-        out[pos] = wp ** (p[pos] - 2.0) + mu[pos] * wp ** (q[pos] - 2.0)
-    return out
+    lw = np.log(w, out=np.zeros_like(w), where=pos)[:, None]
+    h = np.exp((p - 2.0) * lw) + mu * np.exp((q - 2.0) * lw)
+    h[~pos] = 0.0
+    return h
 
 
 class DoublePhaseOperator:
@@ -68,19 +88,17 @@ class DoublePhaseOperator:
         self._check(u)
         mesh, ed = self.mesh, self.exponents
         grad = u.gradient_at_elements()  # (ne, dim)
-        w = np.linalg.norm(grad, axis=1)  # (ne,)
-        wq = np.broadcast_to(w[:, None], mesh.quad_weights.shape)
-        coeff = _flux_coefficient(wq, ed.p, ed.q, ed.mu)  # (ne, nq)
+        coeff = _flux_coefficient(_grad_magnitude(grad), ed.p, ed.q, ed.mu)  # (ne, nq)
         cw = np.sum(mesh.quad_weights * coeff, axis=1)  # (ne,)
         # flux . grad(hat_i) summed over quadrature, gradient constant per element
-        contrib = cw[:, None] * np.einsum("ed,eid->ei", grad, mesh.grad_basis)
+        contrib = cw[:, None] * _dot(grad[:, None], mesh.grad_basis)
         return mesh.layout("interior").scatter(contrib)
 
     def energy(self, u: FeFunction) -> float:
         """The convex potential: integral of |grad u|^p / p + mu |grad u|^q / q."""
         self._check(u)
         mesh, ed = self.mesh, self.exponents
-        w = np.linalg.norm(u.gradient_at_elements(), axis=1)
+        w = _grad_magnitude(u.gradient_at_elements())
         wq = np.broadcast_to(w[:, None], mesh.quad_weights.shape)
         dens = wq**ed.p / ed.p + ed.mu * wq**ed.q / ed.q
         return float(np.sum(mesh.quad_weights * dens))
@@ -106,22 +124,21 @@ class DoublePhaseOperator:
             eps = self.eps
         mesh, ed = self.mesh, self.exponents
         grad = u.gradient_at_elements()  # (ne, dim)
-        w2 = np.sum(grad**2, axis=1)
         # tiny floor keeps the power weights finite when eps = 0 at grad u = 0
-        ge = np.maximum(np.sqrt(w2 + eps**2), 1e-12)  # (ne,)
-        geq = np.broadcast_to(ge[:, None], mesh.quad_weights.shape)
-        h = geq ** (ed.p - 2.0) + ed.mu * geq ** (ed.q - 2.0)
-        hp = (ed.p - 2.0) * geq ** (ed.p - 3.0) + ed.mu * (ed.q - 2.0) * geq ** (ed.q - 3.0)
-        # quadrature-summed isotropic and rank-one weights per element
-        a_iso = np.sum(mesh.quad_weights * h, axis=1)  # (ne,)
-        a_rank1 = np.sum(mesh.quad_weights * hp, axis=1) / ge  # (ne,)
+        ge = np.maximum(np.hypot(_grad_magnitude(grad), eps), 1e-12)  # (ne,)
+        lg = np.log(ge)[:, None]
+        pm2, qm2 = ed.p - 2.0, ed.q - 2.0
+        gp = np.exp(pm2 * lg)  # ge^(p-2)
+        gq = ed.mu * np.exp(qm2 * lg)  # mu ge^(q-2)
+        # quadrature-summed isotropic weight h and rank-one weight h'(ge)/ge per element,
+        # with ge h'(ge) = (p-2) ge^(p-2) + mu (q-2) ge^(q-2)
+        a_iso = np.sum(mesh.quad_weights * (gp + gq), axis=1)  # (ne,)
+        a_rank1 = np.sum(mesh.quad_weights * (pm2 * gp + qm2 * gq), axis=1) / ge / ge
 
         gb = mesh.grad_basis  # (ne, nloc, dim)
-        gg = np.einsum("eid,ejd->eij", gb, gb)  # grad(hat_i).grad(hat_j)
-        gu = np.einsum("ed,eid->ei", grad, gb)  # grad(u).grad(hat_i)
-        elem = a_iso[:, None, None] * gg + a_rank1[:, None, None] * (
-            gu[:, :, None] * gu[:, None, :]
-        )
+        gu = _dot(grad[:, None], gb)  # grad(u).grad(hat_i)
+        elem = a_iso[:, None, None] * _dot(gb[:, :, None], gb[:, None])  # grad(hat_i).grad(hat_j)
+        elem += (a_rank1[:, None] * gu)[:, :, None] * gu[:, None, :]
 
         return mesh.csr(mesh.layout("interior").matrix_data(elem))
 

@@ -279,7 +279,8 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     optionally supplies fixed selection fields instead (used by the warm
     start).  The Newton system on the inactive free nodes is sliced with its
     rows in the mesh's nested-dissection order and factorised in that order
-    by :func:`_factor_solve`.  A singular Newton system is retried twice with
+    by :func:`_factor_solve`; a slope field that is identically zero adds no
+    mass to it.  A singular Newton system is retried twice with
     only the Jacobian re-assembled, its smoothing eps 100 times larger each
     time.  The first line search without sufficient decrease down to
     ``_LINE_SEARCH_MIN`` ends the solve: it leaves the iterate and its
@@ -315,24 +316,27 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
         delta[act_lo] = lo_f[act_lo] - u_free[act_lo]
         delta[act_hi] = hi_f[act_hi] - u_free[act_hi]
         pos = by_rank[inact[by_rank]]
-        rows, cols = free[pos], free[~inact]
+        rows = free[pos]
         if len(rows):
             uf = FeFunction(mesh, u)
             # penalty and selection slopes do not depend on the smoothing eps
-            masses = []
+            slopes = []
             if prob.aux is not None:
-                slope = prob.aux.slope_field(uf.values_at_quad())
-                masses.append(mesh.layout("interior").mass_data(slope))
+                slopes.append((mesh.layout("interior"), prob.aux.slope_field(uf.values_at_quad())))
             for mf in (prob.f, prob.f_gamma) if frozen is None else ():
                 if mf is not None:
-                    masses.append(mf.layout.mass_data(_selection_slope(mf, uf, rule)))
+                    slopes.append((mf.layout, _selection_slope(mf, uf, rule)))
+            # a zero slope field adds exact zeros to J: skip its mass
+            masses = [lay.mass_data(slope) for lay, slope in slopes if slope.any()]
+            d = np.zeros(mesh.n_nodes)  # the active-node corrections
+            d[free] = delta
             for attempt in range(3):
                 J = op.jacobian(uf, eps=op.eps * (100.0**attempt))
                 for mass in masses:  # left to right, the rounding of J + M_aux + M_f + M_gamma
                     J.data += mass
                 K = J[np.ix_(rows, rows)]
                 K.eliminate_zeros()  # entries that cancel exactly only add fill to the LU
-                rhs = -rf[pos] - J[np.ix_(rows, cols)] @ delta[~inact]
+                rhs = -(r + J @ d)[rows]
                 try:
                     sol = _factor_solve(K, rhs)
                 except RuntimeError:  # exactly singular factor

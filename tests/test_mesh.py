@@ -164,7 +164,7 @@ def test_values_at_quad_reproduces_linear():
 
 def _ref_dual(mesh, conn, weights, basis, field):
     out = np.zeros(mesh.n_nodes)
-    np.add.at(out, conn, np.einsum("eq,qi->ei", weights * field, basis))
+    np.add.at(out, conn, (weights * field) @ basis)
     return out
 
 
@@ -199,6 +199,38 @@ def _ref_jacobian(op, u, eps):
 def _assert_close(new, ref):
     scale = max(abs(ref).max(), 1e-300)
     assert abs(new - ref).max() <= 1e-14 * scale
+
+
+def _ref_apply(op, u):
+    # the flux coefficient from powers on the nonzero gradients, zero elsewhere
+    mesh, ed = op.mesh, op.exponents
+    grad = u.gradient_at_elements()
+    wq = np.broadcast_to(np.linalg.norm(grad, axis=1)[:, None], mesh.quad_weights.shape)
+    coeff = np.zeros_like(wq)
+    pos = wq > 0.0
+    wp = wq[pos]
+    coeff[pos] = wp ** (ed.p[pos] - 2.0) + ed.mu[pos] * wp ** (ed.q[pos] - 2.0)
+    cw = np.sum(mesh.quad_weights * coeff, axis=1)
+    out = np.zeros(mesh.n_nodes)
+    np.add.at(out, mesh.elements, cw[:, None] * np.einsum("ed,eid->ei", grad, mesh.grad_basis))
+    return out
+
+
+@pytest.mark.parametrize("dim,n,q,mu", [(1, 9, "2.5 + x*x", "max(0, x - 0.4)"),
+                                        (2, 6, "2.5 + y", "max(0, y - 0.4)")])
+def test_apply_matches_reference(dim, n, q, mu):
+    # exponents vary per quadrature point, mu vanishes on part of the domain, and u is
+    # constant left of x = 0.35, so some elements have grad u = 0 at p < 2
+    m = build_mesh(dim, n)
+    ed = ExponentData.from_expressions(m, "1.5 + 0.4*x", q, mu)
+    assert np.ptp(ed.p, axis=1).min() > 0 and (ed.mu == 0).any() and (ed.mu > 0).any()
+    coeffs = np.random.default_rng(37).normal(size=m.n_nodes)
+    coeffs[m.nodes[:, 0] < 0.35] = 0.7
+    u = FeFunction(m, coeffs)
+    flat = np.all(u.gradient_at_elements() == 0.0, axis=1)
+    assert flat.any() and not flat.all()
+    op = DoublePhaseOperator(m, ed)
+    _assert_close(op.apply(u), _ref_apply(op, u))
 
 
 @pytest.mark.parametrize("dim,n,gamma", [(1, 7, None), (1, 7, "x - 0.5"),

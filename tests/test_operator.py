@@ -55,6 +55,18 @@ def test_linear_stiffness_reduction():
     np.testing.assert_allclose(op.apply(u), K @ u.coeffs, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+def test_apply_is_homogeneous_at_extreme_scales(dim, n):
+    # A(s u) = s^(p-1) A(u) for mu = 0; |grad u| is taken without squaring, which
+    # would underflow at 1e-300 (apply returning 0) and overflow at 1e200
+    op, mesh = make_op(dim, n, "1.5", "3", "0")
+    g = FeFunction(mesh, np.random.default_rng(31).normal(size=mesh.n_nodes))
+    base = op.apply(g)
+    for s in (1e-300, 1e200):
+        scaled = op.apply(g * s) / s**0.5
+        assert abs(scaled - base).max() <= 1e-12 * abs(base).max()
+
+
 def test_energy_linear_function():
     op, mesh = make_op(1, 4)
     u = fe_interpolate("x", mesh)
