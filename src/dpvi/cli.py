@@ -50,6 +50,9 @@ from .visolve import (
 
 SCHEMA_VERSION = 1
 
+# libyaml's parser where PyYAML was built with it; both build the same safe documents
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _TOP_LEVEL_KEYS = {
     "schema",
     "mesh",
@@ -87,7 +90,7 @@ class ConfigError(ValueError):
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"configuration file not found: {path}") from None
     except yaml.YAMLError as exc:

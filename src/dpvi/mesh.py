@@ -17,9 +17,13 @@ for boundary fields.
 All P1 assembly lives here, in one :class:`Layout` per quadrature layout
 (cells, gamma facets, gamma0 facets): values at quadrature points, dual
 vectors, and CSR data on one pattern per mesh shared by all its layouts.
-Other modules assemble only through a layout; none scatters by itself.
+Other modules assemble only through a layout or the mesh; none scatters by
+itself.  Symmetric element matrices with zero row sums, such as those of
+the operator's Jacobian, are assembled from their values on the element
+edges (:meth:`Mesh.edge_matrix_data`), through a plan of CSR slots and
+basis-gradient products per edge that each mesh builds on first use.
 Each mesh also ranks its nodes in a nested-dissection order, in which the
-Newton matrices are factorised.
+Newton matrices are factorised, and keeps its free nodes in that order.
 """
 
 from __future__ import annotations
@@ -100,6 +104,11 @@ class Mesh:
     elimination_rank : (n_nodes,) int array
         Position of each node in a nested-dissection order for sparse LU,
         built on first use (see the property).
+    free_nodes_by_rank : int array
+        The free nodes in that order, built on first use.
+    edge_gram : (n_elements, n_edges) array
+        grad(hat_i).grad(hat_j) over the element edges (i, j) of
+        ``local_edges``, built on first use.
     """
 
     def __init__(self, dim, nodes, elements, boundary_facets):
@@ -205,6 +214,69 @@ class Mesh:
         ends = np.cumsum([k.size for k in keys])[:-1]
         slots = dict(zip(self._layouts, np.split(inverse, ends)))
         return _freeze(indptr.astype(idx)), _freeze(cols.astype(idx)), slots
+
+    @cached_property
+    def local_edges(self):
+        """Local node pairs (i, j), i < j, of an element's edges, as two index arrays."""
+        return np.triu_indices(self.dim + 1, 1)
+
+    @cached_property
+    def edge_gram(self):
+        """Read-only (n_elements, n_edges) products grad(hat_i).grad(hat_j) over the
+        element edges (i, j) of :attr:`local_edges`.  Built on first use."""
+        i, j = self.local_edges
+        gi, gj = self.grad_basis[:, i], self.grad_basis[:, j]
+        gram = gi[..., 0] * gj[..., 0]
+        for d in range(1, self.dim):
+            gram += gi[..., d] * gj[..., d]
+        return _freeze(gram)
+
+    @cached_property
+    def _edge_plan(self):
+        """``(upper, lower, starts, diag)`` for :meth:`edge_matrix_data`: per element
+        edge (element-major, :attr:`local_edges` order) the CSR slot of its entry
+        above the diagonal and of its mirror below, and, for the rows of element
+        nodes, the slot each row starts at and its diagonal slot.  Built on first use.
+        """
+        indptr, indices, slots = self._csr_pattern
+        conn, nloc = self.elements, self.dim + 1
+        i, j = self.local_edges
+        s = slots["interior"].reshape(-1, nloc, nloc)
+        ascending = conn[:, i] < conn[:, j]
+        upper = np.where(ascending, s[:, i, j], s[:, j, i])
+        lower = np.where(ascending, s[:, j, i], s[:, i, j])
+        diag = np.empty(self.n_nodes, dtype=indices.dtype)
+        k = np.arange(nloc)
+        diag[conn] = s[:, k, k]
+        rows = np.flatnonzero(np.bincount(conn.ravel(), minlength=self.n_nodes))
+        return (
+            _freeze(upper.ravel()),
+            _freeze(lower.ravel()),
+            _freeze(indptr[rows]),
+            _freeze(diag[rows]),
+        )
+
+    def edge_matrix_data(self, values):
+        """CSR data of the sum of symmetric element matrices with zero row sums, given
+        by their entries ``values`` (n_elements, n_edges) on the element edges.
+
+        Each entry above the diagonal sums its edge's values in element order
+        and is copied to its mirror below, so the matrix is exactly symmetric;
+        each diagonal entry is minus its row's off-diagonal sum.
+        """
+        _, indices, _ = self._csr_pattern
+        upper, lower, starts, diag = self._edge_plan
+        data = np.bincount(upper, weights=np.ravel(values), minlength=len(indices))
+        data[lower] = data[upper]
+        data[diag] = -np.add.reduceat(data, starts)
+        return data
+
+    @cached_property
+    def free_nodes_by_rank(self):
+        """Read-only indices of the free (non-gamma0) nodes, in elimination order
+        (increasing :attr:`elimination_rank`).  Built on first use."""
+        free = np.flatnonzero(self.free_node_mask)
+        return _freeze(free[np.argsort(self.elimination_rank[free])])
 
     @cached_property
     def elimination_rank(self):
@@ -472,40 +544,33 @@ def build_mesh(dim, subdivisions, gamma_predicate=None):
     if dim == 1:
         nodes = np.linspace(0.0, 1.0, n + 1)[:, None]
         elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
-        raw_facets = [(0,), (n,)]
+        facets = np.array([[0], [n]])
     else:
         xs = np.linspace(0.0, 1.0, n + 1)
         xv, yv = np.meshgrid(xs, xs, indexing="xy")
         nodes = np.stack([xv.ravel(), yv.ravel()], axis=1)
+        # cell (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1)
+        # and triangles (a, b, c), (a, c, d); cells run i fastest, then j
+        a = (np.arange(n)[None, :] + (n + 1) * np.arange(n)[:, None]).ravel()
+        b, c, d = a + 1, a + n + 2, a + n + 1
+        elements = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+        # per i: bottom, top, left, right, each from its lower-index end
+        i = np.arange(n)
+        starts = np.stack([i, n * (n + 1) + i, (n + 1) * i, (n + 1) * i + n], axis=1).ravel()
+        steps = np.tile([1, 1, n + 1, n + 1], n)
+        facets = np.stack([starts, starts + steps], axis=1)
 
-        def nid(i, j):
-            return j * (n + 1) + i
-
-        elements = []
-        for j in range(n):
-            for i in range(n):
-                a, b = nid(i, j), nid(i + 1, j)
-                c, d = nid(i + 1, j + 1), nid(i, j + 1)
-                elements.append((a, b, c))
-                elements.append((a, c, d))
-        raw_facets = []
-        for i in range(n):
-            raw_facets.append((nid(i, 0), nid(i + 1, 0)))  # bottom
-            raw_facets.append((nid(i, n), nid(i + 1, n)))  # top
-            raw_facets.append((nid(0, i), nid(0, i + 1)))  # left
-            raw_facets.append((nid(n, i), nid(n, i + 1)))  # right
-
-    facets = []
-    for facet in raw_facets:
-        mid = np.mean([nodes[i] for i in facet], axis=0)
-        if gamma_predicate is None:
-            tag = "gamma0"
-        else:
-            bindings = {"x": mid[0]}
-            if dim == 2:
-                bindings["y"] = mid[1]
-            tag = "gamma" if float(eval_expression(gamma_predicate, bindings)) > 0 else "gamma0"
-        facets.append((facet, tag))
+    mid = nodes[facets].sum(axis=1) / facets.shape[1]
+    if gamma_predicate is None:
+        gamma = np.zeros(len(facets), dtype=bool)
+    else:
+        bindings = {"x": mid[:, 0]}
+        if dim == 2:
+            bindings["y"] = mid[:, 1]
+        value = eval_expression(gamma_predicate, bindings)
+        gamma = np.broadcast_to(np.asarray(value, dtype=float), (len(facets),)) > 0
+    tags = np.where(gamma, "gamma", "gamma0")
+    facets = [(tuple(f), str(t)) for f, t in zip(facets.tolist(), tags)]
     return Mesh(dim, nodes, elements, facets)
 
 

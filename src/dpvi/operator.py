@@ -13,8 +13,17 @@ weights, standard practice for p-Laplacian-type problems.
 The gradient of a P1 function is constant per element, and |grad u| is
 taken without squaring it (``abs`` in 1D, ``hypot`` in 2D), so the operator
 stays homogeneous far from unit scale.  Each power law then costs one
-``log`` per element and one ``exp`` per exponent and quadrature point, and
-the products with the basis gradients are broadcast over the dimension.
+``log`` per element and one ``exp`` per exponent and element: an exponent
+constant over each element's quadrature points (a constant exponent, and
+every shipped configuration) is held as one column, with its quadrature
+weights (times mu for q) summed per element, and only an exponent that
+varies inside elements keeps one power per quadrature point.  The products
+with the basis gradients are broadcast over the dimension.
+
+The P1 element matrices of the Jacobian have zero row sums, so each is
+fixed by its values on the element's edges (one in 1D, three in 2D): the
+Jacobian is assembled from those alone (:meth:`Mesh.edge_matrix_data`),
+and no (elements, nodes, nodes) array is formed.
 """
 
 from __future__ import annotations
@@ -42,17 +51,10 @@ def _dot(a, b):
     return out
 
 
-def _flux_coefficient(w, p, q, mu):
-    """h(w) = w^(p-2) + mu w^(q-2) at the quadrature points, for one magnitude w
-    per element, with the continuous extension h(0)*0 = 0.
-
-    Returned as the coefficient multiplying grad u; zero where w = 0.
-    """
-    pos = w > 0.0
-    lw = np.log(w, out=np.zeros_like(w), where=pos)[:, None]
-    h = np.exp((p - 2.0) * lw) + mu * np.exp((q - 2.0) * lw)
-    h[~pos] = 0.0
-    return h
+def _per_element(field):
+    """``field`` (n_elements, n_qp) as an (n_elements, 1) column when it is constant
+    over each element's quadrature points, else unchanged."""
+    return field[:, :1].copy() if np.all(field == field[:, :1]) else field
 
 
 class DoublePhaseOperator:
@@ -76,6 +78,19 @@ class DoublePhaseOperator:
         self.mesh = mesh
         self.exponents = exponents
         self.eps = float(eps)
+        # p - 2 and q - 2 as one column where constant per element, with the quadrature
+        # weights (times mu for q) summed to match, so sum(w * g^(p-2), axis=1) is the
+        # quadrature sum for either shape
+        w = mesh.quad_weights
+        self._pm2 = _per_element(exponents.p) - 2.0
+        self._qm2 = _per_element(exponents.q) - 2.0
+        wmu = w * exponents.mu
+        self._wp = w.sum(axis=1, keepdims=True) if self._pm2.shape[1] == 1 else w
+        self._wq = wmu.sum(axis=1, keepdims=True) if self._qm2.shape[1] == 1 else wmu
+
+    def _weighted_powers(self, lg):
+        """Quadrature-weighted g^(p-2) and mu g^(q-2) from lg = log g, (n_elements, 1)."""
+        return self._wp * np.exp(self._pm2 * lg), self._wq * np.exp(self._qm2 * lg)
 
     # -- residual ----------------------------------------------------------
 
@@ -86,10 +101,14 @@ class DoublePhaseOperator:
         are ignored by solvers, which restrict to free nodes.
         """
         self._check(u)
-        mesh, ed = self.mesh, self.exponents
+        mesh = self.mesh
         grad = u.gradient_at_elements()  # (ne, dim)
-        coeff = _flux_coefficient(_grad_magnitude(grad), ed.p, ed.q, ed.mu)  # (ne, nq)
-        cw = np.sum(mesh.quad_weights * coeff, axis=1)  # (ne,)
+        w = _grad_magnitude(grad)
+        # log w = 0 where w = 0 keeps the coefficient finite, and grad u = 0 there
+        # makes the flux exactly zero: the continuous extension
+        lw = np.log(w, out=np.zeros_like(w), where=w > 0.0)[:, None]
+        gp, gq = self._weighted_powers(lw)
+        cw = np.sum(gp, axis=1) + np.sum(gq, axis=1)  # quadrature sum of h(w), (ne,)
         # flux . grad(hat_i) summed over quadrature, gradient constant per element
         contrib = cw[:, None] * _dot(grad[:, None], mesh.grad_basis)
         return mesh.layout("interior").scatter(contrib)
@@ -117,30 +136,30 @@ class DoublePhaseOperator:
 
         Uses the smoothed magnitude g_eps = sqrt(|grad u|^2 + eps^2)
         in the power weights; positive definite on free nodes for eps > 0.
+        Each element matrix a_iso (grad hat_i . grad hat_j) + a_rank1 (grad u .
+        grad hat_i)(grad u . grad hat_j) has zero row sums, since the basis
+        gradients of an element sum to zero, so it is assembled from its values
+        on the element edges alone (:meth:`Mesh.edge_matrix_data`): exactly
+        symmetric, with each diagonal entry minus its row's off-diagonal sum.
         Its pattern is the mesh's shared one: layout CSR data adds to ``.data``.
         """
         self._check(u)
         if eps is None:
             eps = self.eps
-        mesh, ed = self.mesh, self.exponents
+        mesh = self.mesh
         grad = u.gradient_at_elements()  # (ne, dim)
         # tiny floor keeps the power weights finite when eps = 0 at grad u = 0
         ge = np.maximum(np.hypot(_grad_magnitude(grad), eps), 1e-12)  # (ne,)
-        lg = np.log(ge)[:, None]
-        pm2, qm2 = ed.p - 2.0, ed.q - 2.0
-        gp = np.exp(pm2 * lg)  # ge^(p-2)
-        gq = ed.mu * np.exp(qm2 * lg)  # mu ge^(q-2)
+        gp, gq = self._weighted_powers(np.log(ge)[:, None])
         # quadrature-summed isotropic weight h and rank-one weight h'(ge)/ge per element,
         # with ge h'(ge) = (p-2) ge^(p-2) + mu (q-2) ge^(q-2)
-        a_iso = np.sum(mesh.quad_weights * (gp + gq), axis=1)  # (ne,)
-        a_rank1 = np.sum(mesh.quad_weights * (pm2 * gp + qm2 * gq), axis=1) / ge / ge
+        a_iso = np.sum(gp, axis=1) + np.sum(gq, axis=1)  # (ne,)
+        a_rank1 = (np.sum(self._pm2 * gp, axis=1) + np.sum(self._qm2 * gq, axis=1)) / ge / ge
 
-        gb = mesh.grad_basis  # (ne, nloc, dim)
-        gu = _dot(grad[:, None], gb)  # grad(u).grad(hat_i)
-        elem = a_iso[:, None, None] * _dot(gb[:, :, None], gb[:, None])  # grad(hat_i).grad(hat_j)
-        elem += (a_rank1[:, None] * gu)[:, :, None] * gu[:, None, :]
-
-        return mesh.csr(mesh.layout("interior").matrix_data(elem))
+        i, j = mesh.local_edges
+        gu = _dot(grad[:, None], mesh.grad_basis)  # grad(u).grad(hat_i), (ne, nloc)
+        edge = a_iso[:, None] * mesh.edge_gram + (a_rank1[:, None] * gu[:, i]) * gu[:, j]
+        return mesh.csr(mesh.edge_matrix_data(edge))
 
     def _check(self, u: FeFunction):
         if u.mesh is not self.mesh:

@@ -18,7 +18,7 @@ which vanishes exactly when the discrete variational inequality holds for
 every feasible direction.
 
 Each Newton step ends in one sparse LU of the inactive free rows.  They are
-taken in the mesh's nested-dissection order (:attr:`Mesh.elimination_rank`,
+taken in the mesh's nested-dissection order (:attr:`Mesh.free_nodes_by_rank`,
 built once per mesh), and SuperLU factorises in that order instead of
 choosing its own; the order a subset inherits never adds fill, so it holds
 for every active set.
@@ -33,8 +33,10 @@ from typing import Optional
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from .expr import variables_of
 from .mesh import FeFunction, Mesh, _freeze
 from .multifun import (
+    IntervalMultifunction,
     TruncationData,
     assemble_source,
     penalty,
@@ -246,7 +248,16 @@ def _select_terms(prob: VIProblem, u: FeFunction, rule):
 
 
 def _selection_slope(mf, u: FeFunction, rule):
-    """Finite-difference slope of the rule-selected endpoint with respect to s."""
+    """Finite-difference slope of the rule-selected endpoint with respect to s.
+
+    Exact zeros, without evaluating the reaction, when it is an
+    :class:`IntervalMultifunction` whose endpoints do not read s: the two
+    evaluations would agree bitwise.
+    """
+    if isinstance(mf, IntervalMultifunction) and "s" not in (
+        variables_of(mf.lower) | variables_of(mf.upper)
+    ):
+        return np.zeros(mf.layout.weights.shape)
     points, s = mf.layout.points, mf.layout.values(u.coeffs)
     ds = 1e-6 * (1.0 + np.abs(s))
     lo_p, hi_p = mf.eval_interval(points, s + ds)
@@ -288,8 +299,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     cause is None on convergence and otherwise names why the solve stopped.
     """
     mesh = prob.mesh
-    free = np.flatnonzero(mesh.free_node_mask)
-    by_rank = np.argsort(mesh.elimination_rank[free])  # free positions, elimination order
+    free = mesh.free_nodes_by_rank  # so the inactive rows come in elimination order
     lo, hi = prob.constraint.bounds(mesh)
     lo_f, hi_f = lo[free], hi[free]
     u = prob.constraint.project(u0.copy(), mesh)
@@ -315,8 +325,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
         delta = np.zeros(len(free))
         delta[act_lo] = lo_f[act_lo] - u_free[act_lo]
         delta[act_hi] = hi_f[act_hi] - u_free[act_hi]
-        pos = by_rank[inact[by_rank]]
-        rows = free[pos]
+        rows = free[inact]
         if len(rows):
             uf = FeFunction(mesh, u)
             # penalty and selection slopes do not depend on the smoothing eps
@@ -345,7 +354,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
                     break
             else:
                 raise SolverError("Newton system singular after smoothing retries")
-            delta[pos] = sol
+            delta[inact] = sol
         report.active_set_history.append(int(np.count_nonzero(~inact)))
         report.newton_iterations += 1
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dpvi.cli import main
+from dpvi.cli import load_config, main
 
 
 def write_config(tmp_path, payload, name="problem.yaml"):
@@ -265,3 +265,20 @@ def test_extremal_on_shipped_config(tmp_path, capsys, name):
     lo = read_solution(out / "u_smallest.csv")
     hi = read_solution(out / "u_greatest.csv")
     assert np.all(lo <= hi + 1e-12)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_yaml_loaders_agree_on_shipped_configs(config):
+    # load_config parses with libyaml's CSafeLoader where PyYAML has it
+    text = config.read_text(encoding="utf-8")
+    cfg = load_config(config)
+    assert cfg == yaml.load(text, Loader=yaml.SafeLoader)
+    if hasattr(yaml, "CSafeLoader"):
+        assert cfg == yaml.load(text, Loader=yaml.CSafeLoader)
+
+
+def test_malformed_yaml_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("schema: 1\nmesh: {dim: 1, n: [4\n", encoding="utf-8")
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "configuration is not valid YAML" in capsys.readouterr().err

@@ -331,3 +331,39 @@ def test_failed_certificate_names_the_iterate(monkeypatch):
     with pytest.raises(EnclosureError, match=r"^iterate 2 failed its supersolution "
                        r"certificate \(margin -1\.000e\+00 at node 3\)$"):
         extremal_pair(prob, oi, SolverOptions(tol=1e-10))
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_vi(*args, **kwargs)
+
+    monkeypatch.setattr(extremal, "solve_vi", counted)
+    return calls
+
+
+def test_equal_envelopes_share_one_bound_solve(monkeypatch):
+    # k1 and k2 parse to the same AST ("8" equals "8.0"): one solve serves both;
+    # "8 + 0" is another AST with the same values, so it is solved again, identically
+    margin = 1e-3
+
+    def bounds(k1, k2):
+        prob, mesh = make_problem(
+            1, 16, p="1.8", q="2.6", mu="max(0, x - 0.5)",
+            constraint=lambda m: ConstraintSet.obstacle(FeFunction.constant(m, -0.5)),
+            f=("8", "8"),
+        )
+        calls = _counting_solves(monkeypatch)
+        oi = construct_obstacle_bounds(prob, k1, k2, c_psi=0.1, margin=margin)
+        return oi, len(calls)
+
+    shared, n_shared = bounds("8", "8.0")
+    twice, n_twice = bounds("8", "8 + 0")
+    assert (n_shared, n_twice) == (1, 2)
+    assert shared.u2 is shared.u1
+    for name in ("lower", "upper", "u1", "u2"):
+        np.testing.assert_array_equal(getattr(shared, name).coeffs, getattr(twice, name).coeffs)
+    assert shared.M == twice.M
+    assert shared.certified() and twice.certified()

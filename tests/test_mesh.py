@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dpvi.expr import parse_expression
+from dpvi import operator as operator_module
+from dpvi.expr import eval_expression, parse_expression
 from dpvi.mesh import FeFunction, Mesh, build_mesh, fe_interpolate, join, lattice_op, meet, trace
 from dpvi.multifun import assemble_source
 from dpvi.operator import DoublePhaseOperator
@@ -216,6 +217,16 @@ def _ref_apply(op, u):
     return out
 
 
+def _flat_left_function(mesh, seed):
+    # random, but constant left of x = 0.35: some elements have grad u = 0
+    coeffs = np.random.default_rng(seed).normal(size=mesh.n_nodes)
+    coeffs[mesh.nodes[:, 0] < 0.35] = 0.7
+    u = FeFunction(mesh, coeffs)
+    flat = np.all(u.gradient_at_elements() == 0.0, axis=1)
+    assert flat.any() and not flat.all()
+    return u
+
+
 @pytest.mark.parametrize("dim,n,q,mu", [(1, 9, "2.5 + x*x", "max(0, x - 0.4)"),
                                         (2, 6, "2.5 + y", "max(0, y - 0.4)")])
 def test_apply_matches_reference(dim, n, q, mu):
@@ -224,13 +235,46 @@ def test_apply_matches_reference(dim, n, q, mu):
     m = build_mesh(dim, n)
     ed = ExponentData.from_expressions(m, "1.5 + 0.4*x", q, mu)
     assert np.ptp(ed.p, axis=1).min() > 0 and (ed.mu == 0).any() and (ed.mu > 0).any()
-    coeffs = np.random.default_rng(37).normal(size=m.n_nodes)
-    coeffs[m.nodes[:, 0] < 0.35] = 0.7
-    u = FeFunction(m, coeffs)
-    flat = np.all(u.gradient_at_elements() == 0.0, axis=1)
-    assert flat.any() and not flat.all()
+    u = _flat_left_function(m, 37)
     op = DoublePhaseOperator(m, ed)
     _assert_close(op.apply(u), _ref_apply(op, u))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])
+@pytest.mark.parametrize("p", ["1.5 + 0.4*x", "1.8"])
+@pytest.mark.parametrize("eps", [0.0, 1e-8])
+def test_edge_jacobian_matches_element_matrices(dim, n, p, eps):
+    # p varying inside elements or constant per element, mu vanishing left of x = 0.4,
+    # flat elements at p < 2, with and without smoothing
+    m = build_mesh(dim, n)
+    ed = ExponentData.from_expressions(m, p, "2.5 + x*x", "max(0, x - 0.4)")
+    assert (ed.mu == 0).any() and (ed.mu > 0).any()
+    op = DoublePhaseOperator(m, ed, eps=eps)
+    u = _flat_left_function(m, 41)
+    J = op.jacobian(u)
+    dense, ref = J.toarray(), _ref_jacobian(op, u, eps).toarray()
+    assert abs(dense - ref).max() <= 1e-13 * abs(ref).max()
+    np.testing.assert_array_equal(dense, dense.T)  # bitwise symmetric
+    row_sums = np.asarray(J.sum(axis=1)).ravel()
+    assert np.all(abs(row_sums) <= 1e-14 * abs(dense).sum(axis=1))
+
+
+@pytest.mark.parametrize("dim,n,mu", [(1, 9, "max(0, x - 0.4)"), (2, 6, "max(0, y - 0.4)")])
+def test_per_element_exponents_match_full_fields(dim, n, mu, monkeypatch):
+    # exponents constant per element are held as one column; the quadrature sums
+    # must agree with the same fields kept at every quadrature point
+    m = build_mesh(dim, n)
+    ed = ExponentData.from_expressions(m, "1.6", "2.7", mu)
+    op = DoublePhaseOperator(m, ed)
+    assert op._pm2.shape == op._qm2.shape == (m.n_elements, 1)
+    monkeypatch.setattr(operator_module, "_per_element", lambda field: field)
+    full = DoublePhaseOperator(m, ed)
+    assert full._pm2.shape == m.quad_weights.shape
+    u = _flat_left_function(m, 43)
+    a, b = op.apply(u), full.apply(u)
+    assert abs(a - b).max() <= 1e-14 * abs(b).max()
+    Ja, Jb = op.jacobian(u).toarray(), full.jacobian(u).toarray()
+    assert abs(Ja - Jb).max() <= 1e-14 * abs(Jb).max()
 
 
 @pytest.mark.parametrize("dim,n,gamma", [(1, 7, None), (1, 7, "x - 0.5"),
@@ -320,3 +364,72 @@ def test_elimination_rank_orders_separators_last():
     m = build_mesh(2, 16)
     last = np.argsort(m.elimination_rank)[-17:]
     np.testing.assert_array_equal(m.nodes[last, 0], 0.5)
+
+
+def test_free_nodes_by_rank():
+    m = build_mesh(2, 9, "x - 0.5")
+    free = m.free_nodes_by_rank
+    np.testing.assert_array_equal(np.sort(free), np.flatnonzero(m.free_node_mask))
+    assert np.all(np.diff(m.elimination_rank[free]) > 0)
+    assert m.free_nodes_by_rank is free  # built once per mesh
+    with pytest.raises(ValueError):
+        free[0] = 0
+
+
+# -- build_mesh against its cell-by-cell construction ----------------------------------
+
+
+def _loop_build_mesh(dim, n, gamma_predicate=None):
+    if isinstance(gamma_predicate, str):
+        gamma_predicate = parse_expression(gamma_predicate, ("x",) if dim == 1 else ("x", "y"))
+    if dim == 1:
+        nodes = np.linspace(0.0, 1.0, n + 1)[:, None]
+        elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
+        raw_facets = [(0,), (n,)]
+    else:
+        xs = np.linspace(0.0, 1.0, n + 1)
+        xv, yv = np.meshgrid(xs, xs, indexing="xy")
+        nodes = np.stack([xv.ravel(), yv.ravel()], axis=1)
+
+        def nid(i, j):
+            return j * (n + 1) + i
+
+        elements = []
+        for j in range(n):
+            for i in range(n):
+                a, b, c, d = nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)
+                elements += [(a, b, c), (a, c, d)]
+        raw_facets = []
+        for i in range(n):
+            raw_facets.append((nid(i, 0), nid(i + 1, 0)))  # bottom
+            raw_facets.append((nid(i, n), nid(i + 1, n)))  # top
+            raw_facets.append((nid(0, i), nid(0, i + 1)))  # left
+            raw_facets.append((nid(n, i), nid(n, i + 1)))  # right
+    facets = []
+    for facet in raw_facets:
+        mid = np.mean([nodes[i] for i in facet], axis=0)
+        tag = "gamma0"
+        if gamma_predicate is not None:
+            bindings = {"x": mid[0], "y": mid[1]} if dim == 2 else {"x": mid[0]}
+            if float(eval_expression(gamma_predicate, bindings)) > 0:
+                tag = "gamma"
+        facets.append((facet, tag))
+    return Mesh(dim, nodes, elements, facets)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("dim,gamma", [(1, None), (1, "x - 0.5"), (1, "sin(3*x) - 0.4"),
+                                       (2, None), (2, "0.3 - y"), (2, "sin(3*x) - y"),
+                                       (2, "x - 0.5")])
+def test_build_mesh_matches_cell_loop(dim, n, gamma):
+    new, ref = build_mesh(dim, n, gamma), _loop_build_mesh(dim, n, gamma)
+    assert new.boundary_facets == ref.boundary_facets
+    for name in ("nodes", "elements", "element_measure", "quad_points", "quad_weights",
+                 "basis", "grad_basis", "gamma0_node_mask", "free_node_mask"):
+        a, b = getattr(new, name), getattr(ref, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    for where in ("interior", "boundary_gamma", "boundary_gamma0"):
+        for name in ("conn", "points", "weights", "basis"):
+            np.testing.assert_array_equal(getattr(new.layout(where), name),
+                                          getattr(ref.layout(where), name))

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from dpvi import visolve
 from dpvi.cli import build_problem, load_config
 from dpvi.mesh import FeFunction, build_mesh, fe_interpolate
-from dpvi.multifun import IntervalMultifunction, TruncationData
+from dpvi.multifun import IntervalMultifunction, TruncationData, pick_endpoint
 from dpvi.operator import DoublePhaseOperator
 from dpvi.spaces import ExponentData, ModularKind, luxemburg_norm
 from dpvi.visolve import (
@@ -551,3 +551,41 @@ def test_saturated_sphere_search_ends_early(monkeypatch):
     with pytest.raises(ValueError, match="no feasible sample found at radius 16"):
         check_coercivity(prob, FeFunction.zero(mesh), radii=(16.0,), samples_per_radius=1)
     assert len(calls) <= 161  # 1616 with 200 doublings per direction
+
+
+def _fd_selection_slope(mf, u, rule):
+    # the finite-difference slope, evaluated unconditionally
+    points, s = mf.layout.points, mf.layout.values(u.coeffs)
+    ds = 1e-6 * (1.0 + np.abs(s))
+    lo_p, hi_p = mf.eval_interval(points, s + ds)
+    lo_m, hi_m = mf.eval_interval(points, s - ds)
+    slope = (pick_endpoint(rule, lo_p, hi_p) - pick_endpoint(rule, lo_m, hi_m)) / (2.0 * ds)
+    return np.clip(slope, -1e10, 1e10)
+
+
+@pytest.mark.parametrize("on_boundary", [False, True])
+def test_selection_slope_of_state_free_reaction_is_zero(on_boundary, monkeypatch):
+    mesh = build_mesh(2, 4, "x - 0.5")
+    u = FeFunction(mesh, np.random.default_rng(47).normal(size=mesh.n_nodes))
+    mf = IntervalMultifunction(mesh, "-1 - x", "sin(y)", on_boundary=on_boundary)
+    expected = _fd_selection_slope(mf, u, "midpoint")
+    assert not expected.any()
+
+    def no_eval(*args):
+        raise AssertionError("an s-free reaction was evaluated for its slope")
+
+    monkeypatch.setattr(IntervalMultifunction, "eval_interval", no_eval)
+    slope = visolve._selection_slope(mf, u, "midpoint")
+    np.testing.assert_array_equal(slope, expected)
+    assert slope.shape == mf.layout.weights.shape
+
+
+@pytest.mark.parametrize("rule", ["lower", "upper", "midpoint"])
+def test_selection_slope_of_state_dependent_reaction_unchanged(rule):
+    mesh = build_mesh(2, 4)
+    u = FeFunction(mesh, np.random.default_rng(53).normal(size=mesh.n_nodes))
+    for f1, f2 in (("s - 1", "s*s + 1"), ("x*s - 1", "x*s"), ("min(s, 0)", "max(s, 0)")):
+        mf = IntervalMultifunction(mesh, f1, f2)
+        expected = _fd_selection_slope(mf, u, rule)
+        assert expected.any()
+        np.testing.assert_array_equal(visolve._selection_slope(mf, u, rule), expected)
