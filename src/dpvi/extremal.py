@@ -22,9 +22,10 @@ from the supersolution and up from the subsolution, with one drift check
 and one stop test.  Every enclosed solve of the extremal iterations is
 warm-started from a solution it refines: the previous iterate of its side,
 or on the first step the fixed bound (greatest side) or the greatest
-candidate of the same interval (smallest side).  None starts on the bound
-that moves, where the truncation of an interval reaction jumps from the
-rule-selected endpoint to the frozen opposite one.
+candidate of the same interval (smallest side).  None runs Newton from the
+bound that moves, where the truncation of an interval reaction jumps from
+the rule-selected endpoint to the frozen opposite one; a first step starts
+there only when that bound already solves its problem.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .visolve import (
     SolverError,
     SolverOptions,
     VIProblem,
+    _infeasibility,
     _residual_vector,
     _select_terms,
     build_auxiliary,
@@ -361,6 +363,17 @@ def _monotone_iteration(side, start, opts, step, what):
     return moving, history
 
 
+def _solves_enclosed(prob: VIProblem, interval: OrderedInterval, u: FeFunction, opts):
+    """Whether ``u`` is feasible for the auxiliary problem of ``interval`` and
+    solves it to ``opts.tol`` with the ``opts.selection`` rule."""
+    td = TruncationData.from_bounds(interval.lower, interval.upper, f=prob.f,
+                                    f_gamma=prob.f_gamma)
+    aux = build_auxiliary(prob, td)
+    if _infeasibility(aux, u.coeffs) is not None:
+        return False
+    return vi_residual(aux, u, *_select_terms(aux, u, opts.selection)) <= opts.tol
+
+
 def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
     """Monotone interval-shrinking iteration toward one extremal candidate.
 
@@ -369,13 +382,16 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
     the smallest candidate symmetrically from below with upper endpoint
     selections.  Returns ``(candidate, members, history)``.
 
-    The first enclosed solve starts from ``start`` and every later one from
-    the previous iterate, a converged solution lying in the new, smaller
-    interval (it then needs no Newton step).  ``start`` must not be the
+    Every enclosed solve after the first starts from the previous iterate, a
+    converged solution lying in the new, smaller interval (it then needs no
+    Newton step).  The first starts from the first of ``start`` and the
     moving bound (``oi.upper`` for the greatest side, ``oi.lower`` for the
-    smallest): there the truncation of an interval reaction switches from
-    the rule-selected endpoint to the frozen opposite one, and the solve
-    from that point fails to converge.
+    smallest) that already solves its auxiliary problem, and from ``start``
+    if neither does.  ``start`` must not be the moving bound: there the
+    truncation of an interval reaction switches from the rule-selected
+    endpoint to the frozen opposite one, so Newton from the moving bound
+    fails to converge unless it is already a solution (as the lower bound
+    is when the smallest solution is the subsolution itself).
     """
     members = []  # the converged iterates
     it_opts = replace(opts, selection="lower" if side == "greatest" else "upper")
@@ -389,7 +405,10 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
                                        verify_subsolution(moving, prob, "lower"),
                                        oi.upper_certificate)
         _require_certified(interval, f"iterate {k}")
-        initial = start if k == 1 else moving
+        initial = moving
+        if k == 1:
+            solved = (c for c in (start, moving) if _solves_enclosed(prob, interval, c, it_opts))
+            initial = next(solved, start)
         u, rep = solve_enclosed(prob, interval, replace(it_opts, initial=initial))
         members.append(u)
         return u, rep.residual

@@ -18,10 +18,13 @@ All P1 assembly lives here, in one :class:`Layout` per quadrature layout
 (cells, gamma facets, gamma0 facets): values at quadrature points, dual
 vectors, and CSR data on one pattern per mesh shared by all its layouts.
 Other modules assemble only through a layout or the mesh; none scatters by
-itself.  Symmetric element matrices with zero row sums, such as those of
-the operator's Jacobian, are assembled from their values on the element
-edges (:meth:`Mesh.edge_matrix_data`), through a plan of CSR slots and
-basis-gradient products per edge that each mesh builds on first use.
+itself.  Every matrix assembled here (the operator's Jacobian and the
+weighted masses) is a sum of symmetric element matrices, so it is assembled
+from their entries on the element edges and, unless the rows sum to zero,
+on the diagonal (:meth:`Layout.matrix_data`).  One plan per mesh, built on
+first use with one sort over the element edges and the nodes, gives the
+pattern (the diagonal plus the element edges) and the CSR slots of every
+element edge above and below the diagonal and of every node's diagonal.
 Each mesh also ranks its nodes in a nested-dissection order, in which the
 Newton matrices are factorised, and keeps its free nodes in that order.
 """
@@ -106,9 +109,14 @@ class Mesh:
         built on first use (see the property).
     free_nodes_by_rank : int array
         The free nodes in that order, built on first use.
+    local_edges : two int arrays
+        Local node pairs (i, j), i < j, of an element's edges.
     edge_gram : (n_elements, n_edges) array
         grad(hat_i).grad(hat_j) over the element edges (i, j) of
         ``local_edges``, built on first use.
+
+    One assembly plan (the CSR pattern and its edge and diagonal slots) is
+    built on first matrix assembly and serves every layout.
     """
 
     def __init__(self, dim, nodes, elements, boundary_facets):
@@ -151,12 +159,10 @@ class Mesh:
                 raise ValueError("triangle areas must be strictly positive")
             self.element_measure = _freeze(0.5 * det)
             lam = _TRI_BARY  # (nq, 3)
-            qp = (
-                lam[None, :, 0, None] * v0[:, None, :]
-                + lam[None, :, 1, None] * v1[:, None, :]
-                + lam[None, :, 2, None] * v2[:, None, :]
-            )
-            self.quad_points = _freeze(qp)
+            # coordinate axis first: contiguous (dim, ne) vertex rows times (nq,) weights
+            xy = np.ascontiguousarray(coords.transpose(1, 2, 0))[..., None]  # (3, dim, ne, 1)
+            qp = xy[0] * lam[:, 0] + xy[1] * lam[:, 1] + xy[2] * lam[:, 2]  # (dim, ne, nq)
+            self.quad_points = _freeze(qp.transpose(1, 2, 0))
             self.quad_weights = _freeze(self.element_measure[:, None] * _TRI_QW[None, :])
             self.basis = _freeze(lam.copy())
             # gradients of barycentric coordinates
@@ -195,30 +201,33 @@ class Mesh:
         self.free_node_mask = _freeze(~mask)
 
     @cached_property
-    def _csr_pattern(self):
-        """``(indptr, indices, slots)``: the CSR pattern shared by all layouts and,
-        per layout, the position in ``indices`` of each raveled element-matrix
-        entry.  Built with one sort on first matrix assembly; meshes never change.
+    def _assembly_plan(self):
+        """``(indptr, indices, diagonal, edges)``: the CSR pattern shared by all
+        layouts, the slot in ``indices`` of each node's diagonal entry and, per
+        layout, the slots ``(upper, lower)`` of its element edges above and below
+        the diagonal (element-major, local node pairs i < j).  The pattern is the
+        diagonal plus the element edges, found with one sort on first matrix
+        assembly; meshes never change.
         """
         n, layouts = self.n_nodes, self._layouts.values()
-        keys = [(lay.conn[:, :, None] * n + lay.conn[:, None, :]).ravel() for lay in layouts]
-        flat = np.concatenate(keys)
+        heads = np.concatenate([lay.conn[:, lay.edges[0]].ravel() for lay in layouts])
+        tails = np.concatenate([lay.conn[:, lay.edges[1]].ravel() for lay in layouts])
+        lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
+        keys = np.concatenate([lo * n + hi, hi * n + lo, np.arange(n) * (n + 1)])
+        flat, inverse = np.unique(keys, return_inverse=True)
         idx = np.int32 if len(flat) < 2**31 else np.intp  # the index type scipy keeps
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
-        first = np.concatenate([[True], flat[1:] != flat[:-1]])
-        inverse = np.empty(len(flat), dtype=idx)
-        inverse[order] = np.cumsum(first) - 1
-        rows, cols = np.divmod(flat[first], n)
+        rows, cols = np.divmod(flat, n)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        ends = np.cumsum([k.size for k in keys])[:-1]
-        slots = dict(zip(self._layouts, np.split(inverse, ends)))
-        return _freeze(indptr.astype(idx)), _freeze(cols.astype(idx)), slots
+        upper, lower, diagonal = np.split(inverse.astype(idx), [len(lo), 2 * len(lo)])
+        ends = np.cumsum([len(lay.conn) * len(lay.edges[0]) for lay in layouts])[:-1]
+        edges = {where: (_freeze(u), _freeze(l)) for where, u, l in
+                 zip(self._layouts, np.split(upper, ends), np.split(lower, ends))}
+        return _freeze(indptr.astype(idx)), _freeze(cols.astype(idx)), _freeze(diagonal), edges
 
-    @cached_property
+    @property
     def local_edges(self):
         """Local node pairs (i, j), i < j, of an element's edges, as two index arrays."""
-        return np.triu_indices(self.dim + 1, 1)
+        return self._layouts["interior"].edges
 
     @cached_property
     def edge_gram(self):
@@ -230,46 +239,6 @@ class Mesh:
         for d in range(1, self.dim):
             gram += gi[..., d] * gj[..., d]
         return _freeze(gram)
-
-    @cached_property
-    def _edge_plan(self):
-        """``(upper, lower, starts, diag)`` for :meth:`edge_matrix_data`: per element
-        edge (element-major, :attr:`local_edges` order) the CSR slot of its entry
-        above the diagonal and of its mirror below, and, for the rows of element
-        nodes, the slot each row starts at and its diagonal slot.  Built on first use.
-        """
-        indptr, indices, slots = self._csr_pattern
-        conn, nloc = self.elements, self.dim + 1
-        i, j = self.local_edges
-        s = slots["interior"].reshape(-1, nloc, nloc)
-        ascending = conn[:, i] < conn[:, j]
-        upper = np.where(ascending, s[:, i, j], s[:, j, i])
-        lower = np.where(ascending, s[:, j, i], s[:, i, j])
-        diag = np.empty(self.n_nodes, dtype=indices.dtype)
-        k = np.arange(nloc)
-        diag[conn] = s[:, k, k]
-        rows = np.flatnonzero(np.bincount(conn.ravel(), minlength=self.n_nodes))
-        return (
-            _freeze(upper.ravel()),
-            _freeze(lower.ravel()),
-            _freeze(indptr[rows]),
-            _freeze(diag[rows]),
-        )
-
-    def edge_matrix_data(self, values):
-        """CSR data of the sum of symmetric element matrices with zero row sums, given
-        by their entries ``values`` (n_elements, n_edges) on the element edges.
-
-        Each entry above the diagonal sums its edge's values in element order
-        and is copied to its mirror below, so the matrix is exactly symmetric;
-        each diagonal entry is minus its row's off-diagonal sum.
-        """
-        _, indices, _ = self._csr_pattern
-        upper, lower, starts, diag = self._edge_plan
-        data = np.bincount(upper, weights=np.ravel(values), minlength=len(indices))
-        data[lower] = data[upper]
-        data[diag] = -np.add.reduceat(data, starts)
-        return data
 
     @cached_property
     def free_nodes_by_rank(self):
@@ -298,7 +267,7 @@ class Mesh:
         if self.dim == 1:
             rank[np.argsort(self.nodes[:, 0], kind="stable")] = np.arange(n)
             return _freeze(rank)
-        indptr, indices, _ = self._csr_pattern
+        indptr, indices, _, _ = self._assembly_plan
         row = np.repeat(np.arange(n), np.diff(indptr))
         col = indices.astype(np.intp)
         nodes = np.arange(n)  # unranked nodes, grouped by part
@@ -365,7 +334,7 @@ class Mesh:
     def csr(self, data):
         """Matrix with ``data`` on the shared pattern (see :meth:`Layout.matrix_data`);
         it owns copies of the index arrays, so in-place sparse operations are safe."""
-        indptr, indices, _ = self._csr_pattern
+        indptr, indices, _, _ = self._assembly_plan
         return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(self.n_nodes,) * 2)
 
     def boundary(self, tag):
@@ -396,10 +365,11 @@ class Layout:
 
     ``conn`` (n, nloc) lists the nodes of each cell or facet; ``points``
     (n, nq, dim), ``weights`` (n, nq) and ``basis`` (nq, nloc) are its
-    quadrature.  Every quadrature sum is one matrix product with the basis
-    table, over all elements at once.  Vectors sum with ``bincount`` in
-    element order, as ``np.add.at`` does; :meth:`Mesh.csr` turns matrix
-    data into a matrix.
+    quadrature, and ``edges`` the local node pairs (i, j), i < j, of each
+    element's edges.  Every quadrature sum is one matrix product with the
+    basis table, over all elements at once.  Vectors and matrix entries sum
+    with ``bincount`` in element order, as ``np.add.at`` does; :meth:`Mesh.csr`
+    turns matrix data into a matrix.
     """
 
     def __init__(self, mesh, where, conn, points, weights, basis):
@@ -410,6 +380,7 @@ class Layout:
         self.points = points
         self.weights = weights
         self.basis = basis
+        self.edges = np.triu_indices(conn.shape[1], 1)
 
     def values(self, coeffs):
         """Values of the P1 function with nodal ``coeffs`` at the quadrature points."""
@@ -433,21 +404,42 @@ class Layout:
             )
         return self.scatter((self.weights * field) @ self.basis)
 
-    def matrix_data(self, local):
-        """CSR data of the sum of the element matrices ``local`` (n, nloc, nloc);
-        data of all layouts of one mesh add entrywise."""
-        _, indices, slots = self.mesh._csr_pattern
-        return np.bincount(slots[self.where], weights=np.ravel(local), minlength=len(indices))
+    def matrix_data(self, edge, diag=None):
+        """CSR data of the sum of symmetric element matrices given by their entries
+        ``edge`` (n, n_edges) on the element edges (local pairs i < j of
+        ``edges``) and ``diag`` (n, nloc) on the diagonal; without ``diag`` the
+        element matrices have zero row sums.  Data of all layouts of one mesh add
+        entrywise.
+
+        Each entry above the diagonal sums its edge's values in element order
+        and is copied to its mirror below, so the matrix is exactly symmetric.
+        Each diagonal entry sums ``diag`` in element order or, without it, is
+        minus its row's off-diagonal sum.
+        """
+        indptr, indices, diagonal, edges = self.mesh._assembly_plan
+        upper, lower = edges[self.where]
+        data = np.bincount(upper, weights=np.ravel(edge), minlength=len(indices))
+        data = data.astype(float, copy=False)  # bincount counts in int64 when upper is empty
+        data[lower] = data[upper]
+        if diag is None:
+            data[diagonal] = -np.add.reduceat(data, indptr[:-1])
+        else:
+            data[diagonal] = self.scatter(diag)
+        return data
 
     def mass_data(self, field):
         """CSR data of the weighted mass matrix integral(field * hat_i * hat_j).
 
         The local matrices, flattened, are one product of the weighted field
-        with the (nq, nloc * nloc) table of basis products.
+        with the (nq, nloc * nloc) table of basis products; their entries on
+        the element edges and the diagonal are assembled.
         """
         b = self.basis
+        nloc = b.shape[1]
         bb = (b[:, :, None] * b[:, None, :]).reshape(len(b), -1)
-        return self.matrix_data((self.weights * field) @ bb)
+        local = (self.weights * field) @ bb
+        i, j = self.edges
+        return self.matrix_data(local[:, i * nloc + j], local[:, :: nloc + 1])
 
 
 class FeFunction:

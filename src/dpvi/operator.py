@@ -20,10 +20,11 @@ weights (times mu for q) summed per element, and only an exponent that
 varies inside elements keeps one power per quadrature point.  The products
 with the basis gradients are broadcast over the dimension.
 
-The P1 element matrices of the Jacobian have zero row sums, so each is
-fixed by its values on the element's edges (one in 1D, three in 2D): the
-Jacobian is assembled from those alone (:meth:`Mesh.edge_matrix_data`),
-and no (elements, nodes, nodes) array is formed.
+The P1 element matrices of the Jacobian are symmetric with zero row sums,
+so each is fixed by its values on the element's edges (one in 1D, three in
+2D): the Jacobian is assembled from those alone, through the mesh's one
+assembly plan (:meth:`Layout.matrix_data` of the cells), and no (elements,
+nodes, nodes) array is formed.
 """
 
 from __future__ import annotations
@@ -139,9 +140,10 @@ class DoublePhaseOperator:
         Each element matrix a_iso (grad hat_i . grad hat_j) + a_rank1 (grad u .
         grad hat_i)(grad u . grad hat_j) has zero row sums, since the basis
         gradients of an element sum to zero, so it is assembled from its values
-        on the element edges alone (:meth:`Mesh.edge_matrix_data`): exactly
-        symmetric, with each diagonal entry minus its row's off-diagonal sum.
-        Its pattern is the mesh's shared one: layout CSR data adds to ``.data``.
+        on the element edges alone (:meth:`Layout.matrix_data` of the cells,
+        without diagonal values): exactly symmetric, with each diagonal entry
+        minus its row's off-diagonal sum.  Its pattern is the mesh's shared
+        one: the masses' layout CSR data add to ``.data``.
         """
         self._check(u)
         if eps is None:
@@ -159,7 +161,7 @@ class DoublePhaseOperator:
         i, j = mesh.local_edges
         gu = _dot(grad[:, None], mesh.grad_basis)  # grad(u).grad(hat_i), (ne, nloc)
         edge = a_iso[:, None] * mesh.edge_gram + (a_rank1[:, None] * gu[:, i]) * gu[:, j]
-        return mesh.csr(mesh.edge_matrix_data(edge))
+        return mesh.csr(mesh.layout("interior").matrix_data(edge))
 
     def _check(self, u: FeFunction):
         if u.mesh is not self.mesh:

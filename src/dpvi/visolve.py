@@ -222,6 +222,18 @@ def _complementarity(prob: VIProblem, u_coeffs, r):
     return alpha[mesh.free_node_mask]
 
 
+def _infeasibility(prob: VIProblem, coeffs):
+    """Why nodal ``coeffs`` are infeasible for the problem (to 1e-12), or None."""
+    mesh = prob.mesh
+    lo, hi = prob.constraint.bounds(mesh)
+    feas_tol = 1e-12
+    if np.any(coeffs < lo - feas_tol) or np.any(coeffs > hi + feas_tol):
+        return "iterate is infeasible for the constraint set"
+    if np.any(np.abs(coeffs[mesh.gamma0_node_mask]) > feas_tol):
+        return "iterate does not vanish on the essential boundary"
+    return None
+
+
 def vi_residual(prob: VIProblem, u: FeFunction, eta=None, zeta=None) -> float:
     """Max-norm complementarity residual of the VI at (u, eta, zeta).
 
@@ -230,13 +242,9 @@ def vi_residual(prob: VIProblem, u: FeFunction, eta=None, zeta=None) -> float:
     for obstacle/box sets the projected residual
     ``u_i - median(lo_i, u_i - r_i, hi_i)`` over free nodes.
     """
-    mesh = prob.mesh
-    lo, hi = prob.constraint.bounds(mesh)
-    feas_tol = 1e-12
-    if np.any(u.coeffs < lo - feas_tol) or np.any(u.coeffs > hi + feas_tol):
-        raise ValueError("iterate is infeasible for the constraint set")
-    if np.any(np.abs(u.coeffs[mesh.gamma0_node_mask]) > feas_tol):
-        raise ValueError("iterate does not vanish on the essential boundary")
+    cause = _infeasibility(prob, u.coeffs)
+    if cause is not None:
+        raise ValueError(cause)
     r = _residual_vector(prob, u, eta, zeta)
     return float(np.max(np.abs(_complementarity(prob, u.coeffs, r)), initial=0.0))
 

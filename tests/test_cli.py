@@ -282,3 +282,35 @@ def test_malformed_yaml_exits_2(tmp_path, capsys):
     path.write_text("schema: 1\nmesh: {dim: 1, n: [4\n", encoding="utf-8")
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "configuration is not valid YAML" in capsys.readouterr().err
+
+
+# CLI command -> the config block it needs
+COMMAND_BLOCKS = {"solve": None, "extremal": "bounds", "verify": "bounds", "norm": "function",
+                  "probe-coercivity": None}
+
+
+def _artifacts(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())} if out.is_dir() else {}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_BLOCKS))
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_every_shipped_config_through_every_command(tmp_path, capsys, config, command):
+    # twice in one process: same exit code, byte-identical artifacts, stdout and stderr
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        code = main([command, "--config", str(config), "--out", str(out)])
+        runs.append((code, _artifacts(out), capsys.readouterr()))
+    (code, files, streams), again = runs
+    assert again == runs[0]
+    block = COMMAND_BLOCKS[command]
+    if block is not None and block not in load_config(config):
+        assert code == 2, streams.err
+        assert streams.err.startswith("error: ")
+    elif (config.stem, command) == ("noncoercive", "extremal"):  # known non-convergence
+        assert code == 3, streams.err
+        assert streams.err.startswith("error: ")
+    else:
+        assert code == 0, streams.err
+        assert files

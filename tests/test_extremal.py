@@ -18,7 +18,7 @@ from dpvi.mesh import FeFunction, build_mesh, fe_interpolate
 from dpvi.multifun import IntervalMultifunction, TwoArgIntervalMultifunction
 from dpvi.operator import DoublePhaseOperator
 from dpvi.spaces import ExponentData
-from dpvi.visolve import ConstraintSet, SolverOptions, VIProblem, solve_vi
+from dpvi.visolve import ConstraintSet, SolverOptions, VIProblem, solve_vi, vi_residual
 
 
 def make_problem(dim=1, n=8, p="2", q="3", mu="0", constraint=None, f=None):
@@ -241,6 +241,34 @@ def test_extremal_iterations_are_warm_started(monkeypatch, single_valued, proble
     if single_valued:
         # the greatest candidate of the same interval already solves it
         assert smallest[0][1] == 0
+
+
+def test_smallest_solution_that_is_the_subsolution(monkeypatch):
+    # f in [-1, 1] over u >= -0.5: the lower bound u1 (reaction k1 = 1 = f2) already
+    # solves the smallest side's problem, and Newton from above it stalls at the
+    # jump of the truncated reaction there
+    prob, mesh = make_problem(2, 16, "1.8", "2.6", "max(0, x - 0.5)",
+                              constraint=_obstacle_minus_half, f=("-1", "1"))
+    opts = SolverOptions(tol=1e-10, max_iter=200, selection="midpoint")
+    oi = construct_obstacle_bounds(prob, k1="1", k2="-1", c_psi=0.1, margin=1e-3, opts=opts)
+    assert oi.certified()
+    steps = {"lower": [], "upper": []}  # greatest side selects 'lower', smallest 'upper'
+    inner = extremal.solve_vi
+
+    def recording(prob, opts=None):
+        out = inner(prob, opts)
+        steps[opts.selection].append(out[3].newton_iterations)
+        return out
+
+    monkeypatch.setattr(extremal, "solve_vi", recording)
+    smallest, greatest, sset = extremal_pair(prob, oi, opts)
+    assert steps["upper"] == [0]
+    np.testing.assert_array_equal(smallest.coeffs, oi.lower.coeffs)
+    assert np.all(smallest.coeffs <= greatest.coeffs)
+    assert np.all(greatest.coeffs <= oi.upper.coeffs)
+    for u, rule in [(smallest, "upper"), (greatest, "lower")]:
+        eta = prob.f.select(u, rule)
+        assert vi_residual(prob, u, eta) <= 1e-10
 
 
 # -- discontinuous fixed point ----------------------------------------------------

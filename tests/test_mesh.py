@@ -4,7 +4,9 @@ import scipy.sparse as sp
 
 from dpvi import operator as operator_module
 from dpvi.expr import eval_expression, parse_expression
-from dpvi.mesh import FeFunction, Mesh, build_mesh, fe_interpolate, join, lattice_op, meet, trace
+from dpvi.mesh import (
+    _TRI_BARY, FeFunction, Layout, Mesh, build_mesh, fe_interpolate, join, lattice_op, meet, trace,
+)
 from dpvi.multifun import assemble_source
 from dpvi.operator import DoublePhaseOperator
 from dpvi.spaces import ExponentData
@@ -169,6 +171,14 @@ def _ref_dual(mesh, conn, weights, basis, field):
     return out
 
 
+def _relabelled(mesh, seed):
+    """The same mesh with its nodes numbered in a random order."""
+    perm = np.random.default_rng(seed).permutation(mesh.n_nodes)  # new -> old
+    old_to_new = np.argsort(perm)
+    facets = [(tuple(old_to_new[list(f)]), tag) for f, tag in mesh.boundary_facets]
+    return Mesh(mesh.dim, mesh.nodes[perm], old_to_new[mesh.elements], facets)
+
+
 def _ref_matrix(mesh, conn, local):
     nloc = conn.shape[1]
     rows = np.repeat(conn, nloc, axis=1).ravel()
@@ -308,10 +318,7 @@ def test_layout_assembly_matches_reference(dim, n, gamma):
     op = DoublePhaseOperator(m, ed)
     J, J_ref = op.jacobian(u, eps=1e-3), _ref_jacobian(op, u, 1e-3)
     M, M_ref = m.csr(cells.mass_data(w)), _ref_mass(m, m.elements, m.quad_weights, m.basis, w)
-    nloc = m.elements.shape[1]
-    local = rng.normal(size=(m.n_elements, nloc, nloc))  # unsymmetric: catches transposes
-    A, A_ref = m.csr(cells.matrix_data(local)), _ref_matrix(m, m.elements, local)
-    for new, ref in ((J, J_ref), (M, M_ref), (A, A_ref)):
+    for new, ref in ((J, J_ref), (M, M_ref)):
         np.testing.assert_array_equal(new.indptr, ref.indptr)
         np.testing.assert_array_equal(new.indices, ref.indices)
         _assert_close(new.toarray(), ref.toarray())
@@ -331,15 +338,63 @@ def test_layout_assembly_matches_reference(dim, n, gamma):
     _assert_close(newton.toarray(), (J_ref + (M_ref + G_ref)).toarray())
 
 
+def _ref_symmetric(mesh, conn, local, zero_row_sums=False):
+    """Dense sum of the full element matrices ``local`` (n, nloc, nloc), scattered
+    with ``np.add.at`` in element order.  With ``zero_row_sums`` their diagonals
+    are ignored, and each diagonal entry is minus the one-segment ``reduceat`` sum
+    of its row over the diagonal (still zero) and the element edges, in column
+    order: the order in which a CSR row is summed."""
+    index = (conn[:, :, None], conn[:, None, :])
+    if zero_row_sums:
+        local = local * (1.0 - np.eye(conn.shape[1]))
+    dense = np.zeros((mesh.n_nodes,) * 2)
+    np.add.at(dense, index, local)
+    if zero_row_sums:
+        pattern = np.eye(mesh.n_nodes, dtype=bool)
+        pattern[index] = True
+        for row, cols in enumerate(pattern):
+            dense[row, row] = -np.add.reduceat(dense[row, cols], [0])[0]
+    return dense
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["built", "relabelled"])
+@pytest.mark.parametrize("dim,n,gamma", [(1, 7, None), (1, 7, "x - 0.5"),
+                                         (2, 5, None), (2, 5, "0.3 - y")])
+def test_symmetric_assembly_is_bitwise_the_element_scatter(dim, n, gamma, relabel, monkeypatch):
+    # relabelled nodes give edges whose first local node has the larger index, so the
+    # entries below the diagonal are the copied mirrors of those above
+    m = build_mesh(dim, n, gamma)
+    if relabel:
+        m = _relabelled(m, n)
+    rng = np.random.default_rng(29)
+    u = FeFunction(m, rng.normal(size=m.n_nodes))
+    ed = ExponentData.from_expressions(m, "1.8", "2.6", "x")
+    op = DoublePhaseOperator(m, ed)
+    edges = []  # the Jacobian's element edge values, as assembled
+    assemble = Layout.matrix_data
+
+    def recorded(lay, edge, diag=None):
+        edges.append(edge)
+        return assemble(lay, edge, diag)
+
+    monkeypatch.setattr(Layout, "matrix_data", recorded)
+    J = op.jacobian(u, eps=1e-3).toarray()
+    i, j = m.local_edges
+    local = np.zeros((m.n_elements,) + (m.dim + 1,) * 2)
+    local[:, i, j] = local[:, j, i] = edges[0]
+    np.testing.assert_array_equal(J, _ref_symmetric(m, m.elements, local, zero_row_sums=True))
+    np.testing.assert_array_equal(J, J.T)
+
+    for where in ("interior", "boundary_gamma"):
+        lay = m.layout(where)
+        w = rng.normal(size=lay.weights.shape)
+        b, nloc = lay.basis, lay.conn.shape[1]
+        full = (lay.weights * w) @ (b[:, :, None] * b[:, None, :]).reshape(len(b), -1)
+        ref = _ref_symmetric(m, lay.conn, full.reshape(-1, nloc, nloc))
+        np.testing.assert_array_equal(m.csr(lay.mass_data(w)).toarray(), ref)
+
+
 # -- nested-dissection elimination order ------------------------------------------
-
-
-def _relabelled(mesh, seed):
-    """The same mesh with its nodes numbered in a random order."""
-    perm = np.random.default_rng(seed).permutation(mesh.n_nodes)  # new -> old
-    old_to_new = np.argsort(perm)
-    facets = [(tuple(old_to_new[list(f)]), tag) for f, tag in mesh.boundary_facets]
-    return Mesh(mesh.dim, mesh.nodes[perm], old_to_new[mesh.elements], facets)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 1), (1, 40), (2, 1), (2, 3), (2, 17), (2, 64)])
@@ -433,3 +488,24 @@ def test_build_mesh_matches_cell_loop(dim, n, gamma):
         for name in ("conn", "points", "weights", "basis"):
             np.testing.assert_array_equal(getattr(new.layout(where), name),
                                           getattr(ref.layout(where), name))
+
+
+def _broadcast_quad_points(mesh):
+    """The 2D quadrature points formed by broadcasting the barycentric weights
+    against the (n_elements, dim) vertex coordinates, vertex by vertex."""
+    coords = mesh.nodes[mesh.elements]
+    v0, v1, v2 = coords[:, 0], coords[:, 1], coords[:, 2]
+    lam = _TRI_BARY
+    return (
+        lam[None, :, 0, None] * v0[:, None, :]
+        + lam[None, :, 1, None] * v1[:, None, :]
+        + lam[None, :, 2, None] * v2[:, None, :]
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_quad_points_are_bitwise_the_vertex_broadcast(n):
+    for m in (build_mesh(2, n), _relabelled(build_mesh(2, n), n)):
+        ref = _broadcast_quad_points(m)
+        assert m.quad_points.dtype == ref.dtype and m.quad_points.flags.c_contiguous
+        np.testing.assert_array_equal(m.quad_points, ref)
