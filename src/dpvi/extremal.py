@@ -94,6 +94,8 @@ class OrderedInterval:
     M: float = 0.0
     u1: Optional[FeFunction] = None
     u2: Optional[FeFunction] = None
+    # (problem, lower, upper, auxiliary problem) of the last _auxiliary call
+    _aux_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.lower.coeffs > self.upper.coeffs):
@@ -279,6 +281,19 @@ def construct_obstacle_bounds(prob: VIProblem, k1, k2, c_psi=None, margin=1e-3,
 # enclosure solve (truncation + penalty pipeline)
 
 
+def _auxiliary(prob: VIProblem, oi: OrderedInterval) -> VIProblem:
+    """The auxiliary problem of ``prob`` between the bounds of ``oi``.
+
+    Kept on ``oi`` for the same problem and bounds, so that a first extremal
+    step checks its candidate starts on the problem ``solve_enclosed`` solves.
+    """
+    key = (prob, oi.lower, oi.upper)
+    if oi._aux_memo is None or any(a is not b for a, b in zip(oi._aux_memo, key)):
+        td = TruncationData.from_bounds(oi.lower, oi.upper, f=prob.f, f_gamma=prob.f_gamma)
+        oi._aux_memo = key + (build_auxiliary(prob, td),)
+    return oi._aux_memo[-1]
+
+
 def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
                    opts: Optional[SolverOptions] = None):
     """Solve inside a certified interval via the truncated-penalized problem.
@@ -292,8 +307,8 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
     opts = opts or SolverOptions()
     if not oi.certified():
         raise ValueError("interval certificates missing or failed; cannot enclose")
-    td = TruncationData.from_bounds(oi.lower, oi.upper, f=prob.f, f_gamma=prob.f_gamma)
-    aux_prob = build_auxiliary(prob, td)
+    aux_prob = _auxiliary(prob, oi)
+    td = aux_prob.aux.truncation
     u, eta, zeta, report = solve_vi(aux_prob, opts)
     if not report.converged:
         raise SolverError(f"auxiliary solve failed: {report.message}")
@@ -366,9 +381,7 @@ def _monotone_iteration(side, start, opts, step, what):
 def _solves_enclosed(prob: VIProblem, interval: OrderedInterval, u: FeFunction, opts):
     """Whether ``u`` is feasible for the auxiliary problem of ``interval`` and
     solves it to ``opts.tol`` with the ``opts.selection`` rule."""
-    td = TruncationData.from_bounds(interval.lower, interval.upper, f=prob.f,
-                                    f_gamma=prob.f_gamma)
-    aux = build_auxiliary(prob, td)
+    aux = _auxiliary(prob, interval)
     if _infeasibility(aux, u.coeffs) is not None:
         return False
     return vi_residual(aux, u, *_select_terms(aux, u, opts.selection)) <= opts.tol

@@ -388,9 +388,8 @@ class Layout:
 
     def scatter(self, local):
         """Nodal vector summing the per-element entries ``local`` (n, nloc)."""
-        return np.bincount(
-            self.conn.ravel(), weights=np.ravel(local), minlength=self.mesh.n_nodes
-        )
+        out = np.bincount(self.conn.ravel(), weights=np.ravel(local), minlength=self.mesh.n_nodes)
+        return out.astype(float, copy=False)  # bincount counts in int64 when conn is empty
 
     def dual(self, field):
         """Dual vector of a quadrature field: entries integral(field * hat_i).

@@ -94,6 +94,7 @@ class IntervalMultifunction:
             extra = variables_of(ast) - set(allowed)
             if extra:
                 raise ValueError(f"{name} uses unknown variables {sorted(extra)}")
+        self._selections = {}  # rule -> read-only field, when no endpoint reads s
 
     def eval_interval(self, points, s):
         """Endpoint values ([lo, hi]) at ``points`` for state values ``s``."""
@@ -113,7 +114,20 @@ class IntervalMultifunction:
             )
         return lo.copy(), hi.copy()
 
-    select = _select
+    @cached_property
+    def reads_s(self):
+        """Whether an endpoint reads the state s; if not, every selection rule
+        picks the same field at every state."""
+        return "s" in variables_of(self.lower) | variables_of(self.upper)
+
+    def select(self, u: FeFunction, rule="lower"):
+        """:func:`_select`; with endpoints that do not read s, the field of each
+        rule is computed once and returned read-only."""
+        if self.reads_s:
+            return _select(self, u, rule)
+        if rule not in self._selections:
+            self._selections[rule] = _freeze(_select(self, u, rule))
+        return self._selections[rule]
 
 
 class TwoArgIntervalMultifunction:

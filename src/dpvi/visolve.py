@@ -15,7 +15,11 @@ by the nodal complementarity residual
     u_i - median(lo_i, u_i - r_i, hi_i),
 
 which vanishes exactly when the discrete variational inequality holds for
-every feasible direction.
+every feasible direction.  Convergence is its max norm.  The line search
+accepts a full Newton step when that step cuts either the max norm or the
+Euclidean norm of the residual, since the semismooth Newton direction is a
+descent direction for the Euclidean norm.  Shorter steps must cut the max
+norm.
 
 Each Newton step ends in one sparse LU of the inactive free rows.  They are
 taken in the mesh's nested-dissection order (:attr:`Mesh.free_nodes_by_rank`,
@@ -33,7 +37,6 @@ from typing import Optional
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .expr import variables_of
 from .mesh import FeFunction, Mesh, _freeze
 from .multifun import (
     IntervalMultifunction,
@@ -262,9 +265,7 @@ def _selection_slope(mf, u: FeFunction, rule):
     :class:`IntervalMultifunction` whose endpoints do not read s: the two
     evaluations would agree bitwise.
     """
-    if isinstance(mf, IntervalMultifunction) and "s" not in (
-        variables_of(mf.lower) | variables_of(mf.upper)
-    ):
+    if isinstance(mf, IntervalMultifunction) and not mf.reads_s:
         return np.zeros(mf.layout.weights.shape)
     points, s = mf.layout.points, mf.layout.values(u.coeffs)
     ds = 1e-6 * (1.0 + np.abs(s))
@@ -301,10 +302,18 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     by :func:`_factor_solve`; a slope field that is identically zero adds no
     mass to it.  A singular Newton system is retried twice with
     only the Jacobian re-assembled, its smoothing eps 100 times larger each
-    time.  The first line search without sufficient decrease down to
-    ``_LINE_SEARCH_MIN`` ends the solve: it leaves the iterate and its
-    residual unchanged, so every later step would repeat it exactly.  Returns (coefficients, cause), where
-    cause is None on convergence and otherwise names why the solve stopped.
+    time.
+
+    The merit is the complementarity residual at the trial point.  The full
+    step (t = 1) is accepted when it cuts the max norm or the Euclidean norm
+    by the Armijo factor 1 - 1e-4.  So the max norm, which the convergence
+    test and ``residual_history`` record, may rise on a full step.  A halved
+    step t < 1 is accepted only when it cuts the max norm by 1 - 1e-4 t, or
+    reaches the tolerance.  The first line search without sufficient
+    decrease down to ``_LINE_SEARCH_MIN`` ends the solve: it leaves the
+    iterate and its residual unchanged, so every later step would repeat it
+    exactly.  Returns (coefficients, cause), where cause is None on
+    convergence and otherwise names why the solve stopped.
     """
     mesh = prob.mesh
     free = mesh.free_nodes_by_rank  # so the inactive rows come in elimination order
@@ -318,9 +327,10 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
         uf = FeFunction(mesh, coeffs)
         eta, zeta = frozen if frozen is not None else _select_terms(prob, uf, rule)
         r = _residual_vector(prob, uf, eta, zeta)
-        return r, float(np.max(np.abs(_complementarity(prob, coeffs, r)), initial=0.0))
+        alpha = _complementarity(prob, coeffs, r)
+        return r, float(np.max(np.abs(alpha), initial=0.0)), float(np.sqrt(alpha @ alpha))
 
-    r, phi = merit(u)
+    r, phi, ell2 = merit(u)
     for _ in range(opts.max_iter):
         report.residual_history.append(phi)
         if phi <= opts.tol:
@@ -371,9 +381,10 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
         t = 1.0
         while t >= _LINE_SEARCH_MIN:
             trial = prob.constraint.project(u + t * step, mesh)
-            r_t, phi_t = merit(trial)
-            if phi_t < phi * (1.0 - 1e-4 * t) or phi_t <= opts.tol:
-                u, r, phi = trial, r_t, phi_t
+            r_t, phi_t, ell2_t = merit(trial)
+            full_l2 = t == 1.0 and ell2_t < ell2 * (1.0 - 1e-4)
+            if phi_t < phi * (1.0 - 1e-4 * t) or phi_t <= opts.tol or full_l2:
+                u, r, phi, ell2 = trial, r_t, phi_t, ell2_t
                 break
             t *= 0.5
         else:

@@ -271,6 +271,45 @@ def test_smallest_solution_that_is_the_subsolution(monkeypatch):
         assert vi_residual(prob, u, eta) <= 1e-10
 
 
+def test_full_newton_steps_accepted_on_the_euclidean_residual(monkeypatch):
+    # extremal_2d's n = 32 obstacle case: the greatest side's first enclosed solve
+    # takes full steps that cut the l2 residual while its max norm rises
+    prob, mesh = make_problem(2, 32, "1.8", "2.6", "max(0, x - 0.5)",
+                              constraint=_obstacle_minus_half, f=("8", "8"))
+    opts = SolverOptions(tol=1e-10, max_iter=200, selection="midpoint")
+    oi = construct_obstacle_bounds(prob, k1="8", k2="8", c_psi=0.1, margin=1e-3, opts=opts)
+    reports = {"lower": [], "upper": []}  # greatest side selects 'lower', smallest 'upper'
+    inner = extremal.solve_vi
+
+    def recording(prob, opts=None):
+        out = inner(prob, opts)
+        reports[opts.selection].append(out[3])
+        return out
+
+    monkeypatch.setattr(extremal, "solve_vi", recording)
+    extremal_pair(prob, oi, opts)
+    first = reports["lower"][0]
+    assert first.converged and 0 < first.newton_iterations <= 13
+    history = first.residual_history
+    assert any(b > a for a, b in zip(history, history[1:]))
+
+
+def test_one_auxiliary_problem_per_enclosed_solve(monkeypatch):
+    # the first step checks its candidate starts on the problem it then solves
+    prob, mesh = make_problem(2, 16, "1.8", "2.6", "max(0, x - 0.5)",
+                              constraint=_obstacle_minus_half, f=("-1", "1"))
+    opts = SolverOptions(tol=1e-10, max_iter=200, selection="midpoint")
+    oi = construct_obstacle_bounds(prob, k1="1", k2="-1", c_psi=0.1, margin=1e-3, opts=opts)
+    built, solves = [], []
+    build, enclosed = extremal.build_auxiliary, extremal.solve_enclosed
+    monkeypatch.setattr(extremal, "build_auxiliary",
+                        lambda *args: built.append(1) or build(*args))
+    monkeypatch.setattr(extremal, "solve_enclosed",
+                        lambda *args: solves.append(1) or enclosed(*args))
+    extremal_pair(prob, oi, opts)
+    assert len(solves) >= 2 and len(built) == len(solves)
+
+
 # -- discontinuous fixed point ----------------------------------------------------
 
 

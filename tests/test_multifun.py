@@ -53,6 +53,19 @@ def test_selection_rules(mesh1d):
     np.testing.assert_allclose(h.select(u, "midpoint"), 2.0)
 
 
+def test_state_free_selection_computed_once(mesh1d):
+    f = IntervalMultifunction(mesh1d, "x - 1", "2 * x")
+    u, v = fe_interpolate("x", mesh1d), fe_interpolate("1 - x", mesh1d)
+    lo, hi = f.eval_interval(mesh1d.quad_points, np.zeros(mesh1d.quad_weights.shape))
+    for rule, expected in (("lower", lo), ("upper", hi), ("midpoint", 0.5 * (lo + hi))):
+        eta = f.select(u, rule)
+        assert f.select(v, rule) is eta and not eta.flags.writeable
+        np.testing.assert_array_equal(eta, expected)
+    g = IntervalMultifunction(mesh1d, "s - 1", "s + 1")
+    assert g.reads_s and not f.reads_s
+    np.testing.assert_array_equal(g.select(v, "lower"), g.layout.values(v.coeffs) - 1)
+
+
 def test_cutoff_values():
     assert cutoff(-1.0) == 1.0
     assert cutoff(0.25) == 0.75
@@ -250,6 +263,16 @@ def test_assemble_source_zero_and_hat(mesh1d):
 def test_assemble_source_empty_gamma(mesh1d):
     # all-essential boundary: gamma assembly yields the zero vector
     vec = assemble_source(np.zeros((0, 1)), mesh1d, where="boundary_gamma")
+    np.testing.assert_array_equal(vec, 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_assemble_source_without_facets_is_float(dim):
+    # np.bincount of an empty index list counts in int64, weights or not
+    mesh = build_mesh(dim, 4)
+    nq = mesh.layout("boundary_gamma").weights.shape[1]
+    vec = assemble_source(np.zeros((0, nq)), mesh, "boundary_gamma")
+    assert vec.dtype == np.float64 and vec.shape == (mesh.n_nodes,)
     np.testing.assert_array_equal(vec, 0.0)
 
 
