@@ -17,6 +17,7 @@ Identical configuration and seed produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -373,7 +374,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argument parser of :func:`main`, built once per process."""
     parser = argparse.ArgumentParser(
         prog="dpvi",
         description="finite-element solvers for double-phase multi-valued "
@@ -392,7 +395,11 @@ def main(argv=None) -> int:
             p.add_argument("--radii", default="1,2,4,8",
                            help="comma-separated Luxemburg radii")
             p.add_argument("--samples", type=int, default=8)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

@@ -395,6 +395,8 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
     the smallest candidate symmetrically from below with upper endpoint
     selections.  Returns ``(candidate, members, history)``.
 
+    The first step takes the certificate of its bound from ``oi``; each later
+    step certifies its new bound.
     Every enclosed solve after the first starts from the previous iterate, a
     converged solution lying in the new, smaller interval (it then needs no
     Newton step).  The first starts from the first of ``start`` and the
@@ -410,13 +412,13 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
     it_opts = replace(opts, selection="lower" if side == "greatest" else "upper")
 
     def step(k, moving):
+        # on step 1 ``moving`` is oi's own bound, and oi holds its certificate
         if side == "greatest":
-            interval = OrderedInterval(oi.lower, moving, oi.lower_certificate,
-                                       verify_supersolution(moving, prob, "upper"))
+            cert = oi.upper_certificate if k == 1 else verify_supersolution(moving, prob, "upper")
+            interval = OrderedInterval(oi.lower, moving, oi.lower_certificate, cert)
         else:
-            interval = OrderedInterval(moving, oi.upper,
-                                       verify_subsolution(moving, prob, "lower"),
-                                       oi.upper_certificate)
+            cert = oi.lower_certificate if k == 1 else verify_subsolution(moving, prob, "lower")
+            interval = OrderedInterval(moving, oi.upper, cert, oi.upper_certificate)
         _require_certified(interval, f"iterate {k}")
         initial = moving
         if k == 1:

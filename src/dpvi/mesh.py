@@ -442,7 +442,12 @@ class Layout:
 
 
 class FeFunction:
-    """Continuous piecewise-linear function given by one coefficient per node."""
+    """Continuous piecewise-linear function given by one coefficient per node.
+
+    The coefficients are frozen, so the quadrature values and the element
+    gradients are computed on first use and then returned, read-only, to
+    every later caller.
+    """
 
     def __init__(self, mesh: Mesh, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -452,6 +457,7 @@ class FeFunction:
             )
         self.mesh = mesh
         self.coeffs = _freeze(coeffs.copy())
+        self._quad = self._grad = None
 
     @classmethod
     def zero(cls, mesh):
@@ -465,13 +471,17 @@ class FeFunction:
         return FeFunction(self.mesh, coeffs)
 
     def values_at_quad(self):
-        """Values at interior quadrature points, shape (n_elements, n_qp)."""
-        return self.mesh.layout("interior").values(self.coeffs)
+        """Values at interior quadrature points, shape (n_elements, n_qp), read-only."""
+        if self._quad is None:
+            self._quad = _freeze(self.mesh.layout("interior").values(self.coeffs))
+        return self._quad
 
     def gradient_at_elements(self):
-        """Constant per-element gradient, shape (n_elements, dim)."""
-        local = self.coeffs[self.mesh.elements]
-        return np.einsum("ei,eid->ed", local, self.mesh.grad_basis)
+        """Constant per-element gradient, shape (n_elements, dim), read-only."""
+        if self._grad is None:
+            local = self.coeffs[self.mesh.elements]
+            self._grad = _freeze(np.einsum("ei,eid->ed", local, self.mesh.grad_basis))
+        return self._grad
 
     def boundary_values(self, tag):
         """Values at boundary quadrature points of ``tag`` facets, (nf, nbq)."""

@@ -11,6 +11,8 @@ endpoint selections, this module builds
 
 * the truncated multifunction: the original interval between the bounds,
   the frozen lower selection below, the frozen upper selection above;
+  when the reaction does not read the state and does not jump at the
+  bounds, each rule selects one fixed field from it at every state;
 * the penalty that pushes iterates back into the interval, with growth
   q(x) - 1 outside;
 * the piecewise-linear cutoff (1 below 0, descending to 0 at 1) and the
@@ -76,6 +78,22 @@ def _select(mf, u: FeFunction, rule="lower"):
     return pick_endpoint(rule, lo, hi)
 
 
+def _source(mf, field):
+    """:func:`assemble_source` of a selection field of ``mf`` on its layout.
+
+    A fixed selection (the very array :meth:`select` returns at every state)
+    has its vector assembled once, kept beside it in ``mf._fixed``.
+    """
+    for kept in mf._fixed.values():
+        if kept is not None and field is kept[0]:
+            return kept[1]
+    return assemble_source(field, mf.mesh, mf.layout.where)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class IntervalMultifunction:
     """f(x,s) = [f1(x,s), f2(x,s)] from endpoint expressions.
 
@@ -94,7 +112,7 @@ class IntervalMultifunction:
             extra = variables_of(ast) - set(allowed)
             if extra:
                 raise ValueError(f"{name} uses unknown variables {sorted(extra)}")
-        self._selections = {}  # rule -> read-only field, when no endpoint reads s
+        self._fixed = {}  # rule -> (read-only field, its source), when no endpoint reads s
 
     def eval_interval(self, points, s):
         """Endpoint values ([lo, hi]) at ``points`` for state values ``s``."""
@@ -122,12 +140,19 @@ class IntervalMultifunction:
 
     def select(self, u: FeFunction, rule="lower"):
         """:func:`_select`; with endpoints that do not read s, the field of each
-        rule is computed once and returned read-only."""
+        rule is computed once and returned read-only, its source assembled with it."""
         if self.reads_s:
             return _select(self, u, rule)
-        if rule not in self._selections:
-            self._selections[rule] = _freeze(_select(self, u, rule))
-        return self._selections[rule]
+        if rule not in self._fixed:
+            field = _freeze(_select(self, u, rule))
+            self._fixed[rule] = field, assemble_source(field, self.mesh, self.layout.where)
+        return self._fixed[rule][0]
+
+    def selection_is_fixed(self, u: FeFunction, rule):
+        """Whether ``rule`` selects the same field at every state (no endpoint reads s)."""
+        return not self.reads_s
+
+    source = _source
 
 
 class TwoArgIntervalMultifunction:
@@ -197,6 +222,10 @@ class FrozenIntervalMultifunction:
         self.mesh = base.mesh
         self.r_func = r_func
         self.layout = base.mesh.layout("interior")
+        self._fixed = {}  # no selection is fixed: r_func and the state both vary
+
+    def selection_is_fixed(self, u: FeFunction, rule):
+        return False
 
     def eval_interval(self, points, s):
         # interior quadrature layout only; r is evaluated at the same points
@@ -207,6 +236,7 @@ class FrozenIntervalMultifunction:
         return self.base.eval_interval(points, r, s)
 
     select = _select
+    source = _source
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +336,14 @@ class TruncatedMultifunction:
     selection, above the upper bound to the frozen upper selection, and in
     between it is ``f`` itself.  Presents the same evaluation interface as
     :class:`IntervalMultifunction`.
+
+    When ``f`` selects one fixed field for a rule (an
+    :class:`IntervalMultifunction` whose endpoints do not read s), and that
+    field equals, bitwise, what the rule selects from either frozen
+    selection (the truncation does not jump at the bounds), the rule selects
+    this one read-only field at every state, and its source is assembled
+    once.  A reaction that jumps at the bounds, such as f = [-1, 1] under
+    any rule, is evaluated at every state.
     """
 
     def __init__(self, base, td: TruncationData):
@@ -320,6 +358,7 @@ class TruncatedMultifunction:
         else:
             self.bounds = td.quad_bounds
             self.frozen = (td.eta_lower, td.eta_upper)
+        self._fixed = {}  # rule -> (read-only field, its source), or None if not fixed
 
     def eval_interval(self, points, s):
         s = np.asarray(s, dtype=float)
@@ -336,7 +375,27 @@ class TruncatedMultifunction:
         hi = np.where(below, eta_lo, np.where(above, eta_hi, hi))
         return lo, hi
 
-    select = _select
+    def _fixed_selection(self, u: FeFunction, rule):
+        """``(field, source)`` that ``rule`` selects at every state, or None."""
+        if rule not in self._fixed:
+            base, fixed = self.base, None
+            if base.selection_is_fixed(u, rule) and all(eta is not None for eta in self.frozen):
+                field = base.select(u, rule)
+                if all(_same_bits(pick_endpoint(rule, eta, eta), field) for eta in self.frozen):
+                    fixed = field, base.source(field)
+            self._fixed[rule] = fixed
+        return self._fixed[rule]
+
+    def select(self, u: FeFunction, rule="lower"):
+        """:func:`_select`, or the fixed field of ``rule`` when there is one."""
+        fixed = self._fixed_selection(u, rule)
+        return _select(self, u, rule) if fixed is None else fixed[0]
+
+    def selection_is_fixed(self, u: FeFunction, rule):
+        """Whether ``rule`` selects one fixed field at every state (see the class)."""
+        return self._fixed_selection(u, rule) is not None
+
+    source = _source
 
 
 def truncate_multifunction(mf, td: TruncationData):

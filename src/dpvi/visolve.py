@@ -26,6 +26,14 @@ taken in the mesh's nested-dissection order (:attr:`Mesh.free_nodes_by_rank`,
 built once per mesh), and SuperLU factorises in that order instead of
 choosing its own; the order a subset inherits never adds fill, so it holds
 for every active set.
+
+A solve pays for its Newton steps and little else.  The residual, the
+selections and the iterate that ``solve_vi`` reports are those of the last
+accepted merit evaluation, and the next step linearises at that same
+:class:`FeFunction`, whose quadrature values and gradients are computed
+once.  A reaction that selects one fixed field at every state (a state-free
+one, or its truncation where it does not jump at the bounds) is neither
+evaluated nor assembled again, and its slope is zero without evaluation.
 """
 
 from __future__ import annotations
@@ -35,11 +43,11 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import FeFunction, Mesh, _freeze
 from .multifun import (
-    IntervalMultifunction,
     TruncationData,
     assemble_source,
     penalty,
@@ -205,13 +213,16 @@ class SolveReport:
 
 
 def _residual_vector(prob: VIProblem, u: FeFunction, eta, zeta):
-    """Full nodal dual vector of the problem at u with frozen selections."""
+    """Full nodal dual vector of the problem at u with frozen selections.
+
+    A selection's source comes from its multifunction's ``source``, which
+    keeps the vector of a fixed selection instead of assembling it again.
+    """
     r = prob.operator.apply(u)
     mesh = prob.mesh
-    if eta is not None:
-        r = r + assemble_source(eta, mesh, "interior")
-    if zeta is not None:
-        r = r + assemble_source(zeta, mesh, "boundary_gamma")
+    for mf, sel, where in ((prob.f, eta, "interior"), (prob.f_gamma, zeta, "boundary_gamma")):
+        if sel is not None:
+            r = r + (assemble_source(sel, mesh, where) if mf is None else mf.source(sel))
     if prob.aux is not None:
         r = r + assemble_source(prob.aux.residual_field(u.values_at_quad()), mesh, "interior")
     return r
@@ -261,11 +272,11 @@ def _select_terms(prob: VIProblem, u: FeFunction, rule):
 def _selection_slope(mf, u: FeFunction, rule):
     """Finite-difference slope of the rule-selected endpoint with respect to s.
 
-    Exact zeros, without evaluating the reaction, when it is an
-    :class:`IntervalMultifunction` whose endpoints do not read s: the two
+    Exact zeros, without evaluating the reaction, when ``mf`` selects one
+    fixed field at every state (``mf.selection_is_fixed``): the two
     evaluations would agree bitwise.
     """
-    if isinstance(mf, IntervalMultifunction) and not mf.reads_s:
+    if mf.selection_is_fixed(u, rule):
         return np.zeros(mf.layout.weights.shape)
     points, s = mf.layout.points, mf.layout.values(u.coeffs)
     ds = 1e-6 * (1.0 + np.abs(s))
@@ -284,10 +295,12 @@ def _factor_solve(K, rhs):
 
     SuperLU keeps the given column order (``NATURAL``) and prefers diagonal
     pivots (``SymmetricMode``); the default pivot threshold still allows row
-    interchanges, which an indefinite K may need.  Raises RuntimeError on an
-    exactly singular factor.
+    interchanges, which an indefinite K may need.  K is exactly symmetric, so
+    its CSR arrays are also its CSC arrays and no conversion is needed.
+    Raises RuntimeError on an exactly singular factor.
     """
-    lu = spla.splu(K.tocsc(), permc_spec="NATURAL", options={"SymmetricMode": True})
+    K = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape)
+    lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
     return lu.solve(rhs)
 
 
@@ -312,8 +325,12 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     reaches the tolerance.  The first line search without sufficient
     decrease down to ``_LINE_SEARCH_MIN`` ends the solve: it leaves the
     iterate and its residual unchanged, so every later step would repeat it
-    exactly.  Returns (coefficients, cause), where cause is None on
-    convergence and otherwise names why the solve stopped.
+    exactly.  Returns ``(u, eta, zeta, residual, cause)`` of the last
+    accepted merit evaluation: the iterate as a :class:`FeFunction`, its
+    selections and its max-norm residual, with cause None on convergence and
+    otherwise naming why the solve stopped.  Each step linearises at the
+    accepted iterate's :class:`FeFunction`, so its quadrature values and
+    gradients are not sampled again.
     """
     mesh = prob.mesh
     free = mesh.free_nodes_by_rank  # so the inactive rows come in elimination order
@@ -328,13 +345,14 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
         eta, zeta = frozen if frozen is not None else _select_terms(prob, uf, rule)
         r = _residual_vector(prob, uf, eta, zeta)
         alpha = _complementarity(prob, coeffs, r)
-        return r, float(np.max(np.abs(alpha), initial=0.0)), float(np.sqrt(alpha @ alpha))
+        at = (uf, eta, zeta)
+        return at, r, float(np.max(np.abs(alpha), initial=0.0)), float(np.sqrt(alpha @ alpha))
 
-    r, phi, ell2 = merit(u)
+    at, r, phi, ell2 = merit(u)
     for _ in range(opts.max_iter):
         report.residual_history.append(phi)
         if phi <= opts.tol:
-            return u, None
+            return *at, phi, None
         rf, u_free = r[free], u[free]
         # active where the bound wins the pointwise min/max in the NCP
         act_lo = np.isfinite(lo_f) & (u_free - lo_f <= rf)
@@ -345,7 +363,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
         delta[act_hi] = hi_f[act_hi] - u_free[act_hi]
         rows = free[inact]
         if len(rows):
-            uf = FeFunction(mesh, u)
+            uf = at[0]
             # penalty and selection slopes do not depend on the smoothing eps
             slopes = []
             if prob.aux is not None:
@@ -381,16 +399,16 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
         t = 1.0
         while t >= _LINE_SEARCH_MIN:
             trial = prob.constraint.project(u + t * step, mesh)
-            r_t, phi_t, ell2_t = merit(trial)
+            at_t, r_t, phi_t, ell2_t = merit(trial)
             full_l2 = t == 1.0 and ell2_t < ell2 * (1.0 - 1e-4)
             if phi_t < phi * (1.0 - 1e-4 * t) or phi_t <= opts.tol or full_l2:
-                u, r, phi, ell2 = trial, r_t, phi_t, ell2_t
+                u, at, r, phi, ell2 = trial, at_t, r_t, phi_t, ell2_t
                 break
             t *= 0.5
         else:
-            return u, "the line search found no decrease"
+            return *at, phi, "the line search found no decrease"
     report.residual_history.append(phi)
-    return u, None if phi <= opts.tol else f"{opts.max_iter} Newton steps spent"
+    return *at, phi, None if phi <= opts.tol else f"{opts.max_iter} Newton steps spent"
 
 
 def _warm_start(prob: VIProblem, opts) -> np.ndarray:
@@ -413,8 +431,7 @@ def _warm_start(prob: VIProblem, opts) -> np.ndarray:
     rep = SolveReport()
     sub = SolverOptions(tol=max(opts.tol, 1e-10), max_iter=60, selection=opts.selection)
     try:
-        u, _ = _inner_solve(prob2, flat, sub, rep, frozen=frozen)
-        return u
+        return _inner_solve(prob2, flat, sub, rep, frozen=frozen)[0].coeffs
     except SolverError:
         return flat
 
@@ -423,8 +440,9 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
     """Solve the multi-valued VI; returns (u, eta, zeta, report).
 
     One Newton loop (:func:`_inner_solve`) runs from ``opts.initial`` or the
-    warm start, with at most ``opts.max_iter`` steps; the selections are then
-    taken at its final iterate.  The returned iterate is feasible to machine
+    warm start, with at most ``opts.max_iter`` steps; the iterate, its
+    selections and ``report.residual`` are those of the loop's last accepted
+    merit evaluation, not evaluated again.  The returned iterate is feasible to machine
     precision, the selections satisfy eta(x) in f(x, u(x)) pointwise (by
     construction of the selection rule), and the complementarity residual is
     at most ``opts.tol`` when ``report.converged`` is set.  Otherwise the last
@@ -441,18 +459,14 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
         u = prob.constraint.project(opts.initial.coeffs.copy(), mesh)
     else:
         u = _warm_start(prob, opts)
-    u, cause = _inner_solve(prob, u, opts, report)
-
-    uf = FeFunction(mesh, u)
-    eta, zeta = _select_terms(prob, uf, opts.selection)
-    report.residual = vi_residual(prob, uf, eta, zeta)
+    uf, eta, zeta, report.residual, cause = _inner_solve(prob, u, opts, report)
     report.converged = report.residual <= opts.tol
     if not report.converged:
         report.message = f"not converged: residual {report.residual:.3e}; {cause}"
     if prob.aux is not None:
         td = prob.aux.truncation
-        below = float(np.max(td.lower.coeffs - u, initial=0.0))
-        above = float(np.max(u - td.upper.coeffs, initial=0.0))
+        below = float(np.max(td.lower.coeffs - uf.coeffs, initial=0.0))
+        above = float(np.max(uf.coeffs - td.upper.coeffs, initial=0.0))
         report.enclosure_status = {
             "below_lower": below,
             "above_upper": above,

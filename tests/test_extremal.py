@@ -393,11 +393,29 @@ def test_fixed_point_outer_iterates_not_monotone_raises(monkeypatch):
 def test_failed_certificate_names_the_iterate(monkeypatch):
     prob, mesh, oi = _interval_problem()
     failed = {"passed": False, "margin": -1.0, "worst_node": 3}
+    # iterate 1 takes its certificate from oi, so the first call is iterate 2's
     monkeypatch.setattr(extremal, "verify_supersolution", _altered_on_call(
-        extremal.verify_supersolution, 2, lambda cert: dataclasses.replace(cert, **failed)))
+        extremal.verify_supersolution, 1, lambda cert: dataclasses.replace(cert, **failed)))
     with pytest.raises(EnclosureError, match=r"^iterate 2 failed its supersolution "
                        r"certificate \(margin -1\.000e\+00 at node 3\)$"):
         extremal_pair(prob, oi, SolverOptions(tol=1e-10))
+
+
+def test_first_steps_take_their_certificates_from_the_interval(monkeypatch):
+    # the 2D obstacle case of the benchmark at n = 32: each side's first step
+    # starts on a bound the interval certifies, so only the second steps certify
+    prob, mesh = make_problem(2, 32, "1.8", "2.6", "max(0, x - 0.5)",
+                              constraint=_obstacle_minus_half, f=("8", "8"))
+    opts = SolverOptions(tol=1e-10, max_iter=200, selection="midpoint")
+    oi = construct_obstacle_bounds(prob, "8", "8", c_psi=0.1, margin=1e-3, opts=opts)
+    calls = []
+    for name in ("verify_subsolution", "verify_supersolution"):
+        certify = getattr(extremal, name)
+        monkeypatch.setattr(extremal, name, lambda *args, certify=certify, name=name:
+                            calls.append(name) or certify(*args))
+    smallest, greatest, sset = extremal_pair(prob, oi, opts)
+    assert [len(sset.histories[side]) for side in ("greatest", "smallest")] == [2, 2]
+    assert sorted(calls) == ["verify_subsolution", "verify_supersolution"]  # 4 before
 
 
 def _counting_solves(monkeypatch):

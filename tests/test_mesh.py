@@ -162,6 +162,17 @@ def test_values_at_quad_reproduces_linear():
     np.testing.assert_allclose(grads[:, 1], -3.0, atol=1e-13)
 
 
+def test_quad_values_and_gradients_computed_once():
+    m = build_mesh(2, 3)
+    u = fe_interpolate("x*y - y", m)
+    vals, grads = u.values_at_quad(), u.gradient_at_elements()
+    assert u.values_at_quad() is vals and u.gradient_at_elements() is grads
+    assert not vals.flags.writeable and not grads.flags.writeable
+    np.testing.assert_array_equal(vals, m.layout("interior").values(u.coeffs))
+    np.testing.assert_array_equal(
+        grads, np.einsum("ei,eid->ed", u.coeffs[m.elements], m.grad_basis))
+
+
 # -- layout assembly against the np.add.at / COO construction ------------------------
 
 

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from dpvi import visolve
 from dpvi.mesh import FeFunction, build_mesh, fe_interpolate
 from dpvi.multifun import (
     IntervalMultifunction,
     TruncationData,
     TwoArgIntervalMultifunction,
+    _select,
     assemble_source,
     compensator,
     cutoff,
     penalty,
     penalty_slope,
+    pick_endpoint,
     truncate_multifunction,
 )
 from dpvi.spaces import ExponentData
@@ -188,6 +191,70 @@ def test_truncation_idempotence_inside(mesh1d):
         lo, hi = f.eval_interval(mesh1d.quad_points, s)
         assert np.array_equal(lo0, lo) and np.array_equal(hi0, hi)
         assert np.all(penalty(td, ed.q, s) == 0.0)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _truncated_on_gamma_mesh(f1, f2, on_boundary):
+    # bounds -0.3 <= 0.4 + x; states below, between and above them
+    mesh = build_mesh(2, 4, "x - 0.5")
+    f = IntervalMultifunction(mesh, f1, f2, on_boundary=on_boundary)
+    lower, upper = FeFunction.constant(mesh, -0.3), fe_interpolate("0.4 + x", mesh)
+    key = "f_gamma" if on_boundary else "f"
+    td = TruncationData.from_bounds(lower, upper, **{key: f})
+    rng = np.random.default_rng(61)
+    states = [FeFunction(mesh, rng.uniform(-2.0, 2.0, size=mesh.n_nodes)) for _ in range(3)]
+    return f, truncate_multifunction(f, td), states
+
+
+@pytest.mark.parametrize("on_boundary", [False, True])
+@pytest.mark.parametrize("rule", ["lower", "upper", "midpoint"])
+def test_fixed_truncated_selection(rule, on_boundary, monkeypatch):
+    # a state-free single-valued reaction does not jump at the bounds: every
+    # state selects one read-only field, bitwise the evaluated selection
+    f, f0, states = _truncated_on_gamma_mesh("2 - x*y", "2 - x*y", on_boundary)
+    expected = [_select(f0, u, rule) for u in states]
+    eta = f0.select(states[0], rule)
+    assert not eta.flags.writeable and f0.selection_is_fixed(states[0], rule)
+    for u, want in zip(states, expected):
+        assert f0.select(u, rule) is eta and _bits(eta) == _bits(want)
+    # its source is assembled once, bitwise the assembled one
+    source = f0.source(eta)
+    assert f0.source(eta) is source
+    assert _bits(source) == _bits(assemble_source(np.array(eta), f.mesh, f.layout.where))
+
+    # the central difference, evaluated through the truncation, is exactly zero
+    central = []
+    for u in states:
+        s = f0.layout.values(u.coeffs)
+        ds = 1e-6 * (1.0 + np.abs(s))
+        plus, minus = (pick_endpoint(rule, *f0.eval_interval(f0.layout.points, s + sign * ds))
+                       for sign in (1.0, -1.0))
+        central.append(np.clip((plus - minus) / (2.0 * ds), -1e10, 1e10))
+
+    def no_eval(*args):
+        raise AssertionError("a fixed selection was evaluated again")
+
+    monkeypatch.setattr(IntervalMultifunction, "eval_interval", no_eval)
+    for u, want in zip(states, central):
+        slope = visolve._selection_slope(f0, u, rule)
+        assert not slope.any() and _bits(slope) == _bits(want)
+        assert f0.select(u, rule) is eta
+
+
+@pytest.mark.parametrize("rule", ["lower", "upper", "midpoint"])
+@pytest.mark.parametrize("f1, f2", [("-1", "1"), ("s - 1", "s - 1")])
+def test_truncation_that_jumps_or_reads_s_is_not_fixed(f1, f2, rule):
+    # f = [-1, 1] truncates to -1 below and +1 above: no rule selects one field
+    f, f0, states = _truncated_on_gamma_mesh(f1, f2, on_boundary=False)
+    assert not f0.selection_is_fixed(states[0], rule)
+    fields = [f0.select(u, rule) for u in states]
+    for u, eta in zip(states, fields):
+        assert _bits(eta) == _bits(_select(f0, u, rule))
+    assert fields[0] is not fields[1]
+    assert any(_bits(a) != _bits(b) for a, b in zip(fields, fields[1:]))
 
 
 def test_compensator_identical_selections_vanish(mesh1d):

@@ -589,3 +589,35 @@ def test_selection_slope_of_state_dependent_reaction_unchanged(rule):
         expected = _fd_selection_slope(mf, u, rule)
         assert expected.any()
         np.testing.assert_array_equal(visolve._selection_slope(mf, u, rule), expected)
+
+
+@pytest.mark.parametrize("f, constraint", [
+    (("-1", "-1"), None),
+    (("s + 1", "s + 3"), lambda m: ConstraintSet.obstacle(FeFunction.constant(m, -0.05))),
+])
+def test_reported_residual_is_the_last_merit(f, constraint, monkeypatch):
+    # solve_vi reports the residual and selections of the Newton loop's last
+    # accepted merit: bitwise what vi_residual gives at the returned iterate,
+    # with no operator apply after the loop
+    prob, mesh = make_problem(2, 8, p="1.8", q="2.6", f=f, constraint=constraint)
+    opts = SolverOptions(tol=1e-10, initial=FeFunction.zero(mesh))  # no warm start
+    applies, in_loop = [], []
+    apply = DoublePhaseOperator.apply
+    monkeypatch.setattr(DoublePhaseOperator, "apply",
+                        lambda self, u: applies.append(1) or apply(self, u))
+    inner = visolve._inner_solve
+
+    def recording(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        in_loop.append(len(applies))
+        return out
+
+    monkeypatch.setattr(visolve, "_inner_solve", recording)
+    u, eta, zeta, rep = solve_vi(prob, opts)
+    assert rep.converged and rep.newton_iterations > 0
+    assert len(in_loop) == 1 and len(applies) == in_loop[0]
+    monkeypatch.undo()
+    assert rep.residual == vi_residual(prob, u, eta, zeta) == rep.residual_history[-1]
+    np.testing.assert_array_equal(eta, prob.f.select(u, "midpoint"))
+    assert zeta is None
+
