@@ -37,7 +37,7 @@ from .extremal import (
     verify_supersolution,
 )
 from .mesh import FeFunction, build_mesh, fe_interpolate
-from .multifun import IntervalMultifunction, TwoArgIntervalMultifunction
+from .multifun import SELECTION_RULES, IntervalMultifunction, TwoArgIntervalMultifunction
 from .operator import DoublePhaseOperator
 from .spaces import ExponentData, ModularKind, luxemburg_norm, modular, validate_exponents
 from .visolve import (
@@ -122,12 +122,32 @@ def _require(cfg, block, command):
     return cfg[block]
 
 
+def _number(block, cfg, key, default, flag=None):
+    """Option ``key`` of config block ``block`` as a float, unless ``flag`` overrides it."""
+    if flag is not None:
+        return flag
+    value = cfg.get(key, default)
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{block} option {key!r} must be a number, got {value!r}") from None
+
+
+def _integer(block, cfg, key, default, flag=None):
+    """:func:`_number`, which must be a whole number, as an int."""
+    value = _number(block, cfg, key, default, flag)
+    if not float(value).is_integer():
+        raise ConfigError(f"{block} option {key!r} must be an integer, got {cfg[key]!r}")
+    return int(value)
+
+
 def build_problem(cfg):
     mcfg = cfg["mesh"]
     try:
-        mesh = build_mesh(
-            int(mcfg.get("dim", 1)), int(mcfg.get("n", 8)), mcfg.get("gamma_predicate")
-        )
+        mesh = build_mesh(_integer("mesh", mcfg, "dim", 1), _integer("mesh", mcfg, "n", 8),
+                          mcfg.get("gamma_predicate"))
         ecfg = cfg["exponents"]
         ed = ExponentData.from_expressions(
             mesh, str(ecfg.get("p", "2")), str(ecfg.get("q", "3")), str(ecfg.get("mu", "0"))
@@ -164,32 +184,17 @@ def build_problem(cfg):
 
 def solver_options(cfg, args):
     scfg = cfg.get("solver", {})
-
-    def number(key, flag, default):
-        if flag is not None:
-            return flag
-        value = scfg.get(key, default)
-        try:
-            if isinstance(value, bool):
-                raise TypeError
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"solver option {key!r} must be a number, got {value!r}") from None
-
-    def integer(key, flag, default):
-        value = number(key, flag, default)
-        if not float(value).is_integer():
-            raise ConfigError(f"solver option {key!r} must be an integer, got {scfg[key]!r}")
-        return int(value)
-
-    tol = number("tol", args.tol, 1e-9)
-    max_iter = integer("max_iter", args.max_iter, 200)
+    tol = _number("solver", scfg, "tol", 1e-9, args.tol)
+    max_iter = _integer("solver", scfg, "max_iter", 200, args.max_iter)
     if not 0 < tol < np.inf:
         raise ConfigError(f"solver option 'tol' must be finite and positive, got {tol!r}")
     if max_iter < 1:
         raise ConfigError(f"solver option 'max_iter' must be at least 1, got {max_iter}")
     selection = args.selection or scfg.get("selection", "midpoint")
-    seed = integer("seed", args.seed, 0)
+    if selection not in SELECTION_RULES:
+        raise ConfigError(f"solver option 'selection' must be one of {SELECTION_RULES}, "
+                          f"got {selection!r}")
+    seed = _integer("solver", scfg, "seed", 0, args.seed)
     return SolverOptions(tol=tol, max_iter=max_iter, selection=selection, seed=seed)
 
 
@@ -389,7 +394,7 @@ def _parser():
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--selection", choices=("lower", "upper", "midpoint"), default=None)
+        p.add_argument("--selection", choices=SELECTION_RULES, default=None)
         p.add_argument("--seed", type=int, default=None)
         if name == "probe-coercivity":
             p.add_argument("--radii", default="1,2,4,8",

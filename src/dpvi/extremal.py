@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import parse_expression
-from .mesh import FeFunction
+from .mesh import _SPATIAL_VARS, FeFunction
 from .multifun import IntervalMultifunction, TruncationData, TwoArgIntervalMultifunction, penalty
 from .visolve import (
     ConstraintSet,
@@ -47,6 +47,7 @@ from .visolve import (
     _infeasibility,
     _residual_vector,
     _select_terms,
+    _sources,
     build_auxiliary,
     solve_vi,
     vi_residual,
@@ -94,8 +95,6 @@ class OrderedInterval:
     M: float = 0.0
     u1: Optional[FeFunction] = None
     u2: Optional[FeFunction] = None
-    # (problem, lower, upper, auxiliary problem) of the last _auxiliary call
-    _aux_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.lower.coeffs > self.upper.coeffs):
@@ -145,7 +144,7 @@ def _lattice_condition(prob: VIProblem, u: FeFunction, side):
 
 def _certify(side, u: FeFunction, prob: VIProblem, rule):
     lattice_ok, note = _lattice_condition(prob, u, side)
-    r = _residual_vector(prob, u, *_select_terms(prob, u, rule))
+    r = _residual_vector(prob, u, _sources(prob, *_select_terms(prob, u, rule)))
     lo, hi = prob.constraint.bounds(prob.mesh)
     free = prob.mesh.free_node_mask
     if side == "subsolution":
@@ -241,7 +240,7 @@ def construct_obstacle_bounds(prob: VIProblem, k1, k2, c_psi=None, margin=1e-3,
     """
     opts = opts or SolverOptions(tol=1e-10)
     mesh = prob.mesh
-    allowed = ("x",) if mesh.dim == 1 else ("x", "y")
+    allowed = _SPATIAL_VARS[:mesh.dim]
     k1_ast = parse_expression(k1, allowed) if isinstance(k1, str) else k1
     k2_ast = parse_expression(k2, allowed) if isinstance(k2, str) else k2
     u1 = _dirichlet_solve(prob, k1_ast, opts)
@@ -281,19 +280,6 @@ def construct_obstacle_bounds(prob: VIProblem, k1, k2, c_psi=None, margin=1e-3,
 # enclosure solve (truncation + penalty pipeline)
 
 
-def _auxiliary(prob: VIProblem, oi: OrderedInterval) -> VIProblem:
-    """The auxiliary problem of ``prob`` between the bounds of ``oi``.
-
-    Kept on ``oi`` for the same problem and bounds, so that a first extremal
-    step checks its candidate starts on the problem ``solve_enclosed`` solves.
-    """
-    key = (prob, oi.lower, oi.upper)
-    if oi._aux_memo is None or any(a is not b for a, b in zip(oi._aux_memo, key)):
-        td = TruncationData.from_bounds(oi.lower, oi.upper, f=prob.f, f_gamma=prob.f_gamma)
-        oi._aux_memo = key + (build_auxiliary(prob, td),)
-    return oi._aux_memo[-1]
-
-
 def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
                    opts: Optional[SolverOptions] = None):
     """Solve inside a certified interval via the truncated-penalized problem.
@@ -307,9 +293,8 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
     opts = opts or SolverOptions()
     if not oi.certified():
         raise ValueError("interval certificates missing or failed; cannot enclose")
-    aux_prob = _auxiliary(prob, oi)
-    td = aux_prob.aux.truncation
-    u, eta, zeta, report = solve_vi(aux_prob, opts)
+    td = TruncationData.from_bounds(oi.lower, oi.upper, f=prob.f, f_gamma=prob.f_gamma)
+    u, eta, zeta, report = solve_vi(build_auxiliary(prob, td), opts)
     if not report.converged:
         raise SolverError(f"auxiliary solve failed: {report.message}")
 
@@ -379,12 +364,15 @@ def _monotone_iteration(side, start, opts, step, what):
 
 
 def _solves_enclosed(prob: VIProblem, interval: OrderedInterval, u: FeFunction, opts):
-    """Whether ``u`` is feasible for the auxiliary problem of ``interval`` and
-    solves it to ``opts.tol`` with the ``opts.selection`` rule."""
-    aux = _auxiliary(prob, interval)
-    if _infeasibility(aux, u.coeffs) is not None:
+    """Whether ``u`` lies in ``interval``, is feasible and solves ``prob`` to
+    ``opts.tol`` with the ``opts.selection`` rule.  Inside the interval the
+    truncation (which switches strictly outside the bounds) is the original
+    reaction and the penalty vanishes: this is the auxiliary residual too."""
+    c = u.coeffs
+    inside = np.all(interval.lower.coeffs <= c) and np.all(c <= interval.upper.coeffs)
+    if not inside or _infeasibility(prob, c) is not None:
         return False
-    return vi_residual(aux, u, *_select_terms(aux, u, opts.selection)) <= opts.tol
+    return vi_residual(prob, u, *_select_terms(prob, u, opts.selection)) <= opts.tol
 
 
 def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
@@ -401,8 +389,9 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
     converged solution lying in the new, smaller interval (it then needs no
     Newton step).  The first starts from the first of ``start`` and the
     moving bound (``oi.upper`` for the greatest side, ``oi.lower`` for the
-    smallest) that already solves its auxiliary problem, and from ``start``
-    if neither does.  ``start`` must not be the moving bound: there the
+    smallest) that already solves its problem, checked on ``prob`` itself
+    (:func:`_solves_enclosed`), and from ``start`` if neither does.  Both lie
+    in the interval.  ``start`` must not be the moving bound: there the
     truncation of an interval reaction switches from the rule-selected
     endpoint to the frozen opposite one, so Newton from the moving bound
     fails to converge unless it is already a solution (as the lower bound

@@ -75,6 +75,15 @@ _TRI_QW = np.array([_TRI_W1, _TRI_W1, _TRI_W1, _TRI_W2, _TRI_W2, _TRI_W2])
 _ND_LEAF = 16
 
 
+_SPATIAL_VARS = ("x", "y")  # an expression's spatial variables are _SPATIAL_VARS[:dim]
+
+
+def _spatial_bindings(points, dim):
+    """Expression bindings of the spatial variables to the coordinates of ``points``."""
+    pts = np.asarray(points, dtype=float)
+    return {name: pts[..., i] for i, name in enumerate(_SPATIAL_VARS[:dim])}
+
+
 def _freeze(a):
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -352,12 +361,8 @@ class Mesh:
     def sample(self, ast: ExprAst):
         """Evaluate a spatial expression at all interior quadrature points."""
         pts = self.quad_points
-        bindings = {"x": pts[..., 0]}
-        if self.dim == 2:
-            bindings["y"] = pts[..., 1]
-        return np.broadcast_to(
-            np.asarray(eval_expression(ast, bindings), dtype=float), pts.shape[:-1]
-        ).copy()
+        values = eval_expression(ast, _spatial_bindings(pts, self.dim))
+        return np.broadcast_to(np.asarray(values, dtype=float), pts.shape[:-1]).copy()
 
 
 class Layout:
@@ -538,9 +543,9 @@ def build_mesh(dim, subdivisions, gamma_predicate=None):
         raise ValueError("subdivisions must be >= 1")
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
+    dim = int(dim)  # 2.0 builds the 2D mesh
     if isinstance(gamma_predicate, str):
-        allowed = ("x",) if dim == 1 else ("x", "y")
-        gamma_predicate = parse_expression(gamma_predicate, allowed)
+        gamma_predicate = parse_expression(gamma_predicate, _SPATIAL_VARS[:dim])
 
     if dim == 1:
         nodes = np.linspace(0.0, 1.0, n + 1)[:, None]
@@ -565,10 +570,7 @@ def build_mesh(dim, subdivisions, gamma_predicate=None):
     if gamma_predicate is None:
         gamma = np.zeros(len(facets), dtype=bool)
     else:
-        bindings = {"x": mid[:, 0]}
-        if dim == 2:
-            bindings["y"] = mid[:, 1]
-        value = eval_expression(gamma_predicate, bindings)
+        value = eval_expression(gamma_predicate, _spatial_bindings(mid, dim))
         gamma = np.broadcast_to(np.asarray(value, dtype=float), (len(facets),)) > 0
     tags = np.where(gamma, "gamma", "gamma0")
     facets = [(tuple(f), str(t)) for f, t in zip(facets.tolist(), tags)]
@@ -577,20 +579,14 @@ def build_mesh(dim, subdivisions, gamma_predicate=None):
 
 def fe_interpolate(expr, mesh: Mesh):
     """Nodal interpolant of a spatial expression (AST or string)."""
+    spatial = _SPATIAL_VARS[:mesh.dim]
     if isinstance(expr, str):
-        allowed = ("x",) if mesh.dim == 1 else ("x", "y")
-        expr = parse_expression(expr, allowed)
-    spatial = {"x", "y"} if mesh.dim == 2 else {"x"}
-    extra = variables_of(expr) - spatial
+        expr = parse_expression(expr, spatial)
+    extra = variables_of(expr) - set(spatial)
     if extra:
         raise ValueError(f"interpolated expression uses non-spatial variables {sorted(extra)}")
-    bindings = {"x": mesh.nodes[:, 0]}
-    if mesh.dim == 2:
-        bindings["y"] = mesh.nodes[:, 1]
-    values = np.broadcast_to(
-        np.asarray(eval_expression(expr, bindings), dtype=float), (mesh.n_nodes,)
-    )
-    return FeFunction(mesh, values)
+    values = eval_expression(expr, _spatial_bindings(mesh.nodes, mesh.dim))
+    return FeFunction(mesh, np.broadcast_to(np.asarray(values, dtype=float), (mesh.n_nodes,)))
 
 
 def lattice_op(u: FeFunction, v: FeFunction, kind):

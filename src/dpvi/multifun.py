@@ -10,15 +10,17 @@ Given an ordered pair of bound functions (lower, upper) with frozen
 endpoint selections, this module builds
 
 * the truncated multifunction: the original interval between the bounds,
-  the frozen lower selection below, the frozen upper selection above;
-  when the reaction does not read the state and does not jump at the
-  bounds, each rule selects one fixed field from it at every state;
+  the frozen lower selection below, the frozen upper selection above; a
+  state-free reaction that is one field, equal to both frozen selections,
+  is its own truncation;
 * the penalty that pushes iterates back into the interval, with growth
   q(x) - 1 outside;
 * the piecewise-linear cutoff (1 below 0, descending to 0 at 1) and the
   compensator terms used when several lower or upper bound functions are
   combined.
 
+Every multifunction says whether its selections read the state
+(``reads_s``); the Newton loop freezes those that do not, once per solve.
 All evaluations are pointwise over quadrature fields and safe to call
 concurrently.
 """
@@ -32,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import eval_expression, parse_expression, variables_of
-from .mesh import FeFunction, Mesh, _freeze
+from .mesh import _SPATIAL_VARS, FeFunction, Mesh, _freeze, _spatial_bindings
 
 __all__ = [
     "IntervalMultifunction",
@@ -53,14 +55,6 @@ __all__ = [
 SELECTION_RULES = ("lower", "upper", "midpoint")
 
 
-def _spatial_bindings(mesh: Mesh, points):
-    pts = np.asarray(points, dtype=float)
-    bindings = {"x": pts[..., 0]}
-    if mesh.dim == 2:
-        bindings["y"] = pts[..., 1]
-    return bindings
-
-
 def pick_endpoint(rule, lo, hi):
     if rule == "lower":
         return lo
@@ -78,18 +72,6 @@ def _select(mf, u: FeFunction, rule="lower"):
     return pick_endpoint(rule, lo, hi)
 
 
-def _source(mf, field):
-    """:func:`assemble_source` of a selection field of ``mf`` on its layout.
-
-    A fixed selection (the very array :meth:`select` returns at every state)
-    has its vector assembled once, kept beside it in ``mf._fixed``.
-    """
-    for kept in mf._fixed.values():
-        if kept is not None and field is kept[0]:
-            return kept[1]
-    return assemble_source(field, mf.mesh, mf.layout.where)
-
-
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -103,7 +85,7 @@ class IntervalMultifunction:
     """
 
     def __init__(self, mesh: Mesh, lower, upper, on_boundary=False):
-        allowed = ("x", "s") if mesh.dim == 1 else ("x", "y", "s")
+        allowed = _SPATIAL_VARS[:mesh.dim] + ("s",)
         self.mesh = mesh
         self.lower = parse_expression(lower, allowed) if isinstance(lower, str) else lower
         self.upper = parse_expression(upper, allowed) if isinstance(upper, str) else upper
@@ -112,12 +94,12 @@ class IntervalMultifunction:
             extra = variables_of(ast) - set(allowed)
             if extra:
                 raise ValueError(f"{name} uses unknown variables {sorted(extra)}")
-        self._fixed = {}  # rule -> (read-only field, its source), when no endpoint reads s
+        self._fixed = {}  # rule -> read-only field, when no endpoint reads s
 
     def eval_interval(self, points, s):
         """Endpoint values ([lo, hi]) at ``points`` for state values ``s``."""
         s = np.asarray(s, dtype=float)
-        bindings = _spatial_bindings(self.mesh, points)
+        bindings = _spatial_bindings(points, self.mesh.dim)
         bindings["s"] = s
         lo = np.broadcast_to(np.asarray(eval_expression(self.lower, bindings), float), s.shape)
         hi = np.broadcast_to(np.asarray(eval_expression(self.upper, bindings), float), s.shape)
@@ -140,19 +122,12 @@ class IntervalMultifunction:
 
     def select(self, u: FeFunction, rule="lower"):
         """:func:`_select`; with endpoints that do not read s, the field of each
-        rule is computed once and returned read-only, its source assembled with it."""
+        rule is computed once and returned read-only."""
         if self.reads_s:
             return _select(self, u, rule)
         if rule not in self._fixed:
-            field = _freeze(_select(self, u, rule))
-            self._fixed[rule] = field, assemble_source(field, self.mesh, self.layout.where)
-        return self._fixed[rule][0]
-
-    def selection_is_fixed(self, u: FeFunction, rule):
-        """Whether ``rule`` selects the same field at every state (no endpoint reads s)."""
-        return not self.reads_s
-
-    source = _source
+            self._fixed[rule] = _freeze(_select(self, u, rule))
+        return self._fixed[rule]
 
 
 class TwoArgIntervalMultifunction:
@@ -164,7 +139,7 @@ class TwoArgIntervalMultifunction:
     """
 
     def __init__(self, mesh: Mesh, lower, upper):
-        allowed = ("x", "r", "s") if mesh.dim == 1 else ("x", "y", "r", "s")
+        allowed = _SPATIAL_VARS[:mesh.dim] + ("r", "s")
         self.mesh = mesh
         self.lower = parse_expression(lower, allowed) if isinstance(lower, str) else lower
         self.upper = parse_expression(upper, allowed) if isinstance(upper, str) else upper
@@ -172,7 +147,7 @@ class TwoArgIntervalMultifunction:
     def eval_interval(self, points, r, s):
         r = np.asarray(r, dtype=float)
         s = np.asarray(s, dtype=float)
-        bindings = _spatial_bindings(self.mesh, points)
+        bindings = _spatial_bindings(points, self.mesh.dim)
         bindings["r"] = r
         bindings["s"] = s
         shape = np.broadcast_shapes(r.shape, s.shape)
@@ -215,6 +190,8 @@ class TwoArgIntervalMultifunction:
 class FrozenIntervalMultifunction:
     """One-argument view of a two-argument interval with r bound to a function."""
 
+    reads_s = True  # j1 and j2 may read s; they are not inspected
+
     def __init__(self, base: TwoArgIntervalMultifunction, r_func: FeFunction):
         if r_func.mesh is not base.mesh:
             raise ValueError("frozen function lives on a different mesh")
@@ -222,10 +199,6 @@ class FrozenIntervalMultifunction:
         self.mesh = base.mesh
         self.r_func = r_func
         self.layout = base.mesh.layout("interior")
-        self._fixed = {}  # no selection is fixed: r_func and the state both vary
-
-    def selection_is_fixed(self, u: FeFunction, rule):
-        return False
 
     def eval_interval(self, points, s):
         # interior quadrature layout only; r is evaluated at the same points
@@ -236,7 +209,6 @@ class FrozenIntervalMultifunction:
         return self.base.eval_interval(points, r, s)
 
     select = _select
-    source = _source
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +307,12 @@ class TruncatedMultifunction:
     Below the lower bound the value set collapses to the frozen lower
     selection, above the upper bound to the frozen upper selection, and in
     between it is ``f`` itself.  Presents the same evaluation interface as
-    :class:`IntervalMultifunction`.
-
-    When ``f`` selects one fixed field for a rule (an
-    :class:`IntervalMultifunction` whose endpoints do not read s), and that
-    field equals, bitwise, what the rule selects from either frozen
-    selection (the truncation does not jump at the bounds), the rule selects
-    this one read-only field at every state, and its source is assembled
-    once.  A reaction that jumps at the bounds, such as f = [-1, 1] under
-    any rule, is evaluated at every state.
+    :class:`IntervalMultifunction`.  Which of the three applies depends on
+    the state, so a truncation reads s; :func:`truncate_multifunction` builds
+    one only where it can differ from ``f``.
     """
+
+    reads_s = True
 
     def __init__(self, base, td: TruncationData):
         self.base = base
@@ -354,11 +322,9 @@ class TruncatedMultifunction:
         if base.layout.where == "boundary_gamma":
             self.bounds = (self.layout.values(td.lower.coeffs),
                            self.layout.values(td.upper.coeffs))
-            self.frozen = (td.zeta_lower, td.zeta_upper)
         else:
             self.bounds = td.quad_bounds
-            self.frozen = (td.eta_lower, td.eta_upper)
-        self._fixed = {}  # rule -> (read-only field, its source), or None if not fixed
+        self.frozen = _frozen_selections(base, td)
 
     def eval_interval(self, points, s):
         s = np.asarray(s, dtype=float)
@@ -375,31 +341,28 @@ class TruncatedMultifunction:
         hi = np.where(below, eta_lo, np.where(above, eta_hi, hi))
         return lo, hi
 
-    def _fixed_selection(self, u: FeFunction, rule):
-        """``(field, source)`` that ``rule`` selects at every state, or None."""
-        if rule not in self._fixed:
-            base, fixed = self.base, None
-            if base.selection_is_fixed(u, rule) and all(eta is not None for eta in self.frozen):
-                field = base.select(u, rule)
-                if all(_same_bits(pick_endpoint(rule, eta, eta), field) for eta in self.frozen):
-                    fixed = field, base.source(field)
-            self._fixed[rule] = fixed
-        return self._fixed[rule]
+    select = _select
 
-    def select(self, u: FeFunction, rule="lower"):
-        """:func:`_select`, or the fixed field of ``rule`` when there is one."""
-        fixed = self._fixed_selection(u, rule)
-        return _select(self, u, rule) if fixed is None else fixed[0]
 
-    def selection_is_fixed(self, u: FeFunction, rule):
-        """Whether ``rule`` selects one fixed field at every state (see the class)."""
-        return self._fixed_selection(u, rule) is not None
-
-    source = _source
+def _frozen_selections(mf, td: TruncationData):
+    """The frozen ``(lower, upper)`` selections of ``td`` on the layout of ``mf``."""
+    if mf.layout.where == "boundary_gamma":
+        return td.zeta_lower, td.zeta_upper
+    return td.eta_lower, td.eta_upper
 
 
 def truncate_multifunction(mf, td: TruncationData):
-    """Truncated evaluator for an interior or boundary interval multifunction."""
+    """Truncated evaluator for an interior or boundary interval multifunction.
+
+    A state-free ``mf`` whose endpoints and both frozen selections are one
+    field, bitwise (f = 8, say), equals its truncation at every state and is
+    returned itself; one that jumps at the bounds, such as f = [-1, 1], is not.
+    """
+    if not mf.reads_s:
+        field = mf.select(td.lower, "lower")
+        others = (mf.select(td.lower, "upper"), *_frozen_selections(mf, td))
+        if all(eta is not None and _same_bits(eta, field) for eta in others):
+            return mf
     return TruncatedMultifunction(mf, td)
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import parse_expression
-from .mesh import FeFunction, Mesh
+from .mesh import _SPATIAL_VARS, FeFunction, Mesh
 
 __all__ = [
     "ExponentData",
@@ -74,11 +74,9 @@ class ExponentData:
     @classmethod
     def from_expressions(cls, mesh: Mesh, p_expr, q_expr, mu_expr):
         """Sample expression strings or ASTs for p, q, mu on ``mesh``."""
-        allowed = ("x",) if mesh.dim == 1 else ("x", "y")
-
         def field(e):
             if isinstance(e, str):
-                e = parse_expression(e, allowed)
+                e = parse_expression(e, _SPATIAL_VARS[:mesh.dim])
             return mesh.sample(e)
 
         return cls(mesh, field(p_expr), field(q_expr), field(mu_expr))

@@ -31,9 +31,10 @@ A solve pays for its Newton steps and little else.  The residual, the
 selections and the iterate that ``solve_vi`` reports are those of the last
 accepted merit evaluation, and the next step linearises at that same
 :class:`FeFunction`, whose quadrature values and gradients are computed
-once.  A reaction that selects one fixed field at every state (a state-free
-one, or its truncation where it does not jump at the bounds) is neither
-evaluated nor assembled again, and its slope is zero without evaluation.
+once.  Whether a selection can change during a solve is decided in one
+place, the Newton loop: when no reaction reads the state (``reads_s``), its
+selections are frozen at the start, their sources assembled once, and their
+slopes are zero.
 """
 
 from __future__ import annotations
@@ -212,19 +213,20 @@ class SolveReport:
 # residual machinery
 
 
-def _residual_vector(prob: VIProblem, u: FeFunction, eta, zeta):
-    """Full nodal dual vector of the problem at u with frozen selections.
+def _sources(prob: VIProblem, eta, zeta):
+    """Dual vectors of the given selections: the interior one, then the gamma one."""
+    return [assemble_source(sel, prob.mesh, where)
+            for sel, where in ((eta, "interior"), (zeta, "boundary_gamma")) if sel is not None]
 
-    A selection's source comes from its multifunction's ``source``, which
-    keeps the vector of a fixed selection instead of assembling it again.
-    """
+
+def _residual_vector(prob: VIProblem, u: FeFunction, sources):
+    """Full nodal dual vector of the problem at u with the selection ``sources``
+    of :func:`_sources`, added in that order."""
     r = prob.operator.apply(u)
-    mesh = prob.mesh
-    for mf, sel, where in ((prob.f, eta, "interior"), (prob.f_gamma, zeta, "boundary_gamma")):
-        if sel is not None:
-            r = r + (assemble_source(sel, mesh, where) if mf is None else mf.source(sel))
+    for source in sources:
+        r = r + source
     if prob.aux is not None:
-        r = r + assemble_source(prob.aux.residual_field(u.values_at_quad()), mesh, "interior")
+        r = r + assemble_source(prob.aux.residual_field(u.values_at_quad()), prob.mesh, "interior")
     return r
 
 
@@ -259,7 +261,7 @@ def vi_residual(prob: VIProblem, u: FeFunction, eta=None, zeta=None) -> float:
     cause = _infeasibility(prob, u.coeffs)
     if cause is not None:
         raise ValueError(cause)
-    r = _residual_vector(prob, u, eta, zeta)
+    r = _residual_vector(prob, u, _sources(prob, eta, zeta))
     return float(np.max(np.abs(_complementarity(prob, u.coeffs, r)), initial=0.0))
 
 
@@ -272,11 +274,10 @@ def _select_terms(prob: VIProblem, u: FeFunction, rule):
 def _selection_slope(mf, u: FeFunction, rule):
     """Finite-difference slope of the rule-selected endpoint with respect to s.
 
-    Exact zeros, without evaluating the reaction, when ``mf`` selects one
-    fixed field at every state (``mf.selection_is_fixed``): the two
-    evaluations would agree bitwise.
+    Exact zeros, without evaluating the reaction, when ``mf`` does not read
+    s: the two evaluations would agree bitwise.
     """
-    if mf.selection_is_fixed(u, rule):
+    if not mf.reads_s:
         return np.zeros(mf.layout.weights.shape)
     points, s = mf.layout.points, mf.layout.values(u.coeffs)
     ds = 1e-6 * (1.0 + np.abs(s))
@@ -308,14 +309,15 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     """Semismooth Newton / primal active-set iteration for the multi-valued VI.
 
     The rule-selected reaction endpoints are evaluated at the running
-    iterate (with their slopes entering the Newton matrix); ``frozen``
-    optionally supplies fixed selection fields instead (used by the warm
-    start).  The Newton system on the inactive free nodes is sliced with its
-    rows in the mesh's nested-dissection order and factorised in that order
-    by :func:`_factor_solve`; a slope field that is identically zero adds no
-    mass to it.  A singular Newton system is retried twice with
-    only the Jacobian re-assembled, its smoothing eps 100 times larger each
-    time.
+    iterate, with their slopes entering the Newton matrix.  Selections that
+    cannot change are frozen for the whole loop instead, and their sources
+    assembled once: those ``frozen`` supplies (the warm start's), or, when no
+    reaction reads s, those selected at the start.  The Newton system on the
+    inactive free nodes is sliced with its rows in the mesh's
+    nested-dissection order and factorised in that order by
+    :func:`_factor_solve`; a slope field that is identically zero adds no
+    mass to it.  A singular Newton system is retried twice with only the
+    Jacobian re-assembled, its smoothing eps 100 times larger each time.
 
     The merit is the complementarity residual at the trial point.  The full
     step (t = 1) is accepted when it cuts the max norm or the Euclidean norm
@@ -339,11 +341,14 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     u = prob.constraint.project(u0.copy(), mesh)
     op = prob.operator
     rule = opts.selection
+    if frozen is None and not any(mf.reads_s for mf in (prob.f, prob.f_gamma) if mf is not None):
+        frozen = _select_terms(prob, FeFunction(mesh, u), rule)
+    sources = None if frozen is None else _sources(prob, *frozen)
 
     def merit(coeffs):
         uf = FeFunction(mesh, coeffs)
         eta, zeta = frozen if frozen is not None else _select_terms(prob, uf, rule)
-        r = _residual_vector(prob, uf, eta, zeta)
+        r = _residual_vector(prob, uf, sources if frozen is not None else _sources(prob, eta, zeta))
         alpha = _complementarity(prob, coeffs, r)
         at = (uf, eta, zeta)
         return at, r, float(np.max(np.abs(alpha), initial=0.0)), float(np.sqrt(alpha @ alpha))

@@ -169,17 +169,50 @@ def test_probe_coercivity_inputs_validated(tmp_path, capsys, flags, message):
     ({"max_iter": True}, [], "solver option 'max_iter' must be a number, got True"),
     ({"seed": False}, [], "solver option 'seed' must be a number, got False"),
     ({"tol": True}, [], "solver option 'tol' must be a number, got True"),
+    ({"selection": "best"}, [],
+     "solver option 'selection' must be one of ('lower', 'upper', 'midpoint'), got 'best'"),
 ], ids=["flag_tol_zero", "flag_tol_negative", "flag_tol_nan", "config_tol_inf",
         "flag_max_iter_zero", "config_max_iter_negative", "config_max_iter_list",
         "config_tol_text", "config_seed_text", "config_max_iter_fraction",
         "config_seed_fraction", "config_max_iter_inf", "config_max_iter_bool",
-        "config_seed_bool", "config_tol_bool"])
+        "config_seed_bool", "config_tol_bool", "config_selection_unknown"])
 def test_solver_options_validated(tmp_path, capsys, solver, flags, message):
     payload = obstacle_config()
     payload["solver"].update(solver)
     cfg = write_config(tmp_path, payload)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unknown_selection_rejected_without_reaction(tmp_path, capsys):
+    # no reaction reads the rule, so only the validation can catch it
+    payload = obstacle_config()
+    del payload["f"]
+    payload["solver"]["selection"] = "best"
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "solver option 'selection' must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mesh, message", [
+    ({"dim": 1.5}, "mesh option 'dim' must be an integer, got 1.5"),
+    ({"n": 2.5}, "mesh option 'n' must be an integer, got 2.5"),
+    ({"n": True}, "mesh option 'n' must be a number, got True"),
+    ({"dim": "two"}, "mesh option 'dim' must be a number, got 'two'"),
+    ({"n": float("inf")}, "mesh option 'n' must be an integer, got inf"),
+    ({"dim": 3}, "dim must be 1 or 2"),
+    ({"n": 0}, "subdivisions must be >= 1"),
+], ids=["dim_fraction", "n_fraction", "n_bool", "dim_text", "n_inf", "dim_three", "n_zero"])
+def test_mesh_options_validated(tmp_path, capsys, mesh, message):
+    payload = obstacle_config()
+    payload["mesh"].update(mesh)
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_unknown_top_level_key_rejected(tmp_path, capsys):

@@ -294,6 +294,19 @@ def test_full_newton_steps_accepted_on_the_euclidean_residual(monkeypatch):
     assert any(b > a for a, b in zip(history, history[1:]))
 
 
+def test_candidate_start_outside_the_interval_is_rejected():
+    # u1 solves the smallest side's problem, but a first step may only start
+    # from it where it lies in the step's interval
+    prob, mesh = make_problem(2, 16, "1.8", "2.6", "max(0, x - 0.5)",
+                              constraint=_obstacle_minus_half, f=("-1", "1"))
+    opts = SolverOptions(tol=1e-10, max_iter=200, selection="upper")
+    oi = construct_obstacle_bounds(prob, k1="1", k2="-1", c_psi=0.1, margin=1e-3, opts=opts)
+    assert vi_residual(prob, oi.lower, prob.f.select(oi.lower, "upper")) <= opts.tol
+    assert extremal._solves_enclosed(prob, oi, oi.lower, opts)
+    raised = OrderedInterval(oi.lower + 1e-3, oi.upper + 1e-3)
+    assert not extremal._solves_enclosed(prob, raised, oi.lower, opts)
+
+
 def test_one_auxiliary_problem_per_enclosed_solve(monkeypatch):
     # the first step checks its candidate starts on the problem it then solves
     prob, mesh = make_problem(2, 16, "1.8", "2.6", "max(0, x - 0.5)",

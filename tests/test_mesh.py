@@ -42,6 +42,12 @@ def test_gamma_partition_2d():
     assert tags.count("gamma0") == 6
 
 
+def test_whole_float_dim_builds_the_same_mesh():
+    m, m_float = build_mesh(2, 2, "0.1 - x"), build_mesh(2.0, 2, "0.1 - x")
+    assert m_float.dim == 2 and m_float.boundary_facets == m.boundary_facets
+    np.testing.assert_array_equal(m_float.nodes, m.nodes)
+
+
 def test_measure_partition_of_unity():
     for dim, n in ((1, 7), (2, 5)):
         m = build_mesh(dim, n)

@@ -5,9 +5,9 @@ from dpvi import visolve
 from dpvi.mesh import FeFunction, build_mesh, fe_interpolate
 from dpvi.multifun import (
     IntervalMultifunction,
+    TruncatedMultifunction,
     TruncationData,
     TwoArgIntervalMultifunction,
-    _select,
     assemble_source,
     compensator,
     cutoff,
@@ -198,63 +198,61 @@ def _bits(a):
 
 
 def _truncated_on_gamma_mesh(f1, f2, on_boundary):
-    # bounds -0.3 <= 0.4 + x; states below, between and above them
+    # bounds -0.3 <= 0.4 + x; states below, between and above them, then one across them
     mesh = build_mesh(2, 4, "x - 0.5")
     f = IntervalMultifunction(mesh, f1, f2, on_boundary=on_boundary)
     lower, upper = FeFunction.constant(mesh, -0.3), fe_interpolate("0.4 + x", mesh)
     key = "f_gamma" if on_boundary else "f"
     td = TruncationData.from_bounds(lower, upper, **{key: f})
     rng = np.random.default_rng(61)
-    states = [FeFunction(mesh, rng.uniform(-2.0, 2.0, size=mesh.n_nodes)) for _ in range(3)]
-    return f, truncate_multifunction(f, td), states
+    states = [FeFunction.constant(mesh, c) for c in (-2.0, 0.0, 2.0)]
+    states.append(FeFunction(mesh, rng.uniform(-2.0, 2.0, size=mesh.n_nodes)))
+    return f, td, states
 
 
 @pytest.mark.parametrize("on_boundary", [False, True])
 @pytest.mark.parametrize("rule", ["lower", "upper", "midpoint"])
 def test_fixed_truncated_selection(rule, on_boundary, monkeypatch):
-    # a state-free single-valued reaction does not jump at the bounds: every
-    # state selects one read-only field, bitwise the evaluated selection
-    f, f0, states = _truncated_on_gamma_mesh("2 - x*y", "2 - x*y", on_boundary)
-    expected = [_select(f0, u, rule) for u in states]
-    eta = f0.select(states[0], rule)
-    assert not eta.flags.writeable and f0.selection_is_fixed(states[0], rule)
-    for u, want in zip(states, expected):
-        assert f0.select(u, rule) is eta and _bits(eta) == _bits(want)
-    # its source is assembled once, bitwise the assembled one
-    source = f0.source(eta)
-    assert f0.source(eta) is source
-    assert _bits(source) == _bits(assemble_source(np.array(eta), f.mesh, f.layout.where))
+    # a state-free single-valued reaction equals its truncation below, between
+    # and above the bounds, bitwise, so it truncates to itself
+    f, td, states = _truncated_on_gamma_mesh("2 - x*y", "2 - x*y", on_boundary)
+    assert truncate_multifunction(f, td) is f and not f.reads_s
+    built = TruncatedMultifunction(f, td)
+    assert built.reads_s
+    for u in states:
+        assert _bits(f.select(u, rule)) == _bits(built.select(u, rule))
 
-    # the central difference, evaluated through the truncation, is exactly zero
+    # its zero slope is bitwise the central difference through the truncation
     central = []
     for u in states:
-        s = f0.layout.values(u.coeffs)
+        s = built.layout.values(u.coeffs)
         ds = 1e-6 * (1.0 + np.abs(s))
-        plus, minus = (pick_endpoint(rule, *f0.eval_interval(f0.layout.points, s + sign * ds))
+        plus, minus = (pick_endpoint(rule, *built.eval_interval(built.layout.points, s + sign * ds))
                        for sign in (1.0, -1.0))
         central.append(np.clip((plus - minus) / (2.0 * ds), -1e10, 1e10))
 
     def no_eval(*args):
-        raise AssertionError("a fixed selection was evaluated again")
+        raise AssertionError("a state-free reaction was evaluated for its slope")
 
     monkeypatch.setattr(IntervalMultifunction, "eval_interval", no_eval)
     for u, want in zip(states, central):
-        slope = visolve._selection_slope(f0, u, rule)
+        slope = visolve._selection_slope(f, u, rule)
         assert not slope.any() and _bits(slope) == _bits(want)
-        assert f0.select(u, rule) is eta
 
 
 @pytest.mark.parametrize("rule", ["lower", "upper", "midpoint"])
 @pytest.mark.parametrize("f1, f2", [("-1", "1"), ("s - 1", "s - 1")])
 def test_truncation_that_jumps_or_reads_s_is_not_fixed(f1, f2, rule):
-    # f = [-1, 1] truncates to -1 below and +1 above: no rule selects one field
-    f, f0, states = _truncated_on_gamma_mesh(f1, f2, on_boundary=False)
-    assert not f0.selection_is_fixed(states[0], rule)
-    fields = [f0.select(u, rule) for u in states]
-    for u, eta in zip(states, fields):
-        assert _bits(eta) == _bits(_select(f0, u, rule))
-    assert fields[0] is not fields[1]
-    assert any(_bits(a) != _bits(b) for a, b in zip(fields, fields[1:]))
+    # f = [-1, 1] truncates to -1 below and +1 above, and f = s - 1 reads s: each
+    # gets a truncation, whose selection varies with the state
+    f, td, states = _truncated_on_gamma_mesh(f1, f2, on_boundary=False)
+    f0 = truncate_multifunction(f, td)
+    assert isinstance(f0, TruncatedMultifunction) and f0.reads_s
+    below, between, above, across = (f0.select(u, rule) for u in states)
+    assert _bits(below) == _bits(td.eta_lower) and _bits(above) == _bits(td.eta_upper)
+    np.testing.assert_array_equal(between, f.select(states[1], rule))
+    assert _bits(below) != _bits(above)
+    assert _bits(across) not in {_bits(below), _bits(between), _bits(above)}
 
 
 def test_compensator_identical_selections_vanish(mesh1d):

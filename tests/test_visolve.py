@@ -621,3 +621,21 @@ def test_reported_residual_is_the_last_merit(f, constraint, monkeypatch):
     np.testing.assert_array_equal(eta, prob.f.select(u, "midpoint"))
     assert zeta is None
 
+
+
+def test_state_free_selections_frozen_once_per_solve(monkeypatch):
+    # no reaction reads s: the Newton loop selects each reaction and assembles
+    # its source once, then reuses both at every merit
+    prob, mesh = make_problem(2, 8, p="1.8", q="2.6", f=("8 - x", "8 - x"),
+                              f_gamma=("1", "1"), gamma_predicate="x - 0.5")
+    selects, sources = [], []
+    select, assemble = IntervalMultifunction.select, visolve.assemble_source
+    monkeypatch.setattr(IntervalMultifunction, "select",
+                        lambda self, u, rule: selects.append(1) or select(self, u, rule))
+    monkeypatch.setattr(visolve, "assemble_source",
+                        lambda *args: sources.append(1) or assemble(*args))
+    u, eta, zeta, rep = solve_vi(prob, SolverOptions(tol=1e-10, initial=FeFunction.zero(mesh)))
+    assert rep.converged and rep.newton_iterations > 1
+    assert len(selects) == len(sources) == 2
+    monkeypatch.undo()
+    assert rep.residual == vi_residual(prob, u, eta, zeta)
