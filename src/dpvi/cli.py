@@ -79,6 +79,8 @@ _BLOCK_KEYS = {
     "function": {"u"},
 }
 
+_COMPLETE_BLOCKS = {"f", "f_gamma", "j", "function"}  # blocks that need every key they allow
+
 
 # the bound expressions each constraint kind reads, as (lower, upper)
 _CONSTRAINT_BOUNDS = {"whole_space": (), "obstacle": ("psi",), "box": ("psi", "psi_upper")}
@@ -92,8 +94,8 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = yaml.load(fh, Loader=_YAML_LOADER)
-    except FileNotFoundError:
-        raise ConfigError(f"configuration file not found: {path}") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read configuration file {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"configuration is not valid YAML: {exc}") from None
     if not isinstance(cfg, dict):
@@ -110,6 +112,9 @@ def load_config(path):
             extra = set(cfg[block]) - allowed
             if extra:
                 raise ConfigError(f"unknown keys in {block!r}: {sorted(extra)}")
+            missing = sorted(allowed - set(cfg[block]))
+            if missing and block in _COMPLETE_BLOCKS:
+                raise ConfigError(f"block {block!r} needs the key {missing[0]!r}")
     for required in ("mesh", "exponents"):
         if required not in cfg:
             raise ConfigError(f"missing required block {required!r}")
@@ -177,7 +182,7 @@ def build_problem(cfg):
                 mesh, str(cfg["f_gamma"]["f1"]), str(cfg["f_gamma"]["f2"]), on_boundary=True
             )
         prob = VIProblem(op, cs, f, f_gamma)
-    except (ExprError, KeyError, ValueError) as exc:
+    except (ExprError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     return prob
 
@@ -252,7 +257,7 @@ def _report_payload(report):
         "residual": report.residual,
         "selection_rule": report.selection_rule,
         "active_set_history": report.active_set_history,
-        "enclosure_status": report.enclosure_status,
+        "enclosure_status": None,  # a plain solve has no bounds to enclose it
         "message": report.message,
     }
 
@@ -405,10 +410,13 @@ def _parser():
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-
+    out = Path(args.out)
     try:
         cfg = load_config(args.config)
-        return _COMMANDS[args.command](cfg, args, Path(args.out))
+        existing = next(path for path in (out, *out.parents) if path.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output path {existing} is not a directory")
+        return _COMMANDS[args.command](cfg, args, out)
     except (ConfigError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,6 +41,7 @@ from .mesh import _SPATIAL_VARS, FeFunction
 from .multifun import IntervalMultifunction, TruncationData, TwoArgIntervalMultifunction, penalty
 from .visolve import (
     ConstraintSet,
+    SolveReport,
     SolverError,
     SolverOptions,
     VIProblem,
@@ -64,7 +65,10 @@ __all__ = [
     "extremal_pair",
     "discontinuous_fixed_point",
     "EnclosureError",
+    "EnclosedReport",
 ]
+
+_MAX_OUTER = 50  # bound on the steps of each monotone (extremal or fixed-point) iteration
 
 
 class EnclosureError(RuntimeError):
@@ -114,10 +118,14 @@ class SolutionSet:
     """Converged solutions collected inside an ordered interval."""
 
     members: list = field(default_factory=list)
-    smallest: Optional[FeFunction] = None
-    greatest: Optional[FeFunction] = None
-    residuals: list = field(default_factory=list)
     histories: dict = field(default_factory=dict)
+
+
+@dataclass
+class EnclosedReport(SolveReport):
+    """The auxiliary solve's report, with how far its iterate lay outside the bounds."""
+
+    enclosure_status: Optional[dict] = None
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +293,31 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
     """Solve inside a certified interval via the truncated-penalized problem.
 
     Returns ``(u, report)`` where u solves the *original* problem with
-    residual at most the solver tolerance and lies inside the interval.  An
-    iterate escaping the interval raises :class:`EnclosureError` with the
-    worst node; it indicates a failed certificate or a solver failure and is
-    never silently accepted.
+    residual at most the solver tolerance and lies inside the interval.  The
+    auxiliary iterate's distances below and above the bounds are recorded in
+    ``report.enclosure_status``; one over 10 tol raises :class:`EnclosureError`
+    with the worst node, as a failed certificate or solver failure is never
+    silently accepted.
     """
     opts = opts or SolverOptions()
     if not oi.certified():
         raise ValueError("interval certificates missing or failed; cannot enclose")
-    td = TruncationData.from_bounds(oi.lower, oi.upper, f=prob.f, f_gamma=prob.f_gamma)
+    td = TruncationData(oi.lower, oi.upper)
     u, eta, zeta, report = solve_vi(build_auxiliary(prob, td), opts)
     if not report.converged:
         raise SolverError(f"auxiliary solve failed: {report.message}")
 
     tol = opts.tol
-    status = report.enclosure_status  # solve_vi's check against the same bounds
-    if not status["enclosed"]:
-        worst = max(status["below_lower"], status["above_upper"])
+    below = float(np.max(oi.lower.coeffs - u.coeffs, initial=0.0))
+    above = float(np.max(u.coeffs - oi.upper.coeffs, initial=0.0))
+    if max(below, above) > 10 * tol:
         node = int(np.argmax(np.maximum(oi.lower.coeffs - u.coeffs, u.coeffs - oi.upper.coeffs)))
         raise EnclosureError(
-            f"enclosure violated by {worst:.3e} at node {node}; "
+            f"enclosure violated by {max(below, above):.3e} at node {node}; "
             "certificate or solver failure"
         )
+    status = {"below_lower": below, "above_upper": above, "enclosed": True}
+    report = EnclosedReport(**vars(report), enclosure_status=status)
     u = FeFunction(u.mesh, np.clip(u.coeffs, oi.lower.coeffs, oi.upper.coeffs))
 
     pen = penalty(td, prob.exponents.q, u.values_at_quad())
@@ -346,7 +357,7 @@ def _monotone_iteration(side, start, opts, step, what):
     iteration in that error.  Returns ``(last iterate, history rows)``.
     """
     moving, history = start, []
-    for k in range(1, opts.max_outer + 1):
+    for k in range(1, _MAX_OUTER + 1):
         u, residual = step(k, moving)
         update = float(np.max(np.abs(u.coeffs - moving.coeffs)))
         history.append({"iter": k, "max_update": update, "residual": residual})
@@ -440,9 +451,7 @@ def extremal_pair(prob: VIProblem, oi: OrderedInterval,
     greatest, members_g, hist_g = _extremal_iterate(prob, oi, opts, "greatest", oi.lower)
     smallest, members_s, hist_s = _extremal_iterate(prob, oi, opts, "smallest", greatest)
 
-    sset = SolutionSet(members=members_s + members_g, smallest=smallest, greatest=greatest,
-                       residuals=[row["residual"] for row in hist_s + hist_g],
-                       histories={"greatest": hist_g, "smallest": hist_s})
+    sset = SolutionSet(members_s + members_g, {"greatest": hist_g, "smallest": hist_s})
     tol = 10 * opts.tol
     if np.any(smallest.coeffs > greatest.coeffs + tol):
         raise EnclosureError("extremal candidates out of order")
@@ -495,11 +504,7 @@ def discontinuous_fixed_point(prob: VIProblem, j: TwoArgIntervalMultifunction,
         _require_certified(interval, f"outer iterate {k}")
         smallest, greatest, _ = extremal_pair(probv, interval, opts)
         nxt, rule = (greatest, "lower") if side == "greatest" else (smallest, "upper")
-        res = vi_residual(
-            probv, nxt, frozen.select(nxt, rule),
-            prob.f_gamma.select(nxt, opts.selection) if prob.f_gamma else None,
-        )
-        return nxt, res
+        return nxt, vi_residual(probv, nxt, *_select_terms(probv, nxt, rule))
 
     greatest, hist_g = _monotone_iteration("greatest", oi.upper, opts,
                                            partial(step, "greatest"), "outer iterates")

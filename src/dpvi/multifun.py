@@ -6,13 +6,13 @@ variant [j1(x,r,s), j2(x,r,s)] supports the discontinuous fixed-point
 scheme, where the extra variable is frozen to a finite-element function
 between outer iterations.
 
-Given an ordered pair of bound functions (lower, upper) with frozen
-endpoint selections, this module builds
+Given an ordered pair of bound functions (lower, upper), this module builds
 
 * the truncated multifunction: the original interval between the bounds,
-  the frozen lower selection below, the frozen upper selection above; a
-  state-free reaction that is one field, equal to both frozen selections,
-  is its own truncation;
+  below them its lower endpoint at the lower bound, above them its upper
+  endpoint at the upper bound, both selected once by the truncation; a
+  state-free reaction whose two selections are one field is its own
+  truncation;
 * the penalty that pushes iterates back into the interval, with growth
   q(x) - 1 outside;
 * the piecewise-linear cutoff (1 below 0, descending to 0 at 1) and the
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -217,20 +216,10 @@ class FrozenIntervalMultifunction:
 
 @dataclass
 class TruncationData:
-    """Ordered bound pair with frozen endpoint selections.
-
-    ``eta_lower/eta_upper`` are interior quadrature fields with
-    eta_lower(x) in f(x, lower(x)) and eta_upper(x) in f(x, upper(x));
-    ``zeta_lower/zeta_upper`` are the boundary analogues on gamma facets
-    (None when there is no boundary multifunction or no gamma part).
-    """
+    """Ordered bound pair ``lower <= upper`` of P1 functions on one mesh."""
 
     lower: FeFunction
     upper: FeFunction
-    eta_lower: Optional[np.ndarray] = None
-    eta_upper: Optional[np.ndarray] = None
-    zeta_lower: Optional[np.ndarray] = None
-    zeta_upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.lower.mesh is not self.upper.mesh:
@@ -241,23 +230,6 @@ class TruncationData:
     @property
     def mesh(self):
         return self.lower.mesh
-
-    @cached_property
-    def quad_bounds(self):
-        """``(lower, upper)`` at the interior quadrature points, sampled once and
-        read-only, since every penalty call and truncation shares them."""
-        return _freeze(self.lower.values_at_quad()), _freeze(self.upper.values_at_quad())
-
-    @classmethod
-    def from_bounds(cls, lower, upper, f=None, f_gamma=None):
-        """Freeze the selections: lower endpoint at the lower bound, upper
-        endpoint at the upper bound (the choices under which one-sided bound
-        constructions verify)."""
-        eta_lo = f.select(lower, "lower") if f is not None else None
-        eta_hi = f.select(upper, "upper") if f is not None else None
-        zeta_lo = f_gamma.select(lower, "lower") if f_gamma is not None else None
-        zeta_hi = f_gamma.select(upper, "upper") if f_gamma is not None else None
-        return cls(lower, upper, eta_lo, eta_hi, zeta_lo, zeta_hi)
 
 
 def cutoff(s):
@@ -272,7 +244,7 @@ def penalty(td: TruncationData, q_field, s):
     the interval, so it always pushes the state back toward the bounds.
     """
     s = np.asarray(s, dtype=float)
-    lo, hi = td.quad_bounds
+    lo, hi = td.lower.values_at_quad(), td.upper.values_at_quad()
     q = np.asarray(q_field, dtype=float)
     out = np.zeros_like(s)
     above = s > hi
@@ -287,7 +259,7 @@ def penalty(td: TruncationData, q_field, s):
 def penalty_slope(td: TruncationData, q_field, s):
     """d(penalty)/ds, clamped near the kinks when q(x) < 2."""
     s = np.asarray(s, dtype=float)
-    lo, hi = td.quad_bounds
+    lo, hi = td.lower.values_at_quad(), td.upper.values_at_quad()
     q = np.asarray(q_field, dtype=float)
     out = np.zeros_like(s)
     above = s > hi
@@ -302,35 +274,28 @@ def penalty_slope(td: TruncationData, q_field, s):
 
 
 class TruncatedMultifunction:
-    """The truncation of ``f`` between the bounds of a :class:`TruncationData`.
+    """The truncation of ``base`` between the bounds of a :class:`TruncationData`.
 
-    Below the lower bound the value set collapses to the frozen lower
-    selection, above the upper bound to the frozen upper selection, and in
-    between it is ``f`` itself.  Presents the same evaluation interface as
-    :class:`IntervalMultifunction`.  Which of the three applies depends on
+    Below the lower bound the value set collapses to ``base.select(lower,
+    "lower")``, above the upper bound to ``base.select(upper, "upper")``
+    (both taken once, as ``frozen``, on the layout of ``base``), and in
+    between it is ``base`` itself.  Which of the three applies depends on
     the state, so a truncation reads s; :func:`truncate_multifunction` builds
-    one only where it can differ from ``f``.
+    one only where it can differ from ``base``.
     """
 
     reads_s = True
 
     def __init__(self, base, td: TruncationData):
         self.base = base
-        self.td = td
         self.mesh = td.mesh
         self.layout = base.layout
-        if base.layout.where == "boundary_gamma":
-            self.bounds = (self.layout.values(td.lower.coeffs),
-                           self.layout.values(td.upper.coeffs))
-        else:
-            self.bounds = td.quad_bounds
-        self.frozen = _frozen_selections(base, td)
+        self.bounds = (self.layout.values(td.lower.coeffs), self.layout.values(td.upper.coeffs))
+        self.frozen = (base.select(td.lower, "lower"), base.select(td.upper, "upper"))
 
     def eval_interval(self, points, s):
         s = np.asarray(s, dtype=float)
         eta_lo, eta_hi = self.frozen
-        if eta_lo is None or eta_hi is None:
-            raise ValueError("truncation data carries no frozen selections here")
         lo_b, hi_b = self.bounds
         if lo_b.shape != s.shape:
             raise ValueError("state layout does not match the truncation bounds")
@@ -344,25 +309,15 @@ class TruncatedMultifunction:
     select = _select
 
 
-def _frozen_selections(mf, td: TruncationData):
-    """The frozen ``(lower, upper)`` selections of ``td`` on the layout of ``mf``."""
-    if mf.layout.where == "boundary_gamma":
-        return td.zeta_lower, td.zeta_upper
-    return td.eta_lower, td.eta_upper
-
-
 def truncate_multifunction(mf, td: TruncationData):
     """Truncated evaluator for an interior or boundary interval multifunction.
 
-    A state-free ``mf`` whose endpoints and both frozen selections are one
-    field, bitwise (f = 8, say), equals its truncation at every state and is
+    A state-free ``mf`` whose lower and upper selections are one field,
+    bitwise (f = 8, say), equals its truncation at every state and is
     returned itself; one that jumps at the bounds, such as f = [-1, 1], is not.
     """
-    if not mf.reads_s:
-        field = mf.select(td.lower, "lower")
-        others = (mf.select(td.lower, "upper"), *_frozen_selections(mf, td))
-        if all(eta is not None and _same_bits(eta, field) for eta in others):
-            return mf
+    if not mf.reads_s and _same_bits(mf.select(td.lower, "lower"), mf.select(td.upper, "upper")):
+        return mf
     return TruncatedMultifunction(mf, td)
 
 

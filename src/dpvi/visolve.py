@@ -39,7 +39,6 @@ slopes are zero.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -190,7 +189,6 @@ class VIProblem:
 class SolverOptions:
     tol: float = 1e-9
     max_iter: int = 200
-    max_outer: int = 50  # bounds the monotone extremal iterations only, not solve_vi
     selection: str = "midpoint"
     seed: int = 0
     initial: Optional[FeFunction] = None
@@ -204,8 +202,6 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
     active_set_history: list = field(default_factory=list)
     selection_rule: str = "midpoint"
-    enclosure_status: Optional[dict] = None
-    wall_time: float = 0.0
     message: str = ""
 
 
@@ -453,11 +449,11 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
     at most ``opts.tol`` when ``report.converged`` is set.  Otherwise the last
     iterate is returned flagged non-converged, and the message names the
     cause.  If the Newton system is singular the smoothing is enlarged twice
-    before a :class:`SolverError` is raised.
+    before a :class:`SolverError` is raised.  Whether an auxiliary problem's
+    iterate lies in its bounds is checked by :func:`dpvi.extremal.solve_enclosed`.
     """
     opts = opts or SolverOptions()
     report = SolveReport(selection_rule=opts.selection)
-    start = time.perf_counter()
     mesh = prob.mesh
 
     if opts.initial is not None:
@@ -468,16 +464,6 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
     report.converged = report.residual <= opts.tol
     if not report.converged:
         report.message = f"not converged: residual {report.residual:.3e}; {cause}"
-    if prob.aux is not None:
-        td = prob.aux.truncation
-        below = float(np.max(td.lower.coeffs - uf.coeffs, initial=0.0))
-        above = float(np.max(uf.coeffs - td.upper.coeffs, initial=0.0))
-        report.enclosure_status = {
-            "below_lower": below,
-            "above_upper": above,
-            "enclosed": bool(below <= 10 * opts.tol and above <= 10 * opts.tol),
-        }
-    report.wall_time = time.perf_counter() - start
     return uf, eta, zeta, report
 
 

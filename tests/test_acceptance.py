@@ -373,13 +373,14 @@ def criterion_7():
     f = IntervalMultifunction(mesh, "s - 1", "s + 1")
     lower = FeFunction.constant(mesh, -1.0)
     upper = FeFunction.constant(mesh, 1.0)
-    td = TruncationData.from_bounds(lower, upper, f=f)
+    td = TruncationData(lower, upper)
     f0 = truncate_multifunction(f, td)
+    eta_lower, eta_upper = f0.frozen
     # a second, strictly lower bound member with a different frozen selection
     member_bound = FeFunction.constant(mesh, -1.5)
-    member_sel = td.eta_lower + 0.25
+    member_sel = eta_lower + 0.25
     upper_member_bound = FeFunction.constant(mesh, 1.5)
-    upper_member_sel = td.eta_upper - 0.25
+    upper_member_sel = eta_upper - 0.25
     shape = mesh.quad_weights.shape
     exact = True
     for _ in range(100):
@@ -390,11 +391,11 @@ def criterion_7():
         exact &= bool(np.array_equal(lo0, lo) and np.array_equal(hi0, hi))
         exact &= bool(np.all(penalty(td, ed.q, s) == 0.0))
         t_low = compensator(
-            "lower", member_sel, td.eta_lower,
+            "lower", member_sel, eta_lower,
             member_bound.values_at_quad(), lower.values_at_quad(), s,
         )
         t_up = compensator(
-            "upper", upper_member_sel, td.eta_upper,
+            "upper", upper_member_sel, eta_upper,
             upper_member_bound.values_at_quad(), upper.values_at_quad(), s,
         )
         exact &= bool(np.all(t_low == 0.0) and np.all(t_up == 0.0))

@@ -317,6 +317,27 @@ def test_malformed_yaml_exits_2(tmp_path, capsys):
     assert "configuration is not valid YAML" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, blocks, config, out, message", [
+    ("norm", {"function": {}}, None, "o", "block 'function' needs the key 'u'"),
+    ("extremal", {"j": {"j2": "1"}}, None, "o", "block 'j' needs the key 'j1'"),
+    ("solve", {"f": {"f1": "-1"}}, None, "o", "block 'f' needs the key 'f2'"),
+    ("solve", {}, "", "o", "cannot read configuration file {tmp}: Is a directory"),
+    ("solve", {}, "missing.yaml", "o",
+     "cannot read configuration file {tmp}/missing.yaml: No such file or directory"),
+    ("solve", {}, None, "taken", "output path {tmp}/taken is not a directory"),
+    ("solve", {}, None, "taken/o", "output path {tmp}/taken is not a directory"),
+], ids=["function_without_u", "j_without_j1", "f_without_f2", "config_is_directory",
+        "config_missing", "out_is_file", "out_under_file"])
+def test_bad_input_exits_2_naming_the_key_or_path(tmp_path, capsys, command, blocks, config,
+                                                  out, message):
+    payload = obstacle_config()
+    payload.update(blocks)
+    cfg = write_config(tmp_path, payload) if config is None else str(tmp_path / config)
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+
+
 # CLI command -> the config block it needs
 COMMAND_BLOCKS = {"solve": None, "extremal": "bounds", "verify": "bounds", "norm": "function",
                   "probe-coercivity": None}

@@ -353,6 +353,25 @@ def test_fixed_point_step_reaction_monotone_iterates():
     assert ups[-1] <= 1e-9
 
 
+def test_fixed_point_history_selects_the_boundary_reaction_by_side():
+    # the history residual of each side uses that side's rule on gamma too, so a
+    # multi-valued f_gamma does not show a residual the extremals do not have
+    mesh = build_mesh(1, 16, "x - 0.5")
+    op = DoublePhaseOperator(mesh, ExponentData.from_expressions(mesh, "2", "3", "0"))
+    f_gamma = IntervalMultifunction(mesh, "-0.5", "0.5", on_boundary=True)
+    prob = VIProblem(op, ConstraintSet.whole_space(), None, f_gamma)
+    step = "min(1, max(0, 1000000*(r - 0.05)))"
+    j = TwoArgIntervalMultifunction(mesh, f"-1 - 0.5*{step}", f"1 - 0.5*{step}")
+    lower, upper = fe_interpolate("-5*x", mesh), fe_interpolate("5*x", mesh)
+    oi = OrderedInterval(lower, upper, verify_subsolution(lower, prob, "lower"),
+                         verify_supersolution(upper, prob, "upper"))
+    lo, hi, hist = discontinuous_fixed_point(prob, j, oi, SolverOptions(tol=1e-9))
+    for side, u, rule in (("smallest", lo, "upper"), ("greatest", hi, "lower")):
+        probv = VIProblem(op, prob.constraint, j.freeze(u), f_gamma)
+        assert vi_residual(probv, u, probv.f.select(u, rule), f_gamma.select(u, rule)) <= 1e-9
+        assert all(row["residual"] <= 1e-9 for row in hist[side])
+
+
 def test_fixed_point_rejects_bad_monotonicity():
     prob, mesh = make_problem(1, 8, f=("-1", "1"))
     oi = construct_obstacle_bounds(prob, k1="1", k2="-1")

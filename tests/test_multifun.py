@@ -76,13 +76,8 @@ def test_cutoff_values():
     np.testing.assert_allclose(cutoff(np.array([0.0, 0.5, 1.0])), [1.0, 0.5, 0.0])
 
 
-def make_td(mesh, lo=-1.0, hi=1.0, f=None):
-    lower = FeFunction.constant(mesh, lo)
-    upper = FeFunction.constant(mesh, hi)
-    if f is None:
-        shape = mesh.quad_weights.shape
-        return TruncationData(lower, upper, np.zeros(shape), np.zeros(shape))
-    return TruncationData.from_bounds(lower, upper, f=f)
+def make_td(mesh, lo=-1.0, hi=1.0):
+    return TruncationData(FeFunction.constant(mesh, lo), FeFunction.constant(mesh, hi))
 
 
 def test_penalty_branches(mesh1d):
@@ -143,7 +138,7 @@ def test_penalty_slope_nonnegative(mesh1d):
 
 def test_truncation_branches(mesh1d):
     f = IntervalMultifunction(mesh1d, "s - 1", "s + 1")
-    td = make_td(mesh1d, -1.0, 1.0, f=f)
+    td = make_td(mesh1d, -1.0, 1.0)
     f0 = truncate_multifunction(f, td)
     pts = mesh1d.quad_points
     shape = mesh1d.quad_weights.shape
@@ -153,24 +148,27 @@ def test_truncation_branches(mesh1d):
     np.testing.assert_allclose(lo, -1.0)
     np.testing.assert_allclose(hi, 1.0)
 
+    eta_lower, eta_upper = f0.frozen
+    np.testing.assert_array_equal(eta_lower, f.select(td.lower, "lower"))
+    np.testing.assert_array_equal(eta_upper, f.select(td.upper, "upper"))
     below = np.full(shape, -5.0)
     lo, hi = f0.eval_interval(pts, below)
-    np.testing.assert_allclose(lo, td.eta_lower)
-    np.testing.assert_allclose(hi, td.eta_lower)
+    np.testing.assert_allclose(lo, eta_lower)
+    np.testing.assert_allclose(hi, eta_lower)
 
     above = np.full(shape, 9.0)
     lo, hi = f0.eval_interval(pts, above)
-    np.testing.assert_allclose(lo, td.eta_upper)
-    np.testing.assert_allclose(hi, td.eta_upper)
+    np.testing.assert_allclose(lo, eta_upper)
+    np.testing.assert_allclose(hi, eta_upper)
 
 
 def test_truncation_growth_bound(mesh1d):
     # |f0| <= k + |eta_lower| + |eta_upper| for k bounding |f| on the interval
     f = IntervalMultifunction(mesh1d, "s - 1", "s + 1")
-    td = make_td(mesh1d, -1.0, 1.0, f=f)
+    td = make_td(mesh1d, -1.0, 1.0)
     f0 = truncate_multifunction(f, td)
     k = 2.0  # sup |f| over s in [-1, 1]
-    bound = k + np.abs(td.eta_lower) + np.abs(td.eta_upper)
+    bound = k + np.abs(f0.frozen[0]) + np.abs(f0.frozen[1])
     rng = np.random.default_rng(3)
     for _ in range(20):
         s = rng.uniform(-10, 10, size=mesh1d.quad_weights.shape)
@@ -180,7 +178,7 @@ def test_truncation_growth_bound(mesh1d):
 
 def test_truncation_idempotence_inside(mesh1d):
     f = IntervalMultifunction(mesh1d, "s - 1", "s + 1")
-    td = make_td(mesh1d, -1.0, 1.0, f=f)
+    td = make_td(mesh1d, -1.0, 1.0)
     f0 = truncate_multifunction(f, td)
     ed = ExponentData.from_expressions(mesh1d, "2", "3", "0")
     rng = np.random.default_rng(4)
@@ -201,9 +199,7 @@ def _truncated_on_gamma_mesh(f1, f2, on_boundary):
     # bounds -0.3 <= 0.4 + x; states below, between and above them, then one across them
     mesh = build_mesh(2, 4, "x - 0.5")
     f = IntervalMultifunction(mesh, f1, f2, on_boundary=on_boundary)
-    lower, upper = FeFunction.constant(mesh, -0.3), fe_interpolate("0.4 + x", mesh)
-    key = "f_gamma" if on_boundary else "f"
-    td = TruncationData.from_bounds(lower, upper, **{key: f})
+    td = TruncationData(FeFunction.constant(mesh, -0.3), fe_interpolate("0.4 + x", mesh))
     rng = np.random.default_rng(61)
     states = [FeFunction.constant(mesh, c) for c in (-2.0, 0.0, 2.0)]
     states.append(FeFunction(mesh, rng.uniform(-2.0, 2.0, size=mesh.n_nodes)))
@@ -249,7 +245,8 @@ def test_truncation_that_jumps_or_reads_s_is_not_fixed(f1, f2, rule):
     f0 = truncate_multifunction(f, td)
     assert isinstance(f0, TruncatedMultifunction) and f0.reads_s
     below, between, above, across = (f0.select(u, rule) for u in states)
-    assert _bits(below) == _bits(td.eta_lower) and _bits(above) == _bits(td.eta_upper)
+    assert _bits(below) == _bits(f.select(td.lower, "lower"))
+    assert _bits(above) == _bits(f.select(td.upper, "upper"))
     np.testing.assert_array_equal(between, f.select(states[1], rule))
     assert _bits(below) != _bits(above)
     assert _bits(across) not in {_bits(below), _bits(between), _bits(above)}

@@ -270,12 +270,11 @@ def test_build_auxiliary_single_pair():
     prob, mesh = make_problem(1, 16, f=("-1", "1"))
     lower = fe_interpolate("-x*(1-x)/2 - 0.001", mesh)
     upper = fe_interpolate("x*(1-x)/2 + 0.001", mesh)
-    td = TruncationData.from_bounds(lower, upper, f=prob.f)
-    aux_prob = build_auxiliary(prob, td)
+    aux_prob = build_auxiliary(prob, TruncationData(lower, upper))
     assert aux_prob.aux is not None
     u, eta, zeta, rep = solve_vi(aux_prob, SolverOptions(tol=1e-10, selection="upper"))
     assert rep.converged
-    assert rep.enclosure_status["enclosed"]
+    assert np.all(lower.coeffs - u.coeffs <= 1e-9) and np.all(u.coeffs - upper.coeffs <= 1e-9)
     # inside the bounds the auxiliary residual is the original residual
     assert vi_residual(prob, u, eta, zeta) <= 1e-9
 
@@ -283,7 +282,7 @@ def test_build_auxiliary_single_pair():
 def test_auxiliary_degenerate_interval_keeps_solution():
     prob, mesh = make_problem(1, 8, f=("2", "2"))
     u, eta, zeta, rep = solve_vi(prob, SolverOptions(tol=1e-11))
-    td = TruncationData.from_bounds(u, u, f=prob.f)
+    td = TruncationData(u, u)
     aux_prob = build_auxiliary(prob, td)
     u2, eta2, zeta2, rep2 = solve_vi(aux_prob, SolverOptions(tol=1e-9))
     assert rep2.converged
@@ -383,7 +382,7 @@ def test_coercivity_probe_norm_budget(monkeypatch):
 
 def test_max_iter_exhaustion_flagged():
     prob, mesh = make_problem(1, 32, p="1.5", q="2.5", f=("5", "5"))
-    u, eta, zeta, rep = solve_vi(prob, SolverOptions(tol=1e-13, max_iter=1, max_outer=1))
+    u, eta, zeta, rep = solve_vi(prob, SolverOptions(tol=1e-13, max_iter=1))
     assert not rep.converged
     assert "not converged" in rep.message
 
@@ -449,7 +448,6 @@ def test_report_fields():
     prob, mesh = make_problem(1, 8, f=("1", "1"))
     u, eta, zeta, rep = solve_vi(prob)
     assert rep.converged
-    assert rep.wall_time >= 0.0
     assert rep.selection_rule == "midpoint"
     assert len(rep.residual_history) >= 1
 
