@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .expr import ExprError
 from .extremal import (
     EnclosureError,
     OrderedInterval,
@@ -182,7 +181,7 @@ def build_problem(cfg):
                 mesh, str(cfg["f_gamma"]["f1"]), str(cfg["f_gamma"]["f2"]), on_boundary=True
             )
         prob = VIProblem(op, cs, f, f_gamma)
-    except (ExprError, ValueError) as exc:
+    except ValueError as exc:  # ExprError among them
         raise ConfigError(str(exc)) from None
     return prob
 
@@ -257,7 +256,6 @@ def _report_payload(report):
         "residual": report.residual,
         "selection_rule": report.selection_rule,
         "active_set_history": report.active_set_history,
-        "enclosure_status": None,  # a plain solve has no bounds to enclose it
         "message": report.message,
     }
 
@@ -417,13 +415,10 @@ def main(argv=None) -> int:
         if not existing.is_dir():
             raise ConfigError(f"output path {existing} is not a directory")
         return _COMMANDS[args.command](cfg, args, out)
-    except (ConfigError, ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SolverError, EnclosureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and ExprError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

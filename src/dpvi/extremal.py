@@ -21,7 +21,7 @@ the frozen-variable fixed point run one loop, ``_monotone_iteration``: down
 from the supersolution and up from the subsolution, with one drift check
 and one stop test.  Every enclosed solve of the extremal iterations is
 warm-started from a solution it refines: the previous iterate of its side,
-or on the first step the fixed bound (greatest side) or the greatest
+or on the first step the fixed bound, or in ``extremal_pair`` the greatest
 candidate of the same interval (smallest side).  None runs Newton from the
 bound that moves, where the truncation of an interval reaction jumps from
 the rule-selected endpoint to the frozen opposite one; a first step starts
@@ -295,9 +295,9 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
     Returns ``(u, report)`` where u solves the *original* problem with
     residual at most the solver tolerance and lies inside the interval.  The
     auxiliary iterate's distances below and above the bounds are recorded in
-    ``report.enclosure_status``; one over 10 tol raises :class:`EnclosureError`
-    with the worst node, as a failed certificate or solver failure is never
-    silently accepted.
+    ``report.enclosure_status`` (``below_lower``, ``above_upper``); one over
+    10 tol raises :class:`EnclosureError` with the worst node, as a failed
+    certificate or solver failure is never silently accepted.
     """
     opts = opts or SolverOptions()
     if not oi.certified():
@@ -316,7 +316,7 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
             f"enclosure violated by {max(below, above):.3e} at node {node}; "
             "certificate or solver failure"
         )
-    status = {"below_lower": below, "above_upper": above, "enclosed": True}
+    status = {"below_lower": below, "above_upper": above}
     report = EnclosedReport(**vars(report), enclosure_status=status)
     u = FeFunction(u.mesh, np.clip(u.coeffs, oi.lower.coeffs, oi.upper.coeffs))
 
@@ -392,7 +392,9 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
     The greatest candidate is approached from the upper bound with lower
     endpoint selections (the weakest reaction leaves the largest solution);
     the smallest candidate symmetrically from below with upper endpoint
-    selections.  Returns ``(candidate, members, history)``.
+    selections.  Returns ``(candidate, members, history)``; a member beyond
+    the candidate by over 10 tol (above it on the greatest side, below it on
+    the smallest) raises :class:`EnclosureError`.
 
     The first step takes the certificate of its bound from ``oi``; each later
     step certifies its new bound.
@@ -430,6 +432,9 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
 
     bound = oi.upper if side == "greatest" else oi.lower
     u, history = _monotone_iteration(side, bound, opts, step, "extremal iteration")
+    sign, tol = (1.0 if side == "greatest" else -1.0), 10 * opts.tol
+    if any(np.any(sign * m.coeffs > sign * u.coeffs + tol) for m in members):
+        raise EnclosureError(f"a collected solution escapes the {side} candidate")
     return u, members, history
 
 
@@ -441,7 +446,8 @@ def extremal_pair(prob: VIProblem, oi: OrderedInterval,
     every intermediate converged iterate solve the original problem; the
     set's ordering against the pair is certified post hoc and violations
     raise, because the monotone iteration is a heuristic whose output is
-    only accepted with certificates.
+    only accepted with certificates.  Each side checks its members against
+    its own candidate; here each is checked against the other's.
     """
     opts = opts or SolverOptions()
     if not oi.certified():
@@ -455,9 +461,9 @@ def extremal_pair(prob: VIProblem, oi: OrderedInterval,
     tol = 10 * opts.tol
     if np.any(smallest.coeffs > greatest.coeffs + tol):
         raise EnclosureError("extremal candidates out of order")
-    for u in sset.members:
-        if np.any(u.coeffs < smallest.coeffs - tol) or np.any(u.coeffs > greatest.coeffs + tol):
-            raise EnclosureError("a collected solution escapes the extremal pair")
+    if (any(np.any(u.coeffs < smallest.coeffs - tol) for u in members_g)
+            or any(np.any(u.coeffs > greatest.coeffs + tol) for u in members_s)):
+        raise EnclosureError("a collected solution escapes the extremal pair")
     return smallest, greatest, sset
 
 
@@ -475,7 +481,9 @@ def discontinuous_fixed_point(prob: VIProblem, j: TwoArgIntervalMultifunction,
     outer iterations: from the upper bound with greatest frozen solutions
     (nonincreasing iterates) and from the lower bound with smallest frozen
     solutions (nondecreasing), each fixed point solving the original
-    problem.  Violated iterate monotonicity is reported with its index.
+    problem.  Each outer step runs the extremal iteration of its side only,
+    from the bound that stays fixed.  Violated iterate monotonicity is
+    reported with its index.
 
     Returns ``(u_smallest, u_greatest, histories)``.
     """
@@ -496,15 +504,14 @@ def discontinuous_fixed_point(prob: VIProblem, j: TwoArgIntervalMultifunction,
         )
 
     def step(side, k, moving):
-        frozen = j.freeze(moving)
-        probv = replace(prob, f=frozen)
+        probv = replace(prob, f=j.freeze(moving))
         lower, upper = (oi.lower, moving) if side == "greatest" else (moving, oi.upper)
         interval = OrderedInterval(lower, upper, verify_subsolution(lower, probv, "lower"),
                                    verify_supersolution(upper, probv, "upper"))
         _require_certified(interval, f"outer iterate {k}")
-        smallest, greatest, _ = extremal_pair(probv, interval, opts)
-        nxt, rule = (greatest, "lower") if side == "greatest" else (smallest, "upper")
-        return nxt, vi_residual(probv, nxt, *_select_terms(probv, nxt, rule))
+        start = lower if side == "greatest" else upper
+        nxt, _, history = _extremal_iterate(probv, interval, opts, side, start)
+        return nxt, history[-1]["residual"]  # with the side's rule on f and f_gamma
 
     greatest, hist_g = _monotone_iteration("greatest", oi.upper, opts,
                                            partial(step, "greatest"), "outer iterates")

@@ -472,9 +472,6 @@ class FeFunction:
     def constant(cls, mesh, value):
         return cls(mesh, np.full(mesh.n_nodes, float(value)))
 
-    def with_coeffs(self, coeffs):
-        return FeFunction(self.mesh, coeffs)
-
     def values_at_quad(self):
         """Values at interior quadrature points, shape (n_elements, n_qp), read-only."""
         if self._quad is None:

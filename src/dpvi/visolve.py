@@ -61,7 +61,6 @@ from .spaces import ExponentData, ModularKind, luxemburg_norm
 __all__ = [
     "ConstraintSet",
     "VIProblem",
-    "AuxiliaryTerms",
     "SolverOptions",
     "SolveReport",
     "SolverError",
@@ -140,33 +139,15 @@ class ConstraintSet:
 
 
 @dataclass
-class AuxiliaryTerms:
-    """State-dependent penalty attached to an auxiliary problem.
-
-    With a single lower/upper bound pair the compensator corrections vanish
-    identically, so only the penalty contributes; q is the penalty growth
-    exponent field sampled at interior quadrature points.
-    """
-
-    truncation: TruncationData
-    q_field: np.ndarray
-
-    def residual_field(self, u_vals):
-        return penalty(self.truncation, self.q_field, u_vals)
-
-    def slope_field(self, u_vals):
-        return penalty_slope(self.truncation, self.q_field, u_vals)
-
-
-@dataclass
 class VIProblem:
-    """Operator + constraint set + optional interior/boundary reactions."""
+    """Operator + constraint set + optional reactions (interior, boundary),
+    and for an auxiliary problem the bound pair of its penalty (``aux``)."""
 
     operator: DoublePhaseOperator
     constraint: ConstraintSet
     f: object = None  # interval multifunction (interior)
     f_gamma: object = None  # interval multifunction (natural boundary)
-    aux: Optional[AuxiliaryTerms] = None
+    aux: Optional[TruncationData] = None
 
     def __post_init__(self):
         self.constraint.check_admissible(self.mesh)
@@ -222,7 +203,8 @@ def _residual_vector(prob: VIProblem, u: FeFunction, sources):
     for source in sources:
         r = r + source
     if prob.aux is not None:
-        r = r + assemble_source(prob.aux.residual_field(u.values_at_quad()), prob.mesh, "interior")
+        pen = penalty(prob.aux, prob.exponents.q, u.values_at_quad())
+        r = r + assemble_source(pen, prob.mesh, "interior")
     return r
 
 
@@ -368,7 +350,8 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
             # penalty and selection slopes do not depend on the smoothing eps
             slopes = []
             if prob.aux is not None:
-                slopes.append((mesh.layout("interior"), prob.aux.slope_field(uf.values_at_quad())))
+                slope = penalty_slope(prob.aux, prob.exponents.q, uf.values_at_quad())
+                slopes.append((mesh.layout("interior"), slope))
             for mf in (prob.f, prob.f_gamma) if frozen is None else ():
                 if mf is not None:
                     slopes.append((mf.layout, _selection_slope(mf, uf, rule)))
@@ -475,7 +458,8 @@ def build_auxiliary(prob: VIProblem, td: TruncationData) -> VIProblem:
     """Auxiliary problem: truncated reactions plus the interval penalty.
 
     The lower-order term becomes the truncation of ``f`` (and of the
-    boundary reaction) between the bounds of ``td``, and the penalty enters
+    boundary reaction) between the bounds of ``td``, and ``td`` itself
+    becomes the problem's ``aux``, so the penalty against its bounds enters
     the residual with a positive sign.  With a single lower/upper bound pair
     the compensator corrections vanish identically and are omitted.  A
     converged solution lying inside the bounds makes the penalty vanish and
@@ -488,8 +472,7 @@ def build_auxiliary(prob: VIProblem, td: TruncationData) -> VIProblem:
     f0_gamma = (
         truncate_multifunction(prob.f_gamma, td) if prob.f_gamma is not None else None
     )
-    aux = AuxiliaryTerms(truncation=td, q_field=prob.exponents.q)
-    return prob.with_terms(f=f0, f_gamma=f0_gamma, aux=aux)
+    return prob.with_terms(f=f0, f_gamma=f0_gamma, aux=td)
 
 
 # ---------------------------------------------------------------------------

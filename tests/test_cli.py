@@ -40,6 +40,8 @@ def test_solve_obstacle(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
     assert report["residual"] <= 1e-9
+    assert set(report) == {"active_set_history", "converged", "message", "newton_iterations",
+                           "residual", "selection_rule"}
 
 
 def test_solve_box(tmp_path):

@@ -1,9 +1,12 @@
+import argparse
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dpvi import extremal
+from dpvi.cli import build_problem, load_config, make_interval, solver_options
 from dpvi.extremal import (
     EnclosureError,
     OrderedInterval,
@@ -19,6 +22,9 @@ from dpvi.multifun import IntervalMultifunction, TwoArgIntervalMultifunction
 from dpvi.operator import DoublePhaseOperator
 from dpvi.spaces import ExponentData
 from dpvi.visolve import ConstraintSet, SolverOptions, VIProblem, solve_vi, vi_residual
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def make_problem(dim=1, n=8, p="2", q="3", mu="0", constraint=None, f=None):
@@ -139,6 +145,8 @@ def test_enclosure_pipeline_obstacle():
     assert np.max(np.abs(u.coeffs - u_direct.coeffs)) <= 1e-8
     assert np.all(u.coeffs >= oi.lower.coeffs - 1e-9)
     assert np.all(u.coeffs <= oi.upper.coeffs + 1e-9)
+    # only the distances: a report that is returned is always enclosed
+    assert set(rep.enclosure_status) == {"below_lower", "above_upper"}
 
 
 def test_enclosure_degenerate_interval():
@@ -416,10 +424,52 @@ def test_extremal_iteration_not_monotone_raises(monkeypatch):
 def test_fixed_point_outer_iterates_not_monotone_raises(monkeypatch):
     prob, mesh, oi = _interval_problem()
     j = TwoArgIntervalMultifunction(mesh, "-1", "1")
-    monkeypatch.setattr(extremal, "extremal_pair", _altered_on_call(
-        extremal.extremal_pair, 2, lambda out: (out[0], _up(out[1]), out[2])))
+    monkeypatch.setattr(extremal, "_extremal_iterate", _altered_on_call(
+        extremal._extremal_iterate, 2, lambda out: (_up(out[0]), *out[1:])))
     with pytest.raises(EnclosureError, match="outer iterates not monotone at step 2"):
         discontinuous_fixed_point(prob.with_terms(f=None), j, oi, SolverOptions(tol=1e-10))
+
+
+@pytest.mark.parametrize("side, shift", [("greatest", -1e-3), ("smallest", 1e-3)])
+def test_fixed_point_member_beyond_its_candidate_raises(monkeypatch, side, shift):
+    # the first extremal iteration of the side returns a candidate moved into
+    # the interval, so its collected solutions lie beyond it.  (A moved member
+    # would start the next enclosed solve on the moving bound, which fails.)
+    prob, mesh, oi = _interval_problem()
+    j = TwoArgIntervalMultifunction(mesh, "-1", "1")
+    iterate, moved = extremal._monotone_iteration, []
+
+    def monotone(side_, start, opts, step, what):
+        u, history = iterate(side_, start, opts, step, what)
+        if what == "extremal iteration" and side_ == side and not moved:
+            moved.append(u)
+            u = FeFunction(mesh, u.coeffs + shift * mesh.free_node_mask)
+        return u, history
+
+    monkeypatch.setattr(extremal, "_monotone_iteration", monotone)
+    with pytest.raises(EnclosureError, match=f"a collected solution escapes the {side} candidate"):
+        discontinuous_fixed_point(prob.with_terms(f=None), j, oi, SolverOptions(tol=1e-10))
+    assert moved
+
+
+def test_fixed_point_runs_one_side_per_outer_step(monkeypatch):
+    # robin_step.yaml's problem: 2 bound solves, then 4 enclosed solves, each
+    # outer step solving only for the extremal of its own side
+    cfg = load_config(CONFIGS / "robin_step.yaml")
+    prob = build_problem(cfg)
+    opts = solver_options(cfg, argparse.Namespace(tol=None, max_iter=None, selection=None,
+                                                  seed=None))
+    calls = _counting_solves(monkeypatch)
+
+    def other_side(*args):
+        raise AssertionError("the fixed point computed both extremals")
+
+    monkeypatch.setattr(extremal, "extremal_pair", other_side)
+    oi = make_interval(prob, cfg, opts, "extremal")
+    j = TwoArgIntervalMultifunction(prob.mesh, cfg["j"]["j1"], cfg["j"]["j2"])
+    smallest, greatest, _ = discontinuous_fixed_point(prob, j, oi, opts)
+    assert np.all(smallest.coeffs <= greatest.coeffs)
+    assert len(calls) == 6
 
 
 def test_failed_certificate_names_the_iterate(monkeypatch):
