@@ -4,7 +4,7 @@ by the variable-exponent double-phase operator.
 The package is organized bottom-up:
 
 * :mod:`dpvi.expr`     expression parsing for configuration data
-* :mod:`dpvi.mesh`     interval/triangle meshes, P1 functions, traces
+* :mod:`dpvi.mesh`     interval/triangle meshes, P1 functions, assembly layouts
 * :mod:`dpvi.spaces`   variable-exponent modulars and Luxemburg norms
 * :mod:`dpvi.operator` the double-phase operator, energy, Jacobian
 * :mod:`dpvi.multifun` interval reactions, truncation, penalty, compensators
@@ -13,7 +13,7 @@ The package is organized bottom-up:
 * :mod:`dpvi.cli`      configuration-driven batch interface
 """
 
-from .expr import eval_expression, parse_expression, serialize_expression
+from .expr import eval_expression, parse_expression
 from .extremal import (
     CertificateReport,
     EnclosureError,
@@ -26,7 +26,7 @@ from .extremal import (
     verify_subsolution,
     verify_supersolution,
 )
-from .mesh import FeFunction, Mesh, build_mesh, fe_interpolate, join, lattice_op, meet, trace
+from .mesh import FeFunction, Mesh, build_mesh, fe_interpolate
 from .multifun import (
     IntervalMultifunction,
     TruncationData,

@@ -217,13 +217,13 @@ def make_interval(prob, cfg, opts, command):
         )
     if not ("k1" in bcfg and "k2" in bcfg):
         raise ConfigError("bounds block needs k1/k2 or u_lower/u_upper")
-    c_psi = cfg.get("constraint", {}).get("c_psi")
+    ccfg = cfg.get("constraint", {})
     return construct_obstacle_bounds(
         prob,
         str(bcfg["k1"]),
         str(bcfg["k2"]),
-        c_psi=float(c_psi) if c_psi is not None else None,
-        margin=float(bcfg.get("margin", 1e-3)),
+        c_psi=_number("constraint", ccfg, "c_psi", None) if "c_psi" in ccfg else None,
+        margin=_number("bounds", bcfg, "margin", 1e-3),
         opts=opts,
     )
 

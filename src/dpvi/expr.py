@@ -15,7 +15,9 @@ Grammar (recursive descent, standard precedence):
     atom    := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
 Recognised calls: min, max (binary) and abs, exp, log, sin, cos, sqrt (unary).
-Variable names are restricted to an allow-set declared at parse time.
+Variable names are restricted to an allow-set declared at parse time.  Every
+sub-expression passes through ``factor``, which makes nesting deeper than
+``_MAX_DEPTH`` levels a syntax error before it exhausts Python's recursion.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "ExprAst",
     "parse_expression",
     "eval_expression",
-    "serialize_expression",
 ]
 
 
@@ -54,6 +55,7 @@ class ExprEvalError(ExprError):
 
 _UNARY_CALLS = ("abs", "exp", "log", "sin", "cos", "sqrt")
 _BINARY_CALLS = ("min", "max")
+_MAX_DEPTH = 100  # nesting levels the parser accepts, each about 5 Python frames
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.allowed_vars = frozenset(allowed_vars)
+        self.depth = 0  # sub-expressions open around the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -182,10 +185,18 @@ class _Parser:
         return node
 
     def factor(self):
+        if self.depth > _MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {_MAX_DEPTH} levels", self.peek().offset
+            )
+        self.depth += 1
         if self.peek().kind == "-":
             self.advance()
-            return Unary("neg", self.factor())
-        return self.power()
+            node = Unary("neg", self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -326,40 +337,3 @@ def variables_of(ast):
         return variables_of(ast.left) | variables_of(ast.right)
     raise TypeError(f"not an expression node: {ast!r}")
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _serialize(ast, parent_prec):
-    if isinstance(ast, Const):
-        return repr(ast.value)
-    if isinstance(ast, Var):
-        return ast.name
-    if isinstance(ast, Unary):
-        if ast.op == "neg":
-            inner = _serialize(ast.arg, _PREC["neg"])
-            text = f"-{inner}"
-            return f"({text})" if parent_prec > _PREC["neg"] else text
-        return f"{ast.op}({_serialize(ast.arg, 0)})"
-    if isinstance(ast, Binary):
-        if ast.op in ("min", "max"):
-            return f"{ast.op}({_serialize(ast.left, 0)}, {_serialize(ast.right, 0)})"
-        prec = _PREC[ast.op]
-        if ast.op == "^":
-            # right associative: parenthesize a left operand of equal precedence
-            left = _serialize(ast.left, prec + 1)
-            right = _serialize(ast.right, prec)
-        else:
-            left = _serialize(ast.left, prec)
-            right = _serialize(ast.right, prec + 1)
-        text = f"{left} {ast.op} {right}" if ast.op in "+-" else f"{left}{ast.op}{right}"
-        return f"({text})" if parent_prec > prec else text
-    raise TypeError(f"not an expression node: {ast!r}")
-
-
-def serialize_expression(ast):
-    """Render ``ast`` back to a string that parses to an equivalent tree."""
-    return _serialize(ast, 0)

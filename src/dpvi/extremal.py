@@ -89,20 +89,15 @@ class CertificateReport:
 
 
 @dataclass
-class OrderedInterval:
-    """Certified bound pair, optionally carrying its construction data."""
+class OrderedInterval(TruncationData):
+    """Certified bound pair, optionally carrying its construction data; it is
+    its own truncation bound pair, whose checks (one mesh, ordered) it keeps."""
 
-    lower: FeFunction
-    upper: FeFunction
     lower_certificate: Optional[CertificateReport] = None
     upper_certificate: Optional[CertificateReport] = None
     M: float = 0.0
     u1: Optional[FeFunction] = None
     u2: Optional[FeFunction] = None
-
-    def __post_init__(self):
-        if np.any(self.lower.coeffs > self.upper.coeffs):
-            raise ValueError("interval out of order: lower > upper at some node")
 
     def certified(self):
         return (
@@ -293,7 +288,8 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
     """Solve inside a certified interval via the truncated-penalized problem.
 
     Returns ``(u, report)`` where u solves the *original* problem with
-    residual at most the solver tolerance and lies inside the interval.  The
+    residual at most the solver tolerance and lies inside the interval.
+    ``oi`` is itself the bound pair of the truncation and the penalty.  The
     auxiliary iterate's distances below and above the bounds are recorded in
     ``report.enclosure_status`` (``below_lower``, ``above_upper``); one over
     10 tol raises :class:`EnclosureError` with the worst node, as a failed
@@ -302,8 +298,7 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
     opts = opts or SolverOptions()
     if not oi.certified():
         raise ValueError("interval certificates missing or failed; cannot enclose")
-    td = TruncationData(oi.lower, oi.upper)
-    u, eta, zeta, report = solve_vi(build_auxiliary(prob, td), opts)
+    u, eta, zeta, report = solve_vi(build_auxiliary(prob, oi), opts)
     if not report.converged:
         raise SolverError(f"auxiliary solve failed: {report.message}")
 
@@ -320,7 +315,7 @@ def solve_enclosed(prob: VIProblem, oi: OrderedInterval,
     report = EnclosedReport(**vars(report), enclosure_status=status)
     u = FeFunction(u.mesh, np.clip(u.coeffs, oi.lower.coeffs, oi.upper.coeffs))
 
-    pen = penalty(td, prob.exponents.q, u.values_at_quad())
+    pen = penalty(oi, prob.exponents.q, u.values_at_quad())
     if float(np.max(np.abs(pen))) > 10 * tol:
         raise EnclosureError("penalty does not vanish at the converged iterate")
 

@@ -1,4 +1,4 @@
-"""Meshes, P1 Lagrange functions, quadrature, boundary partition and traces.
+"""Meshes, P1 Lagrange functions, quadrature and the boundary partition.
 
 Reference domains are the unit interval (0,1) and the unit square (0,1)^2.
 The 2D mesh is a structured triangulation (two right triangles per cell).
@@ -17,11 +17,12 @@ for boundary fields.
 All P1 assembly lives here, in one :class:`Layout` per quadrature layout
 (cells, gamma facets, gamma0 facets): values at quadrature points, dual
 vectors, and CSR data on one pattern per mesh shared by all its layouts.
-Other modules assemble only through a layout or the mesh; none scatters by
-itself.  Every matrix assembled here (the operator's Jacobian and the
-weighted masses) is a sum of symmetric element matrices, so it is assembled
-from their entries on the element edges and, unless the rows sum to zero,
-on the diagonal (:meth:`Layout.matrix_data`).  One plan per mesh, built on
+Other modules assemble only through a layout or the mesh, and read boundary
+data (facets, quadrature, traces) only from the ``boundary_gamma`` and
+``boundary_gamma0`` layouts.  Every matrix assembled here (the operator's
+Jacobian and the weighted masses) is a sum of symmetric element matrices,
+so it is assembled from their entries on the element edges and, unless the
+rows sum to zero, on the diagonal (:meth:`Layout.matrix_data`).  One plan per mesh, built on
 first use with one sort over the element edges and the nodes, gives the
 pattern (the diagonal plus the element edges) and the CSR slots of every
 element edge above and below the diagonal and of every node's diagonal.
@@ -45,10 +46,6 @@ __all__ = [
     "FeFunction",
     "build_mesh",
     "fe_interpolate",
-    "lattice_op",
-    "meet",
-    "join",
-    "trace",
 ]
 
 # 3-point Gauss-Legendre on [0,1]: exact through degree 5
@@ -346,18 +343,6 @@ class Mesh:
         indptr, indices, _, _ = self._assembly_plan
         return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(self.n_nodes,) * 2)
 
-    def boundary(self, tag):
-        """Boundary data dict for ``tag`` or None if no facet carries it."""
-        lay = self._layouts["boundary_" + tag]
-        if len(lay.conn) == 0:
-            return None
-        return {
-            "facets": lay.conn,
-            "quad_points": lay.points,
-            "quad_weights": lay.weights,
-            "basis": lay.basis,
-        }
-
     def sample(self, ast: ExprAst):
         """Evaluate a spatial expression at all interior quadrature points."""
         pts = self.quad_points
@@ -485,13 +470,6 @@ class FeFunction:
             self._grad = _freeze(np.einsum("ei,eid->ed", local, self.mesh.grad_basis))
         return self._grad
 
-    def boundary_values(self, tag):
-        """Values at boundary quadrature points of ``tag`` facets, (nf, nbq)."""
-        lay = self.mesh.layout("boundary_" + tag)
-        if len(lay.conn) == 0:
-            raise ValueError(f"no boundary facets tagged {tag!r}")
-        return lay.values(self.coeffs)
-
     def __add__(self, other):
         if isinstance(other, FeFunction):
             self._check_mesh(other)
@@ -525,6 +503,13 @@ class FeFunction:
             for i, (xy, v) in enumerate(zip(self.mesh.nodes, self.coeffs)):
                 lines.append(f"{i},{float(xy[0])!r},{float(xy[1])!r},{float(v)!r}")
         return "\n".join(lines) + "\n"
+
+
+def _grad_magnitude(grad):
+    """|grad u| per element from its (n_elements, dim) gradient
+    (:meth:`FeFunction.gradient_at_elements`), without squaring, which would
+    underflow or overflow far from unit scale."""
+    return np.abs(grad[:, 0]) if grad.shape[1] == 1 else np.hypot(grad[:, 0], grad[:, 1])
 
 
 def build_mesh(dim, subdivisions, gamma_predicate=None):
@@ -585,26 +570,3 @@ def fe_interpolate(expr, mesh: Mesh):
     values = eval_expression(expr, _spatial_bindings(mesh.nodes, mesh.dim))
     return FeFunction(mesh, np.broadcast_to(np.asarray(values, dtype=float), (mesh.n_nodes,)))
 
-
-def lattice_op(u: FeFunction, v: FeFunction, kind):
-    """Nodal lattice operation: ``meet`` = pointwise min, ``join`` = max."""
-    if u.mesh is not v.mesh:
-        raise ValueError("lattice operands live on different meshes")
-    if kind == "meet":
-        return FeFunction(u.mesh, np.minimum(u.coeffs, v.coeffs))
-    if kind == "join":
-        return FeFunction(u.mesh, np.maximum(u.coeffs, v.coeffs))
-    raise ValueError(f"kind must be 'meet' or 'join', got {kind!r}")
-
-
-def meet(u, v):
-    return lattice_op(u, v, "meet")
-
-
-def join(u, v):
-    return lattice_op(u, v, "join")
-
-
-def trace(u: FeFunction, tag):
-    """Values of ``u`` at the boundary quadrature points of ``tag`` facets."""
-    return u.boundary_values(tag)

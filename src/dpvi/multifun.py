@@ -4,7 +4,7 @@ A multi-valued reaction f(x,s) with closed convex values in R is exactly an
 interval [f1(x,s), f2(x,s)]; endpoints are user expressions.  A two-argument
 variant [j1(x,r,s), j2(x,r,s)] supports the discontinuous fixed-point
 scheme, where the extra variable is frozen to a finite-element function
-between outer iterations.
+between outer iterations.  Both parse and evaluate their endpoints alike.
 
 Given an ordered pair of bound functions (lower, upper), this module builds
 
@@ -75,6 +75,34 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _parse_endpoints(mesh: Mesh, names, endpoints, state_vars):
+    """Endpoint ASTs (strings are parsed) that read only space and ``state_vars``."""
+    allowed = _SPATIAL_VARS[:mesh.dim] + state_vars
+    asts = [parse_expression(e, allowed) if isinstance(e, str) else e for e in endpoints]
+    for name, ast in zip(names, asts):
+        extra = variables_of(ast) - set(allowed)
+        if extra:
+            raise ValueError(f"{name} uses unknown variables {sorted(extra)}")
+    return asts
+
+
+def _eval_endpoints(mf, names, points, shape, state):
+    """``(lo, hi)`` of ``mf`` at ``points`` and the ``state`` bindings, broadcast
+    to ``shape``; endpoints out of order raise, naming the worst point."""
+    bindings = {**_spatial_bindings(points, mf.mesh.dim), **state}
+    lo = np.broadcast_to(np.asarray(eval_expression(mf.lower, bindings), float), shape)
+    hi = np.broadcast_to(np.asarray(eval_expression(mf.upper, bindings), float), shape)
+    if np.any(lo > hi):
+        pts = np.broadcast_to(np.asarray(points, float), shape + (mf.mesh.dim,))
+        idx = np.unravel_index(np.argmax(lo - hi), shape)
+        raise ValueError(
+            f"interval endpoints out of order ({names[0]} > {names[1]}) at point "
+            f"{tuple(float(c) for c in pts[idx])}: "
+            f"[{float(lo[idx])}, {float(hi[idx])}]"
+        )
+    return lo.copy(), hi.copy()
+
+
 class IntervalMultifunction:
     """f(x,s) = [f1(x,s), f2(x,s)] from endpoint expressions.
 
@@ -84,34 +112,15 @@ class IntervalMultifunction:
     """
 
     def __init__(self, mesh: Mesh, lower, upper, on_boundary=False):
-        allowed = _SPATIAL_VARS[:mesh.dim] + ("s",)
         self.mesh = mesh
-        self.lower = parse_expression(lower, allowed) if isinstance(lower, str) else lower
-        self.upper = parse_expression(upper, allowed) if isinstance(upper, str) else upper
+        self.lower, self.upper = _parse_endpoints(mesh, ("f1", "f2"), (lower, upper), ("s",))
         self.layout = mesh.layout("boundary_gamma" if on_boundary else "interior")
-        for name, ast in (("f1", self.lower), ("f2", self.upper)):
-            extra = variables_of(ast) - set(allowed)
-            if extra:
-                raise ValueError(f"{name} uses unknown variables {sorted(extra)}")
         self._fixed = {}  # rule -> read-only field, when no endpoint reads s
 
     def eval_interval(self, points, s):
         """Endpoint values ([lo, hi]) at ``points`` for state values ``s``."""
         s = np.asarray(s, dtype=float)
-        bindings = _spatial_bindings(points, self.mesh.dim)
-        bindings["s"] = s
-        lo = np.broadcast_to(np.asarray(eval_expression(self.lower, bindings), float), s.shape)
-        hi = np.broadcast_to(np.asarray(eval_expression(self.upper, bindings), float), s.shape)
-        bad = lo > hi
-        if np.any(bad):
-            pts = np.broadcast_to(np.asarray(points, float), s.shape + (self.mesh.dim,))
-            idx = np.unravel_index(np.argmax(lo - hi), s.shape)
-            raise ValueError(
-                "interval endpoints out of order (f1 > f2) at point "
-                f"{tuple(float(c) for c in pts[idx])}: "
-                f"[{float(lo[idx])}, {float(hi[idx])}]"
-            )
-        return lo.copy(), hi.copy()
+        return _eval_endpoints(self, ("f1", "f2"), points, s.shape, {"s": s})
 
     @cached_property
     def reads_s(self):
@@ -138,23 +147,15 @@ class TwoArgIntervalMultifunction:
     """
 
     def __init__(self, mesh: Mesh, lower, upper):
-        allowed = _SPATIAL_VARS[:mesh.dim] + ("r", "s")
         self.mesh = mesh
-        self.lower = parse_expression(lower, allowed) if isinstance(lower, str) else lower
-        self.upper = parse_expression(upper, allowed) if isinstance(upper, str) else upper
+        self.lower, self.upper = _parse_endpoints(mesh, ("j1", "j2"), (lower, upper), ("r", "s"))
 
     def eval_interval(self, points, r, s):
+        """Endpoint values ([lo, hi]) at ``points`` for frozen values ``r`` and states ``s``."""
         r = np.asarray(r, dtype=float)
         s = np.asarray(s, dtype=float)
-        bindings = _spatial_bindings(points, self.mesh.dim)
-        bindings["r"] = r
-        bindings["s"] = s
         shape = np.broadcast_shapes(r.shape, s.shape)
-        lo = np.broadcast_to(np.asarray(eval_expression(self.lower, bindings), float), shape)
-        hi = np.broadcast_to(np.asarray(eval_expression(self.upper, bindings), float), shape)
-        if np.any(lo > hi):
-            raise ValueError("interval endpoints out of order (j1 > j2)")
-        return lo.copy(), hi.copy()
+        return _eval_endpoints(self, ("j1", "j2"), points, shape, {"r": r, "s": s})
 
     def freeze(self, r_func: FeFunction):
         """Bind r to a finite-element function, yielding a one-argument interval."""
@@ -216,7 +217,8 @@ class FrozenIntervalMultifunction:
 
 @dataclass
 class TruncationData:
-    """Ordered bound pair ``lower <= upper`` of P1 functions on one mesh."""
+    """Ordered bound pair ``lower <= upper`` of P1 functions on one mesh
+    (every certified :class:`dpvi.extremal.OrderedInterval` is one)."""
 
     lower: FeFunction
     upper: FeFunction

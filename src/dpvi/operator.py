@@ -32,16 +32,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import FeFunction, Mesh
+from .mesh import FeFunction, Mesh, _grad_magnitude
 from .spaces import ExponentData
 
 __all__ = ["DoublePhaseOperator"]
-
-
-def _grad_magnitude(grad):
-    """|grad u| per element from its (n_elements, dim) gradient, without squaring,
-    which would underflow or overflow far from unit scale."""
-    return np.abs(grad[:, 0]) if grad.shape[1] == 1 else np.hypot(grad[:, 0], grad[:, 1])
 
 
 def _dot(a, b):

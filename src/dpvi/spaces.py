@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import parse_expression
-from .mesh import _SPATIAL_VARS, FeFunction, Mesh
+from .mesh import _SPATIAL_VARS, FeFunction, Mesh, _grad_magnitude
 
 __all__ = [
     "ExponentData",
@@ -39,10 +39,9 @@ class ExponentData:
     """Exponents p, q and weight mu sampled at interior quadrature points.
 
     Carries the scalar bounds p_minus/p_plus/q_minus/q_plus (extrema over the
-    sampled points) and the critical exponent fields
+    sampled points) and the critical exponent field
 
-        p_star(x)  = N p(x) / (N - p(x)),
-        p_star_bd(x) = (N-1) p(x) / (N - p(x)),
+        p_star(x) = N p(x) / (N - p(x)),
 
     with the convention p_star = +inf where p(x) >= N, and everywhere in one
     dimension (finite-dimensional desk problems are solved regardless; the
@@ -66,10 +65,8 @@ class ExponentData:
         with np.errstate(divide="ignore", invalid="ignore"):
             denom = self.N - self.p
             self.p_star = np.where(denom > 0, self.N * self.p / denom, np.inf)
-            self.p_star_bd = np.where(denom > 0, (self.N - 1) * self.p / denom, np.inf)
         if self.N == 1:
             self.p_star = np.full_like(self.p, np.inf)
-            self.p_star_bd = np.full_like(self.p, np.inf)
 
     @classmethod
     def from_expressions(cls, mesh: Mesh, p_expr, q_expr, mu_expr):
@@ -188,10 +185,7 @@ def _integrand_terms(kind: ModularKind, ed: ExponentData, u: FeFunction):
         return [(w * ed.mu, a, ed.q)]
     terms = [(w, a, ed.p), (w * ed.mu, a, ed.q)]
     if kind.kind == "sobolev_H":
-        grad = u.gradient_at_elements()
-        # |grad u| without squaring, which would underflow or overflow far from 1
-        g = np.abs(grad[:, 0]) if ed.N == 1 else np.hypot(grad[:, 0], grad[:, 1])
-        g = np.broadcast_to(g[:, None], w.shape)
+        g = np.broadcast_to(_grad_magnitude(u.gradient_at_elements())[:, None], w.shape)
         terms += [(w, g, ed.p), (w * ed.mu, g, ed.q)]
     return terms
 

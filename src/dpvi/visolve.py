@@ -151,7 +151,7 @@ class VIProblem:
 
     def __post_init__(self):
         self.constraint.check_admissible(self.mesh)
-        if self.f_gamma is not None and self.mesh.boundary("gamma") is None:
+        if self.f_gamma is not None and not len(self.mesh.layout("boundary_gamma").conn):
             raise ValueError("boundary multifunction given but no gamma facets exist")
 
     @property
@@ -161,9 +161,6 @@ class VIProblem:
     @property
     def exponents(self) -> ExponentData:
         return self.operator.exponents
-
-    def with_terms(self, f=None, f_gamma=None, aux=None):
-        return replace(self, f=f, f_gamma=f_gamma, aux=aux)
 
 
 @dataclass
@@ -216,15 +213,15 @@ def _complementarity(prob: VIProblem, u_coeffs, r):
     return alpha[mesh.free_node_mask]
 
 
-def _infeasibility(prob: VIProblem, coeffs):
-    """Why nodal ``coeffs`` are infeasible for the problem (to 1e-12), or None."""
+def _infeasibility(prob: VIProblem, coeffs, what="iterate"):
+    """Why the nodal ``coeffs`` of ``what`` are infeasible (to 1e-12), or None."""
     mesh = prob.mesh
     lo, hi = prob.constraint.bounds(mesh)
     feas_tol = 1e-12
     if np.any(coeffs < lo - feas_tol) or np.any(coeffs > hi + feas_tol):
-        return "iterate is infeasible for the constraint set"
+        return f"{what} is infeasible for the constraint set"
     if np.any(np.abs(coeffs[mesh.gamma0_node_mask]) > feas_tol):
-        return "iterate does not vanish on the essential boundary"
+        return f"{what} does not vanish on the essential boundary"
     return None
 
 
@@ -458,9 +455,10 @@ def build_auxiliary(prob: VIProblem, td: TruncationData) -> VIProblem:
     """Auxiliary problem: truncated reactions plus the interval penalty.
 
     The lower-order term becomes the truncation of ``f`` (and of the
-    boundary reaction) between the bounds of ``td``, and ``td`` itself
-    becomes the problem's ``aux``, so the penalty against its bounds enters
-    the residual with a positive sign.  With a single lower/upper bound pair
+    boundary reaction) between the bounds of ``td`` (a certified
+    ``OrderedInterval``, say), and ``td`` itself becomes the problem's
+    ``aux``, so the penalty against its bounds enters the residual with a
+    positive sign.  With a single lower/upper bound pair
     the compensator corrections vanish identically and are omitted.  A
     converged solution lying inside the bounds makes the penalty vanish and
     the truncated reactions coincide with the originals, so it solves the
@@ -472,7 +470,7 @@ def build_auxiliary(prob: VIProblem, td: TruncationData) -> VIProblem:
     f0_gamma = (
         truncate_multifunction(prob.f_gamma, td) if prob.f_gamma is not None else None
     )
-    return prob.with_terms(f=f0, f_gamma=f0_gamma, aux=td)
+    return replace(prob, f=f0, f_gamma=f0_gamma, aux=td)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +494,7 @@ def check_coercivity(prob: VIProblem, u0: FeFunction, radii, samples_per_radius=
     is recorded.  This is a sampling probe: a nonnegative minimum means *no
     violation found at the sampled points*, never a coercivity proof.
     At least one radius is needed, each finite and positive, and at least
-    one sample per radius.
+    one sample per radius.  The base point ``u0`` must lie in K.
     """
     radii = [float(R) for R in radii]
     if not radii:
@@ -506,10 +504,9 @@ def check_coercivity(prob: VIProblem, u0: FeFunction, radii, samples_per_radius=
         raise ValueError(f"coercivity radii must be finite and positive, got {bad[0]!r}")
     if samples_per_radius < 1:
         raise ValueError(f"samples per radius must be at least 1, got {samples_per_radius}")
-    mesh = prob.mesh
-    lo, hi = prob.constraint.bounds(mesh)
-    if np.any(u0.coeffs < lo - 1e-12) or np.any(u0.coeffs > hi + 1e-12):
-        raise ValueError("base point is infeasible")
+    cause = _infeasibility(prob, u0.coeffs, "base point")
+    if cause is not None:
+        raise ValueError(cause)
     rng = np.random.default_rng(seed)
     kind = ModularKind.sobolev()
     rows = []

@@ -328,8 +328,18 @@ def test_malformed_yaml_exits_2(tmp_path, capsys):
      "cannot read configuration file {tmp}/missing.yaml: No such file or directory"),
     ("solve", {}, None, "taken", "output path {tmp}/taken is not a directory"),
     ("solve", {}, None, "taken/o", "output path {tmp}/taken is not a directory"),
+    ("solve", {"exponents": {"p": "(" * 300 + "2" + ")" * 300, "q": "3", "mu": "0"}}, None, "o",
+     "expression nested deeper than 100 levels (offset 102)"),
+    ("extremal", {"bounds": {"k1": "8", "k2": "8", "margin": [1e-3]}}, None, "o",
+     "bounds option 'margin' must be a number, got [0.001]"),
+    ("extremal", {"bounds": {"k1": "8", "k2": "8", "margin": True}}, None, "o",
+     "bounds option 'margin' must be a number, got True"),
+    ("extremal", {"constraint": {"kind": "obstacle", "psi": "-0.5", "c_psi": [0.1]},
+                  "bounds": {"k1": "8", "k2": "8"}}, None, "o",
+     "constraint option 'c_psi' must be a number, got [0.1]"),
 ], ids=["function_without_u", "j_without_j1", "f_without_f2", "config_is_directory",
-        "config_missing", "out_is_file", "out_under_file"])
+        "config_missing", "out_is_file", "out_under_file", "p_nested_300_deep",
+        "margin_is_a_list", "margin_is_a_bool", "c_psi_is_a_list"])
 def test_bad_input_exits_2_naming_the_key_or_path(tmp_path, capsys, command, blocks, config,
                                                   out, message):
     payload = obstacle_config()

@@ -1,8 +1,9 @@
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpvi.expr import (
@@ -10,7 +11,6 @@ from dpvi.expr import (
     ExprSyntaxError,
     eval_expression,
     parse_expression,
-    serialize_expression,
     variables_of,
 )
 
@@ -104,39 +104,88 @@ def test_variables_of():
     assert variables_of(ast) == {"x", "s"}
 
 
-# -- round-trip property ----------------------------------------------------
+def test_nesting_depth_limit():
+    # 100 levels of parentheses or unary minus parse; level 101 is a syntax
+    # error at its token, not a RecursionError
+    assert ev("(" * 100 + "2" + ")" * 100) == 2.0
+    assert ev("-" * 100 + "2") == 2.0
+    for text in ("(" * 101 + "2" + ")" * 101, "-" * 101 + "2", "(" * 300 + "2" + ")" * 300):
+        with pytest.raises(ExprSyntaxError, match="nested deeper than 100 levels") as err:
+            parse_expression(text, ("x",))
+        assert err.value.offset == 102  # the first token at level 101
+
+
+def test_nesting_counts_calls_and_exponents():
+    assert ev("min(" * 100 + "2" + ", 1)" * 100) == 1.0
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        parse_expression("1^" * 101 + "1", ())
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        parse_expression("abs(" * 101 + "2" + ")" * 101, ())
+
+
+# -- parse and evaluate against a Python oracle ---------------------------------
+
+
+class _Undefined(Exception):
+    """The oracle has no value: a fractional power of a negative base."""
+
+
+def _bounded(v):
+    # every intermediate stays far inside the float range, so numpy never
+    # overflows (and warns) in +, - or *
+    assume(abs(v) <= 1e100)
+    return v
+
+
+def _node(text, fn, *subs):
+    """(text, oracle) of a node combining the values of ``subs`` with ``fn``."""
+    return text, lambda x, s: _bounded(fn(*(sub[1](x, s) for sub in subs)))
+
+
+def _power(base, k):
+    def fn(b):
+        if b < 0 and k == "0.5":
+            raise _Undefined
+        return b ** float(k)
+
+    return _node(f"({base[0]})^{k}", fn, base)
+
 
 _leaf = st.one_of(
-    st.floats(min_value=0.1, max_value=9.0).map(lambda v: f"{v:.3f}"),
-    st.sampled_from(["x", "s"]),
+    st.floats(min_value=0.1, max_value=9.0).map(lambda v: f"{v:.3f}").map(
+        lambda t: (t, lambda x, s: float(t))
+    ),
+    st.sampled_from([("x", lambda x, s: x), ("s", lambda x, s: s)]),
 )
 
 _exprs = st.recursive(
     _leaf,
     lambda sub: st.one_of(
-        st.tuples(st.sampled_from(["+", "-", "*"]), sub, sub).map(
-            lambda t: f"({t[1]} {t[0]} {t[2]})"
+        st.tuples(st.sampled_from([("+", operator.add), ("-", operator.sub),
+                                   ("*", operator.mul)]), sub, sub).map(
+            lambda t: _node(f"({t[1][0]} {t[0][0]} {t[2][0]})", t[0][1], t[1], t[2])
         ),
-        st.tuples(sub, sub).map(lambda t: f"min({t[0]}, {t[1]})"),
-        st.tuples(sub, sub).map(lambda t: f"max({t[0]}, {t[1]})"),
-        sub.map(lambda t: f"-({t})"),
-        sub.map(lambda t: f"abs({t})"),
-        st.tuples(sub, st.sampled_from(["2", "3", "0.5"])).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(sub, sub).map(lambda t: _node(f"min({t[0][0]}, {t[1][0]})", min, *t)),
+        st.tuples(sub, sub).map(lambda t: _node(f"max({t[0][0]}, {t[1][0]})", max, *t)),
+        sub.map(lambda t: _node(f"-({t[0]})", operator.neg, t)),
+        sub.map(lambda t: _node(f"abs({t[0]})", abs, t)),
+        st.tuples(sub, st.sampled_from(["2", "3", "0.5"])).map(lambda t: _power(*t)),
     ),
     max_leaves=12,
 )
 
 
-@given(text=_exprs, x=st.floats(0.1, 4.0), s=st.floats(0.1, 4.0))
-@settings(max_examples=120, deadline=None)
-def test_round_trip_evaluates_identically(text, x, s):
+@given(expr=_exprs, x=st.floats(0.1, 4.0), s=st.floats(0.1, 4.0))
+@settings(max_examples=200, deadline=None)
+def test_parse_and_evaluate_match_a_python_oracle(expr, x, s):
+    # numpy's power and Python's round in the last bit differently, hence isclose
+    text, oracle = expr
     ast = parse_expression(text, ("x", "s"))
-    rendered = serialize_expression(ast)
-    ast2 = parse_expression(rendered, ("x", "s"))
-    b = {"x": x, "s": s}
     try:
-        expected = eval_expression(ast, b)
-    except ExprEvalError:
-        return  # domain errors are allowed to differ in message, not in kind
-    got = eval_expression(ast2, b)
-    assert got == expected or math.isclose(got, expected, rel_tol=0, abs_tol=0)
+        expected = oracle(x, s)
+    except _Undefined:
+        with pytest.raises(ExprEvalError):
+            eval_expression(ast, {"x": x, "s": s})
+        return
+    got = eval_expression(ast, {"x": x, "s": s})
+    assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-9)

@@ -18,7 +18,7 @@ from dpvi.extremal import (
     verify_supersolution,
 )
 from dpvi.mesh import FeFunction, build_mesh, fe_interpolate
-from dpvi.multifun import IntervalMultifunction, TwoArgIntervalMultifunction
+from dpvi.multifun import IntervalMultifunction, TruncationData, TwoArgIntervalMultifunction
 from dpvi.operator import DoublePhaseOperator
 from dpvi.spaces import ExponentData
 from dpvi.visolve import ConstraintSet, SolverOptions, VIProblem, solve_vi, vi_residual
@@ -162,6 +162,16 @@ def test_enclosure_requires_certificates():
     bad = OrderedInterval(fe_interpolate("0", mesh), fe_interpolate("1", mesh))
     with pytest.raises(ValueError, match="certificates"):
         solve_enclosed(prob, bad)
+
+
+def test_interval_is_a_checked_bound_pair():
+    # the interval is its own truncation bound pair, with that pair's checks
+    a, b = build_mesh(1, 8), build_mesh(1, 8)
+    with pytest.raises(ValueError, match="bounds live on different meshes"):
+        OrderedInterval(FeFunction.zero(a), FeFunction.zero(b))
+    with pytest.raises(ValueError, match="bounds out of order"):
+        OrderedInterval(FeFunction.constant(a, 1.0), FeFunction.zero(a))
+    assert isinstance(OrderedInterval(FeFunction.zero(a), FeFunction.zero(a)), TruncationData)
 
 
 def test_noncoercive_drift_encloses():
@@ -338,7 +348,7 @@ def test_fixed_point_reduces_without_frozen_dependence():
     prob, mesh = make_problem(1, 16, f=("-1", "1"))
     oi = construct_obstacle_bounds(prob, k1="1", k2="-1")
     j = TwoArgIntervalMultifunction(mesh, "-1", "1")
-    lo_fp, hi_fp, hist = discontinuous_fixed_point(prob.with_terms(f=None), j, oi,
+    lo_fp, hi_fp, hist = discontinuous_fixed_point(dataclasses.replace(prob, f=None), j, oi,
                                                    SolverOptions(tol=1e-10))
     lo, hi, _ = extremal_pair(prob, oi, SolverOptions(tol=1e-10))
     assert np.max(np.abs(lo_fp.coeffs - lo.coeffs)) <= 1e-8
@@ -352,7 +362,7 @@ def test_fixed_point_step_reaction_monotone_iterates():
     j = TwoArgIntervalMultifunction(mesh, f"-1 - 0.5*{step}", f"1 - 0.5*{step}")
     # bounds from the r-independent envelopes: j1 >= -1.5, j2 <= 1
     f_env = IntervalMultifunction(mesh, "-1.5", "1")
-    prob = prob0.with_terms(f=f_env)
+    prob = dataclasses.replace(prob0, f=f_env)
     oi = construct_obstacle_bounds(prob, k1="1", k2="-1.5")
     lo, hi, hist = discontinuous_fixed_point(prob, j, oi, SolverOptions(tol=1e-9))
     assert np.all(lo.coeffs <= hi.coeffs + 1e-12)
@@ -427,7 +437,7 @@ def test_fixed_point_outer_iterates_not_monotone_raises(monkeypatch):
     monkeypatch.setattr(extremal, "_extremal_iterate", _altered_on_call(
         extremal._extremal_iterate, 2, lambda out: (_up(out[0]), *out[1:])))
     with pytest.raises(EnclosureError, match="outer iterates not monotone at step 2"):
-        discontinuous_fixed_point(prob.with_terms(f=None), j, oi, SolverOptions(tol=1e-10))
+        discontinuous_fixed_point(dataclasses.replace(prob, f=None), j, oi, SolverOptions(tol=1e-10))
 
 
 @pytest.mark.parametrize("side, shift", [("greatest", -1e-3), ("smallest", 1e-3)])
@@ -448,7 +458,7 @@ def test_fixed_point_member_beyond_its_candidate_raises(monkeypatch, side, shift
 
     monkeypatch.setattr(extremal, "_monotone_iteration", monotone)
     with pytest.raises(EnclosureError, match=f"a collected solution escapes the {side} candidate"):
-        discontinuous_fixed_point(prob.with_terms(f=None), j, oi, SolverOptions(tol=1e-10))
+        discontinuous_fixed_point(dataclasses.replace(prob, f=None), j, oi, SolverOptions(tol=1e-10))
     assert moved
 
 

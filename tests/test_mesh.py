@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from dpvi import operator as operator_module
 from dpvi.expr import eval_expression, parse_expression
 from dpvi.mesh import (
-    _TRI_BARY, FeFunction, Layout, Mesh, build_mesh, fe_interpolate, join, lattice_op, meet, trace,
+    _TRI_BARY, FeFunction, Layout, Mesh, build_mesh, fe_interpolate,
 )
 from dpvi.multifun import assemble_source
 from dpvi.operator import DoublePhaseOperator
@@ -30,7 +30,7 @@ def test_gamma_predicate_all_gamma():
     m = build_mesh(1, 4, "1")
     tags = {tag for _, tag in m.boundary_facets}
     assert tags == {"gamma"}
-    assert m.boundary("gamma0") is None
+    assert len(m.layout("boundary_gamma0").conn) == 0
     assert m.free_node_mask.all()
 
 
@@ -88,57 +88,22 @@ def test_interpolate_rejects_nonspatial():
         fe_interpolate(ast, m)
 
 
-def test_lattice_ops():
-    m = build_mesh(1, 2)
-    u = FeFunction(m, [0.0, 1.0, 0.0])
-    v = FeFunction(m, [1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(meet(u, u).coeffs, u.coeffs)
-    np.testing.assert_array_equal(join(u, v).coeffs, [1.0, 1.0, 0.0])
-    np.testing.assert_array_equal(
-        (meet(u, v) + join(u, v)).coeffs, (u + v).coeffs
-    )
-
-
-def test_lattice_ordering_random():
-    m = build_mesh(2, 3)
-    rng = np.random.default_rng(7)
-    u = FeFunction(m, rng.normal(size=m.n_nodes))
-    v = FeFunction(m, rng.normal(size=m.n_nodes))
-    lo, hi = meet(u, v), join(u, v)
-    assert np.all(lo.coeffs <= u.coeffs) and np.all(lo.coeffs <= v.coeffs)
-    assert np.all(hi.coeffs >= u.coeffs) and np.all(hi.coeffs >= v.coeffs)
-
-
-def test_lattice_mesh_mismatch():
-    u = FeFunction(build_mesh(1, 2), np.zeros(3))
-    v = FeFunction(build_mesh(1, 2), np.zeros(3))
-    with pytest.raises(ValueError):
-        lattice_op(u, v, "meet")
-
-
 def test_trace_zero_on_gamma0():
     m = build_mesh(1, 4)  # all boundary gamma0
     u = fe_interpolate("x*(1-x)", m)
-    np.testing.assert_allclose(trace(u, "gamma0"), 0.0, atol=1e-15)
+    np.testing.assert_allclose(m.layout("boundary_gamma0").values(u.coeffs), 0.0, atol=1e-15)
 
 
 def test_trace_endpoint_value():
     m = build_mesh(1, 4, "x - 0.5")  # right endpoint natural
     u = fe_interpolate("x", m)
-    np.testing.assert_allclose(trace(u, "gamma"), 1.0)
+    np.testing.assert_allclose(m.layout("boundary_gamma").values(u.coeffs), 1.0)
 
 
 def test_trace_constant():
     m = build_mesh(2, 2, "1")
     u = FeFunction.constant(m, 3.25)
-    np.testing.assert_allclose(trace(u, "gamma"), 3.25)
-
-
-def test_trace_empty_tag_errors():
-    m = build_mesh(1, 2, "1")
-    u = FeFunction.zero(m)
-    with pytest.raises(ValueError):
-        trace(u, "gamma0")
+    np.testing.assert_allclose(m.layout("boundary_gamma").values(u.coeffs), 3.25)
 
 
 def test_csv_layout():
@@ -318,16 +283,14 @@ def test_layout_assembly_matches_reference(dim, n, gamma):
     np.testing.assert_array_equal(
         assemble_source(w, m), _ref_dual(m, m.elements, m.quad_weights, m.basis, w)
     )
-    bd = m.boundary("gamma")
     wg = rng.normal(size=gam.weights.shape)
-    if bd is None:
-        assert gam.weights.shape[0] == 0
+    if len(gam.conn) == 0:
         np.testing.assert_array_equal(assemble_source(wg, m, "boundary_gamma"), 0.0)
     else:
-        facets, bw, bbasis = bd["facets"], bd["quad_weights"], bd["basis"]
-        np.testing.assert_array_equal(u.boundary_values("gamma"), u.coeffs[facets] @ bbasis.T)
+        np.testing.assert_array_equal(gam.values(u.coeffs), u.coeffs[gam.conn] @ gam.basis.T)
         np.testing.assert_array_equal(
-            assemble_source(wg, m, "boundary_gamma"), _ref_dual(m, facets, bw, bbasis, wg)
+            assemble_source(wg, m, "boundary_gamma"),
+            _ref_dual(m, gam.conn, gam.weights, gam.basis, wg),
         )
 
     # matrices: duplicates sum in another order, so equal to rounding, same pattern
@@ -343,8 +306,8 @@ def test_layout_assembly_matches_reference(dim, n, gamma):
     np.testing.assert_array_equal(op.jacobian(u, eps=1e-3).indices, J_ref.indices)
     G = m.csr(gam.mass_data(wg))
     G_ref = sp.csr_matrix(M.shape)
-    if bd is not None:
-        G_ref = _ref_mass(m, facets, bw, bbasis, wg)
+    if len(gam.conn):
+        G_ref = _ref_mass(m, gam.conn, gam.weights, gam.basis, wg)
         # the gamma mass lives on the shared pattern: its nonzeros are the facets' entries
         assert set(zip(*G.nonzero())) == set(zip(*G_ref.nonzero()))
     _assert_close(G.toarray(), G_ref.toarray())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dpvi import visolve
+from dpvi.expr import parse_expression
 from dpvi.mesh import FeFunction, build_mesh, fe_interpolate
 from dpvi.multifun import (
     IntervalMultifunction,
@@ -40,6 +41,21 @@ def test_eval_interval_order_violation(mesh1d):
     f = IntervalMultifunction(mesh1d, "s", "-s")
     with pytest.raises(ValueError, match="out of order"):
         f.eval_interval(np.array([[0.5]]), np.array([1.0]))
+
+
+def test_two_arg_endpoints_checked_like_one_arg(mesh1d):
+    # an AST with an unknown variable is rejected when the reaction is built
+    with pytest.raises(ValueError, match=r"j1 uses unknown variables \['z'\]"):
+        TwoArgIntervalMultifunction(mesh1d, parse_expression("z", ("z",)), "1")
+    with pytest.raises(ValueError, match=r"f2 uses unknown variables \['r'\]"):
+        IntervalMultifunction(mesh1d, "0", parse_expression("r", ("r",)))
+    # endpoints out of order name the worst point, here the largest x
+    j = TwoArgIntervalMultifunction(mesh1d, "x - 0.5", "0")
+    pts = mesh1d.quad_points
+    zero = np.zeros(pts.shape[:-1])
+    with pytest.raises(ValueError, match=r"\(j1 > j2\) at point") as err:
+        j.eval_interval(pts, zero, zero)
+    assert f"at point ({float(pts.max())},)" in str(err.value)
 
 
 def test_selection_rules(mesh1d):
@@ -340,8 +356,8 @@ def test_assemble_source_without_facets_is_float(dim):
 
 def test_assemble_source_boundary_point_mass():
     m = build_mesh(1, 2, "x - 0.5")  # right endpoint gamma
-    bd = m.boundary("gamma")
-    vec = assemble_source(np.ones(bd["quad_weights"].shape), m, where="boundary_gamma")
+    vec = assemble_source(np.ones(m.layout("boundary_gamma").weights.shape), m,
+                          where="boundary_gamma")
     expected = np.zeros(m.n_nodes)
     expected[-1] = 1.0
     np.testing.assert_allclose(vec, expected)

@@ -29,7 +29,6 @@ def test_validate_clean_pair():
     # p* = 2*1.5/0.5 = 6 pointwise
     ed = exponents(m, "1.5", "2", "0")
     np.testing.assert_allclose(ed.p_star, 6.0)
-    np.testing.assert_allclose(ed.p_star_bd, 3.0)
 
 
 def test_validate_flags_supercritical_q():

@@ -289,6 +289,17 @@ def test_auxiliary_degenerate_interval_keeps_solution():
     np.testing.assert_allclose(u2.coeffs, u.coeffs, atol=1e-8)
 
 
+def test_coercivity_probe_base_point_must_lie_in_k():
+    # a whole-space problem has no bounds, but K still vanishes on Gamma0
+    prob, mesh = make_problem(1, 16, f=("0", "0"))
+    with pytest.raises(ValueError, match="base point does not vanish on the essential boundary"):
+        check_coercivity(prob, FeFunction.constant(mesh, 0.5), radii=(1.0,))
+    prob, mesh = make_problem(1, 16, constraint=lambda m: ConstraintSet.obstacle(
+        FeFunction.constant(m, -0.5)))
+    with pytest.raises(ValueError, match="base point is infeasible for the constraint set"):
+        check_coercivity(prob, FeFunction.constant(mesh, -1.0), radii=(1.0,))
+
+
 def test_coercivity_probe_monotone_quadratic():
     prob, mesh = make_problem(1, 16, f=("0", "0"))
     rep = check_coercivity(prob, FeFunction.zero(mesh), radii=(1.0, 2.0, 4.0, 8.0),
