@@ -18,6 +18,10 @@ Recognised calls: min, max (binary) and abs, exp, log, sin, cos, sqrt (unary).
 Variable names are restricted to an allow-set declared at parse time.  Every
 sub-expression passes through ``factor``, which makes nesting deeper than
 ``_MAX_DEPTH`` levels a syntax error before it exhausts Python's recursion.
+A chain such as ``a + b - c ...`` does not nest: the parser reads it in a
+loop into a left-deep tree, and evaluation and :func:`variables_of` walk
+that tree without recursing along the chain, so a chain of any length
+evaluates.
 """
 
 from __future__ import annotations
@@ -301,39 +305,52 @@ def eval_expression(ast, bindings: Mapping[str, object]):
             return np.cos(arg)
         raise ExprEvalError(f"unknown unary operation {ast.op!r}")
     if isinstance(ast, Binary):
-        left = eval_expression(ast.left, bindings)
-        right = eval_expression(ast.right, bindings)
-        if ast.op == "+":
-            return np.add(left, right)
-        if ast.op == "-":
-            return np.subtract(left, right)
-        if ast.op == "*":
-            return np.multiply(left, right)
-        if ast.op == "/":
-            if np.any(np.asarray(right) == 0):
-                raise ExprEvalError("domain error: division by zero")
-            return np.divide(left, right)
-        if ast.op == "^":
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                out = np.power(np.asarray(left, dtype=float), right)
-            return _check_finite(out, "power of a negative base or zero to a negative power")
-        if ast.op == "min":
-            return np.minimum(left, right)
-        if ast.op == "max":
-            return np.maximum(left, right)
-        raise ExprEvalError(f"unknown binary operation {ast.op!r}")
+        # a flat chain a + b - c ... is a left-deep tree: walk its left spine in a
+        # loop, so only right operands (whose depth the parser bounds) recurse
+        spine = []
+        while isinstance(ast, Binary):
+            spine.append(ast)
+            ast = ast.left
+        value = eval_expression(ast, bindings)
+        for node in reversed(spine):
+            value = _binary(node.op, value, eval_expression(node.right, bindings))
+        return value
     raise TypeError(f"not an expression node: {ast!r}")
+
+
+def _binary(op, left, right):
+    if op == "+":
+        return np.add(left, right)
+    if op == "-":
+        return np.subtract(left, right)
+    if op == "*":
+        return np.multiply(left, right)
+    if op == "/":
+        if np.any(np.asarray(right) == 0):
+            raise ExprEvalError("domain error: division by zero")
+        return np.divide(left, right)
+    if op == "^":
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            out = np.power(np.asarray(left, dtype=float), right)
+        return _check_finite(out, "power of a negative base or zero to a negative power")
+    if op == "min":
+        return np.minimum(left, right)
+    if op == "max":
+        return np.maximum(left, right)
+    raise ExprEvalError(f"unknown binary operation {op!r}")
 
 
 def variables_of(ast):
     """Return the set of variable names appearing in ``ast``."""
-    if isinstance(ast, Const):
-        return set()
-    if isinstance(ast, Var):
-        return {ast.name}
-    if isinstance(ast, Unary):
-        return variables_of(ast.arg)
-    if isinstance(ast, Binary):
-        return variables_of(ast.left) | variables_of(ast.right)
-    raise TypeError(f"not an expression node: {ast!r}")
-
+    names, stack = set(), [ast]
+    while stack:  # no recursion, however long a chain
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, Unary):
+            stack.append(node.arg)
+        elif isinstance(node, Binary):
+            stack += (node.left, node.right)
+        elif not isinstance(node, Const):
+            raise TypeError(f"not an expression node: {node!r}")
+    return names

@@ -26,8 +26,9 @@ rows sum to zero, on the diagonal (:meth:`Layout.matrix_data`).  One plan per me
 first use with one sort over the element edges and the nodes, gives the
 pattern (the diagonal plus the element edges) and the CSR slots of every
 element edge above and below the diagonal and of every node's diagonal.
-Each mesh also ranks its nodes in a nested-dissection order, in which the
-Newton matrices are factorised, and keeps its free nodes in that order.
+Each mesh also ranks its nodes in a nested-dissection order found from the
+node coordinates alone, in which the Newton matrices are factorised, and
+keeps its free nodes in that order.
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ class Mesh:
         Constant per-element basis gradients.
     boundary_facets : list of (node_tuple, tag)
         All boundary facets with their gamma / gamma0 tag.
+    subdivisions : int or None
+        n for the uniform grid of ``build_mesh(dim, n)``, with its node and
+        element numbering; None for any other mesh.
     elimination_rank : (n_nodes,) int array
         Position of each node in a nested-dissection order for sparse LU,
         built on first use (see the property).
@@ -135,6 +139,7 @@ class Mesh:
         for facet, tag in self.boundary_facets:
             if tag not in ("gamma", "gamma0"):
                 raise ValueError(f"facet {facet} has invalid tag {tag!r}")
+        self.subdivisions = None  # build_mesh records its grid
         self._build_interior()
         self._build_boundary()
 
@@ -257,29 +262,29 @@ class Mesh:
     def elimination_rank(self):
         """Read-only position of each node in a nested-dissection elimination order.
 
-        Recursive coordinate bisection over the CSR pattern: a part splits at
-        the median of its longest coordinate extent, the nodes on the right
-        that touch the left form its separator, and the separator is ordered
-        after both halves.  Parts of at most ``_ND_LEAF`` nodes are not split.
-        All parts of one level split together.  In 1D the nodes are
-        ranked along the line (the natural order of :func:`build_mesh`): the
-        matrix is then tridiagonal and its LU has no fill.  The order induced
-        on any subset of the nodes has no more fill than the whole-mesh order,
-        because a fill path in a subgraph is one in the whole graph, so one
-        order serves every active set.  Built on first use.
+        Coordinate nested dissection (George, SIAM J. Numer. Anal. 10, 1973),
+        from the node coordinates alone: a part is sorted (stably) along its
+        longest coordinate extent and splits at the median coordinate; the
+        nodes on that coordinate are its separator, ranked after both halves,
+        which hold the nodes below and above it.  Parts of at most
+        ``_ND_LEAF`` nodes are not split, and keep their last sorted order.
+        All parts of one level split together.  On a :func:`build_mesh` grid
+        every part is a rectangle of nodes, so the separator is a grid line
+        that cuts it in two.  In 1D the nodes are ranked along the line (the
+        natural order of :func:`build_mesh`): the matrix is then tridiagonal
+        and its LU has no fill.  The order induced on any subset of the nodes
+        has no more fill than the whole-mesh order, because a fill path in a
+        subgraph is one in the whole graph, so one order serves every active
+        set.  Built on first use.
         """
         n = self.n_nodes
         rank = np.empty(n, dtype=np.intp)
         if self.dim == 1:
             rank[np.argsort(self.nodes[:, 0], kind="stable")] = np.arange(n)
             return _freeze(rank)
-        indptr, indices, _, _ = self._assembly_plan
-        row = np.repeat(np.arange(n), np.diff(indptr))
-        col = indices.astype(np.intp)
         nodes = np.arange(n)  # unranked nodes, grouped by part
         part = np.zeros(n, dtype=np.intp)  # their part, 0 .. len(start) - 1
         start = np.zeros(1, dtype=np.intp)  # first rank of each part
-        label = np.empty(n, dtype=np.intp)  # part of each unranked node, -1 once ranked
         while True:
             size = np.bincount(part, minlength=len(start))
             offset = np.arange(len(nodes)) - (np.cumsum(size) - size)[part]
@@ -291,34 +296,20 @@ class Mesh:
             nodes, offset = nodes[~leaf], offset[~leaf]
             part = (np.cumsum(split) - 1)[part[~leaf]]
             start, size = start[split], size[split]
-            label.fill(-1)
-            label[nodes] = part
-            inner = (label[row] == label[col]) & (label[row] >= 0)
-            row, col = row[inner], col[inner]
             first = np.cumsum(size) - size
             xy = self.nodes[nodes]
             extent = np.maximum.reduceat(xy, first) - np.minimum.reduceat(xy, first)
             c = xy[np.arange(len(nodes)), np.argmax(extent, axis=1)[part]]
             order = np.lexsort((c, part))  # part is sorted, so offset still holds
             nodes, c = nodes[order], c[order]
-            # left of the median; ties go left only if nothing else would,
-            # and a part with every coordinate equal splits by position
             med = c[first + size // 2][part]
-            left = c < med
-            left |= (np.bincount(part, left, len(size)) == 0)[part] & (c <= med)
-            full = np.bincount(part, left, len(size)) == size
-            left = np.where(full[part], offset < (size // 2)[part], left)
-            on_left = np.zeros(n, dtype=bool)
-            on_left[nodes] = left
-            sep = np.zeros(n, dtype=bool)
-            sep[row[~on_left[row] & on_left[col]]] = True
-            sep = sep[nodes]
+            # sorted, each part is its left half, then its separator, then its right half
+            sep, right = c == med, c > med
+            n_left = np.bincount(part[c < med], minlength=len(size))
             n_sep = np.bincount(part[sep], minlength=len(size))
-            n_left = np.bincount(part[left], minlength=len(size))
-            sep_offset = np.cumsum(sep) - 1 - (np.cumsum(n_sep) - n_sep)[part]
-            rank[nodes[sep]] = (start + size - n_sep)[part[sep]] + sep_offset[sep]
+            rank[nodes[sep]] = (start + size - n_sep - n_left)[part[sep]] + offset[sep]
             start = np.stack([start, start + n_left], axis=1).ravel()
-            nodes, part = nodes[~sep], (2 * part + ~left)[~sep]
+            nodes, part = nodes[~sep], (2 * part + right)[~sep]
 
     # -- queries -----------------------------------------------------------
 
@@ -518,7 +509,9 @@ def build_mesh(dim, subdivisions, gamma_predicate=None):
     Boundary facets whose midpoint satisfies ``gamma_predicate > 0`` are
     tagged ``gamma`` (natural boundary), all others ``gamma0`` (essential).
     ``gamma_predicate`` may be an AST, an expression string in the spatial
-    variables, or None, which tags the whole boundary gamma0.
+    variables, or None, which tags the whole boundary gamma0.  Node (i, j)
+    of the 2D grid, at (i/n, j/n), has index j (n+1) + i, and the mesh
+    records n as :attr:`Mesh.subdivisions`.
     """
     n = int(subdivisions)
     if n < 1:
@@ -556,7 +549,9 @@ def build_mesh(dim, subdivisions, gamma_predicate=None):
         gamma = np.broadcast_to(np.asarray(value, dtype=float), (len(facets),)) > 0
     tags = np.where(gamma, "gamma", "gamma0")
     facets = [(tuple(f), str(t)) for f, t in zip(facets.tolist(), tags)]
-    return Mesh(dim, nodes, elements, facets)
+    mesh = Mesh(dim, nodes, elements, facets)
+    mesh.subdivisions = n
+    return mesh
 
 
 def fe_interpolate(expr, mesh: Mesh):

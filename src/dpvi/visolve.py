@@ -27,10 +27,15 @@ built once per mesh), and SuperLU factorises in that order instead of
 choosing its own; the order a subset inherits never adds fill, so it holds
 for every active set.
 
-A solve pays for its Newton steps and little else.  The residual, the
-selections and the iterate that ``solve_vi`` reports are those of the last
-accepted merit evaluation, and the next step linearises at that same
-:class:`FeFunction`, whose quadrature values and gradients are computed
+A solve pays for its Newton steps and little else.  A cold solve starts
+from the p = 2 problem with the selections frozen at the projection of
+zero (:func:`_warm_start`).  Without bounds or penalty, on a :func:`build_mesh`
+grid whose whole boundary is Gamma0, that start is one Dirichlet Laplace
+solve by sine transform, so every LU of the solve is a counted Newton step;
+other problems reach their start by Newton steps of their own.  The
+residual, the selections and the iterate that ``solve_vi`` reports are those
+of the last accepted merit evaluation, and the next step linearises at that
+same :class:`FeFunction`, whose quadrature values and gradients are computed
 once.  Whether a selection can change during a solve is decided in one
 place, the Newton loop: when no reaction reads the state (``reads_s``), its
 selections are frozen at the start, their sources assembled once, and their
@@ -392,12 +397,53 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     return *at, phi, None if phi <= opts.tol else f"{opts.max_iter} Newton steps spent"
 
 
+def _dst1(a, axis):
+    """DST-I of ``a`` along ``axis``: entries sum_j a_j sin(pi j k / n) for
+    j, k = 1 .. n - 1, where n - 1 = ``a.shape[axis]``, read off
+    ``numpy.fft.rfft`` of the odd extension (0, a, 0, -a reversed)."""
+    a = np.moveaxis(a, axis, -1)
+    zero = np.zeros(a.shape[:-1] + (1,))
+    odd = np.concatenate([zero, a, zero, -a[..., ::-1]], axis=-1)
+    return np.moveaxis(-0.5 * np.fft.rfft(odd).imag[..., 1:a.shape[-1] + 1], -1, axis)
+
+
+def _grid_laplace_solve(mesh: Mesh, b) -> np.ndarray:
+    """Nodal u, zero on the boundary, with K u + b = 0 at the interior nodes of
+    a :func:`build_mesh` grid, K the p = 2 stiffness matrix.
+
+    K is the 3-point (1D) or 5-point (2D) Dirichlet Laplacian times
+    n^(2 - dim), which the DST-I diagonalises (Buzbee-Golub-Nielson, SIAM
+    J. Numer. Anal. 7, 1970): its eigenvalues are n^(2 - dim) times the sum
+    over the axes of 2 - 2 cos(k pi / n) = 4 sin^2(k pi / 2n), k = 1 .. n - 1,
+    and the DST-I is its own inverse up to the factor 2/n per axis.
+    """
+    n, dim = mesh.subdivisions, mesh.dim
+    inner = (slice(1, n),) * dim
+    t = np.reshape(b, (n + 1,) * dim)[inner]
+    for axis in range(dim):
+        t = _dst1(t, axis)
+    lam = 4.0 * np.sin(np.arange(1, n) * (np.pi / (2 * n))) ** 2
+    t = t / (n * lam if dim == 1 else np.add.outer(lam, lam))
+    for axis in range(dim):
+        t = _dst1(t, axis)
+    u = np.zeros((n + 1,) * dim)
+    u[inner] -= (2.0 / n) ** dim * t  # 0 - t, so no -0.0 where t vanishes
+    return u.ravel()
+
+
 def _warm_start(prob: VIProblem, opts) -> np.ndarray:
     """Initial iterate from the quadratic-energy variant of the problem.
 
     The reaction selections are frozen at the flat iterate and the exponents
     forced to 2, giving a robustly solvable linear complementarity problem
-    whose solution is a well-scaled feasible start.
+    whose solution is a well-scaled feasible start.  Without constraint
+    bounds and penalty, on a :func:`build_mesh` grid whose whole boundary is
+    Gamma0, that problem is the discrete Dirichlet Laplace equation with the
+    frozen sources, solved directly by sine transform
+    (:func:`_grid_laplace_solve`) with no factorisation.  Any other problem
+    (obstacle and box LCPs, auxiliary problems, gamma facets, meshes not
+    built by :func:`build_mesh`) is solved by Newton steps whose LU
+    factorisations count in no report.
     """
     mesh = prob.mesh
     ed = prob.exponents
@@ -405,6 +451,10 @@ def _warm_start(prob: VIProblem, opts) -> np.ndarray:
     if abs(ed.p_minus - 2) < 1e-12 and abs(ed.p_plus - 2) < 1e-12 and ed.mu.max() == 0.0:
         return flat
     frozen = _select_terms(prob, FeFunction(mesh, flat), opts.selection)
+    unbounded = prob.constraint.lower is None and prob.constraint.upper is None
+    if (unbounded and prob.aux is None and mesh.subdivisions is not None
+            and not len(mesh.layout("boundary_gamma").conn)):
+        return _grid_laplace_solve(mesh, sum(_sources(prob, *frozen), flat))
     shape = mesh.quad_weights.shape
     ed2 = ExponentData(mesh, np.full(shape, 2.0), np.full(shape, 3.0), np.zeros(shape))
     op2 = DoublePhaseOperator(mesh, ed2)

@@ -350,6 +350,21 @@ def test_bad_input_exits_2_naming_the_key_or_path(tmp_path, capsys, command, blo
     assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "norm"])
+def test_long_operator_chain_in_a_config(tmp_path, capsys, command):
+    # p = 2 + 0 + ... + 0 (1000 terms) is one flat chain, not nesting: it runs
+    # like p = 2, with the same artifacts, instead of ending in a RecursionError
+    payload = yaml.safe_load((CONFIGS / "norm.yaml").read_text(encoding="utf-8"))
+    runs = []
+    for p in ("2", "2" + " + 0" * 999):
+        payload["exponents"]["p"] = p
+        out = tmp_path / f"out{len(runs)}"
+        code = main([command, "--config", write_config(tmp_path, payload), "--out", str(out)])
+        runs.append((code, _artifacts(out), capsys.readouterr().out))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
 # CLI command -> the config block it needs
 COMMAND_BLOCKS = {"solve": None, "extremal": "bounds", "verify": "bounds", "norm": "function",
                   "probe-coercivity": None}

@@ -123,6 +123,25 @@ def test_nesting_counts_calls_and_exponents():
         parse_expression("abs(" * 101 + "2" + ")" * 101, ())
 
 
+def test_flat_chains_evaluate_without_recursion():
+    # a chain of operators is a left-deep tree as deep as it is long; the nesting
+    # limit does not count it, so neither evaluation nor variables_of may recurse along it
+    terms = [k % 6 - 2.5 for k in range(5000)]
+    text = "x" + "".join(f" {'+-'[k % 2]} {t:g}" for k, t in enumerate(terms))
+    expected = 0.5
+    for k, t in enumerate(terms):
+        expected = expected + t if k % 2 == 0 else expected - t
+    ast = parse_expression(text, ("x",))
+    assert variables_of(ast) == {"x"}
+    assert eval_expression(ast, {"x": 0.5}) == expected
+    np.testing.assert_array_equal(eval_expression(ast, {"x": np.full(3, 0.5)}),
+                                  np.full(3, expected))
+    assert ev("x" + " * 2 / 2" * 2500, x=3.0) == 3.0
+    # chains inside the deepest nesting the parser accepts
+    text = "(" * 100 + "s" + " + 1" * 5000 + ")" * 100 + " * 0.5" * 10 + " - 1" * 5000
+    assert ev(text, s=0.0) == 5000 / 1024 - 5000
+
+
 # -- parse and evaluate against a Python oracle ---------------------------------
 
 

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 from dpvi import visolve
 from dpvi.cli import build_problem, load_config
-from dpvi.mesh import FeFunction, build_mesh, fe_interpolate
+from dpvi.mesh import FeFunction, Mesh, build_mesh, fe_interpolate
 from dpvi.multifun import IntervalMultifunction, TruncationData, pick_endpoint
 from dpvi.operator import DoublePhaseOperator
 from dpvi.spaces import ExponentData, ModularKind, luxemburg_norm
@@ -485,9 +485,7 @@ def test_immutability_of_functions_and_meshes():
 
 
 def test_elimination_order_cuts_lu_fill(monkeypatch):
-    # the first system (warm start, p = 2) is the P1 Laplacian, whose entries on
-    # the right triangles' hypotenuses cancel; the last (p = 2.5, u != 0) keeps
-    # all seven points per row
+    # the last system (p = 2.5, u != 0) keeps all seven points per row
     prob, mesh = make_problem(2, 64, p="2.5", f=("1", "1"))
     lus = []
     splu = visolve.spla.splu
@@ -542,6 +540,83 @@ def test_newton_solutions_match_spsolve(monkeypatch, build):
     if build is _noncoercive:
         # negative selection slopes: some Newton matrix has a negative eigenvalue
         assert any(np.linalg.eigvalsh(K.toarray()).min() < 0 for K, _, _ in seen)
+
+
+# -- the p = 2 warm start by sine transform --------------------------------------
+
+
+def _problem_on(mesh, p, q, mu, f, constraint=None):
+    ed = ExponentData.from_expressions(mesh, p, q, mu)
+    return VIProblem(DoublePhaseOperator(mesh, ed), constraint or ConstraintSet.whole_space(),
+                     IntervalMultifunction(mesh, *f))
+
+
+def _not_built(mesh, reverse=False):
+    """The same mesh made by the constructor, not by build_mesh, maybe with its
+    nodes numbered backwards."""
+    new = np.arange(mesh.n_nodes)[::-1] if reverse else np.arange(mesh.n_nodes)  # old -> new
+    facets = [(tuple(new[list(f)]), tag) for f, tag in mesh.boundary_facets]
+    return Mesh(mesh.dim, mesh.nodes[np.argsort(new)], new[mesh.elements], facets)
+
+
+def _spy(monkeypatch, name):
+    calls, original = [], getattr(visolve, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(visolve, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("dim, n, p, q, mu, f", [
+    (1, 1024, "3", "4", "x", ("-1", "-1")),
+    (2, 64, "1.8", "2.6", "max(0, x - 0.5)", ("s - 1", "s + 3")),
+    (1, 1, "3", "4", "x", ("-1", "-1")),
+    (1, 2, "3", "4", "x", ("-1", "-1")),
+    (2, 1, "1.8", "2.6", "x", ("s - 1", "s + 3")),
+    (2, 2, "1.8", "2.6", "x", ("s - 1", "s + 3")),
+], ids=["1d_n1024", "2d_n64", "1d_n1", "1d_n2", "2d_n1", "2d_n2"])
+def test_transform_start_matches_the_lu_start(monkeypatch, dim, n, p, q, mu, f):
+    # the same grid without build_mesh's record takes the LU start
+    transforms = _spy(monkeypatch, "_grid_laplace_solve")
+    mesh = build_mesh(dim, n)
+    start = visolve._warm_start(_problem_on(mesh, p, q, mu, f), SolverOptions())
+    assert len(transforms) == 1
+    ref = visolve._warm_start(_problem_on(_not_built(mesh), p, q, mu, f), SolverOptions())
+    assert len(transforms) == 1
+    assert np.max(np.abs(start - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert not np.signbit(start[start == 0]).any()  # no -0.0 to print
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1024), (2, 32)])
+def test_cold_whole_space_solve_factorises_only_its_newton_steps(monkeypatch, dim, n):
+    lus = _spy(monkeypatch, "_factor_solve")
+    prob = make_problem(dim, n, p="3" if dim == 1 else "1.8", q="4" if dim == 1 else "2.6",
+                        mu="x" if dim == 1 else "max(0, x - 0.5)", f=("s - 1", "s + 3"))[0]
+    u, eta, zeta, rep = solve_vi(prob)
+    assert rep.converged and rep.newton_iterations > 0
+    assert len(lus) == rep.newton_iterations
+
+
+@pytest.mark.parametrize("case", ["renumbered", "gamma_facets", "obstacle", "auxiliary"])
+def test_other_problems_keep_the_lu_start(monkeypatch, case):
+    lus = _spy(monkeypatch, "_factor_solve")
+    transforms = _spy(monkeypatch, "_grid_laplace_solve")
+    mesh = build_mesh(2, 8, "x - 0.5" if case == "gamma_facets" else None)
+    if case == "renumbered":
+        mesh = _not_built(mesh, reverse=True)
+    obstacle = ConstraintSet.obstacle(FeFunction.constant(mesh, -0.02))
+    prob = _problem_on(mesh, "1.8", "2.6", "x", ("-1", "-1"),
+                       obstacle if case == "obstacle" else None)
+    if case == "auxiliary":
+        prob = build_auxiliary(prob, TruncationData(FeFunction.constant(mesh, -1.0),
+                                                    FeFunction.constant(mesh, 1.0)))
+    u, eta, zeta, rep = solve_vi(prob)
+    assert rep.converged
+    assert not transforms
+    assert len(lus) > rep.newton_iterations  # the warm start factorised too
 
 
 def test_saturated_sphere_search_ends_early(monkeypatch):
