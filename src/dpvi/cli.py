@@ -212,8 +212,8 @@ def make_interval(prob, cfg, opts, command):
         return OrderedInterval(
             lower,
             upper,
-            verify_subsolution(lower, prob, "lower"),
-            verify_supersolution(upper, prob, "upper"),
+            verify_subsolution(lower, prob),
+            verify_supersolution(upper, prob),
         )
     if not ("k1" in bcfg and "k2" in bcfg):
         raise ConfigError("bounds block needs k1/k2 or u_lower/u_upper")
@@ -343,7 +343,7 @@ def cmd_norm(cfg, args, out):
         ("sobolev_H", ModularKind.sobolev()),
     ):
         rho = modular(kind, ed, u)
-        lam = luxemburg_norm(kind, ed, u, tol=1e-10)
+        lam = luxemburg_norm(kind, ed, u)
         lines.append(f"{label} modular: {rho:.10g}")
         lines.append(f"{label} luxemburg norm: {lam:.10g}")
     lines.append(f"exponent hypotheses: {'ok' if report.ok else 'violated'}")

@@ -96,8 +96,6 @@ class OrderedInterval(TruncationData):
     lower_certificate: Optional[CertificateReport] = None
     upper_certificate: Optional[CertificateReport] = None
     M: float = 0.0
-    u1: Optional[FeFunction] = None
-    u2: Optional[FeFunction] = None
 
     def certified(self):
         return (
@@ -145,7 +143,8 @@ def _lattice_condition(prob: VIProblem, u: FeFunction, side):
     return True, "automatic for this constraint set"
 
 
-def _certify(side, u: FeFunction, prob: VIProblem, rule):
+def _certify(side, u: FeFunction, prob: VIProblem):
+    rule = "lower" if side == "subsolution" else "upper"
     lattice_ok, note = _lattice_condition(prob, u, side)
     r = _residual_vector(prob, u, _sources(prob, *_select_terms(prob, u, rule)))
     lo, hi = prob.constraint.bounds(prob.mesh)
@@ -177,21 +176,21 @@ def _certify(side, u: FeFunction, prob: VIProblem, rule):
     )
 
 
-def verify_subsolution(u: FeFunction, prob: VIProblem, rule="lower"):
+def verify_subsolution(u: FeFunction, prob: VIProblem):
     """Certificate that ``u`` is a discrete subsolution of the problem.
 
     Checks the lattice compatibility of the constraint set, selects the
-    reaction at ``u`` with ``rule`` and evaluates the one-sided inequality
-    over the generating hat directions.  The reported margin is the worst
-    signed slack (nonnegative means verified).
+    lower endpoint of the reaction at ``u`` and evaluates the one-sided
+    inequality over the generating hat directions.  The reported margin is
+    the worst signed slack (nonnegative means verified).
     """
-    return _certify("subsolution", u, prob, rule)
+    return _certify("subsolution", u, prob)
 
 
-def verify_supersolution(u: FeFunction, prob: VIProblem, rule="upper"):
-    """Certificate that ``u`` is a discrete supersolution (see
-    :func:`verify_subsolution`)."""
-    return _certify("supersolution", u, prob, rule)
+def verify_supersolution(u: FeFunction, prob: VIProblem):
+    """Certificate that ``u`` is a discrete supersolution, tested with the
+    upper endpoint of the reaction (see :func:`verify_subsolution`)."""
+    return _certify("supersolution", u, prob)
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +265,12 @@ def construct_obstacle_bounds(prob: VIProblem, k1, k2, c_psi=None, margin=1e-3,
         float(np.min(lower.coeffs)) - slack, float(np.max(upper.coeffs)) + slack,
     )
 
-    lower_cert = verify_subsolution(lower, prob, rule="lower")
-    upper_cert = verify_supersolution(upper, prob, rule="upper")
     return OrderedInterval(
         lower=lower,
         upper=upper,
-        lower_certificate=lower_cert,
-        upper_certificate=upper_cert,
+        lower_certificate=verify_subsolution(lower, prob),
+        upper_certificate=verify_supersolution(upper, prob),
         M=M,
-        u1=u1,
-        u2=u2,
     )
 
 
@@ -411,10 +406,10 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
     def step(k, moving):
         # on step 1 ``moving`` is oi's own bound, and oi holds its certificate
         if side == "greatest":
-            cert = oi.upper_certificate if k == 1 else verify_supersolution(moving, prob, "upper")
+            cert = oi.upper_certificate if k == 1 else verify_supersolution(moving, prob)
             interval = OrderedInterval(oi.lower, moving, oi.lower_certificate, cert)
         else:
-            cert = oi.lower_certificate if k == 1 else verify_subsolution(moving, prob, "lower")
+            cert = oi.lower_certificate if k == 1 else verify_subsolution(moving, prob)
             interval = OrderedInterval(moving, oi.upper, cert, oi.upper_certificate)
         _require_certified(interval, f"iterate {k}")
         initial = moving
@@ -501,8 +496,8 @@ def discontinuous_fixed_point(prob: VIProblem, j: TwoArgIntervalMultifunction,
     def step(side, k, moving):
         probv = replace(prob, f=j.freeze(moving))
         lower, upper = (oi.lower, moving) if side == "greatest" else (moving, oi.upper)
-        interval = OrderedInterval(lower, upper, verify_subsolution(lower, probv, "lower"),
-                                   verify_supersolution(upper, probv, "upper"))
+        interval = OrderedInterval(lower, upper, verify_subsolution(lower, probv),
+                                   verify_supersolution(upper, probv))
         _require_certified(interval, f"outer iterate {k}")
         start = lower if side == "greatest" else upper
         nxt, _, history = _extremal_iterate(probv, interval, opts, side, start)

@@ -60,19 +60,15 @@ class DoublePhaseOperator:
     mesh : Mesh
     exponents : ExponentData
         p, q, mu sampled on ``mesh``.
-    eps : float
-        Gradient-magnitude smoothing used by :meth:`jacobian` only;
-        must be nonnegative.
     """
 
-    def __init__(self, mesh: Mesh, exponents: ExponentData, eps=1e-8):
+    eps = 1e-8  # gradient-magnitude smoothing of :meth:`jacobian` unless given one
+
+    def __init__(self, mesh: Mesh, exponents: ExponentData):
         if exponents.mesh is not mesh:
             raise ValueError("exponent data sampled on a different mesh")
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
         self.mesh = mesh
         self.exponents = exponents
-        self.eps = float(eps)
         # p - 2 and q - 2 as one column where constant per element, with the quadrature
         # weights (times mu for q) summed to match, so sum(w * g^(p-2), axis=1) is the
         # quadrature sum for either shape

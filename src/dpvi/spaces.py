@@ -1,13 +1,10 @@
 """Variable-exponent data, modulars and Luxemburg norms.
 
-The governing integrand is H(x,t) = t^p(x) + mu(x) t^q(x).  Four modulars
+The governing integrand is H(x,t) = t^p(x) + mu(x) t^q(x).  Two modulars
 are provided:
 
 * ``lebesgue_H``   : integral of |u|^p + mu |u|^q (values only)
 * ``sobolev_H``    : the same integrand applied to both |grad u| and |u|
-* ``variable_lp``  : integral of |u|^r(x) for a supplied exponent field
-* ``weighted_lq``  : integral of mu |u|^q (a seminorm modular: it vanishes
-  on nonzero functions wherever mu does, so no definiteness is claimed)
 
 A Luxemburg norm is the scaling lambda with modular(u/lambda) = 1.  Each
 modular is a positive sum of terms c_i lambda^(-r_i), so its logarithm is
@@ -18,7 +15,6 @@ logarithm reaches the root in a few steps from any start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,13 +35,8 @@ class ExponentData:
     """Exponents p, q and weight mu sampled at interior quadrature points.
 
     Carries the scalar bounds p_minus/p_plus/q_minus/q_plus (extrema over the
-    sampled points) and the critical exponent field
-
-        p_star(x) = N p(x) / (N - p(x)),
-
-    with the convention p_star = +inf where p(x) >= N, and everywhere in one
-    dimension (finite-dimensional desk problems are solved regardless; the
-    validator reports the dimension bound honestly for N = 2).
+    sampled points); :func:`validate_exponents` derives the critical exponent
+    p* from p.
     """
 
     def __init__(self, mesh: Mesh, p, q, mu):
@@ -57,16 +48,10 @@ class ExponentData:
         self.p = np.asarray(p, dtype=float)
         self.q = np.asarray(q, dtype=float)
         self.mu = np.asarray(mu, dtype=float)
-        self.N = mesh.dim
         self.p_minus = float(np.min(self.p))
         self.p_plus = float(np.max(self.p))
         self.q_minus = float(np.min(self.q))
         self.q_plus = float(np.max(self.q))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom = self.N - self.p
-            self.p_star = np.where(denom > 0, self.N * self.p / denom, np.inf)
-        if self.N == 1:
-            self.p_star = np.full_like(self.p, np.inf)
 
     @classmethod
     def from_expressions(cls, mesh: Mesh, p_expr, q_expr, mu_expr):
@@ -81,19 +66,13 @@ class ExponentData:
 
 @dataclass(frozen=True)
 class ModularKind:
-    """Which modular to evaluate; ``variable_lp`` carries its exponent field."""
+    """Which modular to evaluate."""
 
-    kind: str  # 'lebesgue_H' | 'sobolev_H' | 'variable_lp' | 'weighted_lq'
-    r: Optional[np.ndarray] = None
+    kind: str  # 'lebesgue_H' | 'sobolev_H'
 
     def __post_init__(self):
-        if self.kind not in ("lebesgue_H", "sobolev_H", "variable_lp", "weighted_lq"):
+        if self.kind not in ("lebesgue_H", "sobolev_H"):
             raise ValueError(f"unknown modular kind {self.kind!r}")
-        if self.kind == "variable_lp":
-            if self.r is None:
-                raise ValueError("variable_lp requires an exponent field r")
-            if np.any(np.asarray(self.r) <= 1):
-                raise ValueError("variable_lp requires r(x) > 1 everywhere")
 
     @classmethod
     def lebesgue(cls):
@@ -102,14 +81,6 @@ class ModularKind:
     @classmethod
     def sobolev(cls):
         return cls("sobolev_H")
-
-    @classmethod
-    def variable_lp(cls, r):
-        return cls("variable_lp", r=np.asarray(r, dtype=float))
-
-    @classmethod
-    def weighted_lq(cls):
-        return cls("weighted_lq")
 
 
 @dataclass
@@ -127,13 +98,15 @@ class ExponentReport:
 def validate_exponents(ed: ExponentData) -> ExponentReport:
     """Check 1 < p(x) < N, p(x) < q(x) < p*(x) and mu(x) >= 0 pointwise.
 
-    Every violated inequality is reported with its worst offending location.
-    In one dimension the bound p(x) < N is not applicable (p* = +inf by
-    convention) and is recorded as a note instead.
+    N is the mesh dimension and p* = N p / (N - p) the critical exponent, +inf
+    where p(x) >= N and everywhere in one dimension, where the bound p(x) < N
+    is recorded as a note instead.  Every violated inequality is reported with
+    its worst offending location.
     """
     violations = []
     notes = []
     mesh = ed.mesh
+    N = mesh.dim
     pts = mesh.quad_points.reshape(-1, mesh.dim)
 
     def flag(mask, description, margin):
@@ -151,24 +124,23 @@ def validate_exponents(ed: ExponentData) -> ExponentReport:
             )
 
     flag(ed.p <= 1.0, "p(x) > 1", 1.0 - ed.p)
-    if ed.N >= 2:
-        flag(ed.p >= ed.N, "p(x) < N", ed.p - ed.N)
+    if N >= 2:
+        flag(ed.p >= N, "p(x) < N", ed.p - N)
     else:
         notes.append("N = 1: dimension bound p(x) < N not applicable, p* = +inf")
     flag(ed.q <= ed.p, "p(x) < q(x)", ed.p - ed.q)
-    finite = np.isfinite(ed.p_star)
-    flag(finite & (ed.q >= ed.p_star), "q(x) < p*(x)", np.where(finite, ed.q - ed.p_star, -np.inf))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_star = np.where((N >= 2) & (N - ed.p > 0), N * ed.p / (N - ed.p), np.inf)
+    finite = np.isfinite(p_star)
+    flag(finite & (ed.q >= p_star), "q(x) < p*(x)", np.where(finite, ed.q - p_star, -np.inf))
     flag(ed.mu < 0.0, "mu(x) >= 0", -ed.mu)
     return ExponentReport(violations=violations, notes=notes)
 
 
 # Newton steps per norm; 2-7 are typical, so the cap only stops a broken modular
 _NORM_MAX_NEWTON = 50
-
-
-def _check_function(ed, u):
-    if u.mesh is not ed.mesh:
-        raise ValueError("function and exponent data live on different meshes")
+# largest |modular(u/lambda) - 1| a returned norm lambda may leave
+_NORM_TOL = 1e-10
 
 
 def _integrand_terms(kind: ModularKind, ed: ExponentData, u: FeFunction):
@@ -176,13 +148,10 @@ def _integrand_terms(kind: ModularKind, ed: ExponentData, u: FeFunction):
 
     modular(u/lam) = sum over the triples of sum(weight * (magnitude/lam)**exponent).
     """
-    _check_function(ed, u)
+    if u.mesh is not ed.mesh:
+        raise ValueError("function and exponent data live on different meshes")
     w = ed.mesh.quad_weights
     a = np.abs(u.values_at_quad())
-    if kind.kind == "variable_lp":
-        return [(w, a, kind.r)]
-    if kind.kind == "weighted_lq":
-        return [(w * ed.mu, a, ed.q)]
     terms = [(w, a, ed.p), (w * ed.mu, a, ed.q)]
     if kind.kind == "sobolev_H":
         g = np.broadcast_to(_grad_magnitude(u.gradient_at_elements())[:, None], w.shape)
@@ -226,8 +195,8 @@ def _log_modular(logc, r, tau):
     return top + np.log(total), float(r @ t) / total
 
 
-def luxemburg_norm(kind: ModularKind, ed: ExponentData, u: FeFunction, tol=1e-10) -> float:
-    """The scaling lambda with modular(u/lambda) = 1, to |modular - 1| <= tol.
+def luxemburg_norm(kind: ModularKind, ed: ExponentData, u: FeFunction) -> float:
+    """The scaling lambda with modular(u/lambda) = 1, to |modular - 1| <= 1e-10.
 
     The modular of u/lambda is a positive sum of terms c_i exp(r_i tau) in
     tau = log(1/lambda), so g(tau) = log modular is convex and increasing with
@@ -235,16 +204,12 @@ def luxemburg_norm(kind: ModularKind, ed: ExponentData, u: FeFunction, tol=1e-10
     root at most once and then decreases monotonically onto it, in a handful
     of steps.  The result is checked against the modular evaluated directly.
 
-    Returns 0 for the zero function, and 0 when the modular vanishes
-    identically under scaling (the weighted seminorm case with mu = 0 on the
-    support of u).
+    Returns 0 for the zero function, and only for it: both modulars weigh
+    |u|^p with weight 1.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     terms = _integrand_terms(kind, ed, u)
     logc, r = _log_terms(terms)
-    if logc.size == 0:
-        # the zero function, or a degenerate direction of a seminorm
+    if logc.size == 0:  # the zero function
         return 0.0
     tau = 0.0
     for _ in range(_NORM_MAX_NEWTON):
@@ -257,6 +222,6 @@ def luxemburg_norm(kind: ModularKind, ed: ExponentData, u: FeFunction, tol=1e-10
         raise ValueError("Newton iteration for the norm did not converge")
     lam = float(np.exp(-tau))
     rho = _modular_from_samples(terms, scale=1.0 / lam)
-    if not abs(rho - 1.0) <= tol:
+    if not abs(rho - 1.0) <= _NORM_TOL:
         raise ValueError(f"the norm misses the modular tolerance: modular {rho!r} at the root")
     return lam

@@ -146,7 +146,8 @@ class ConstraintSet:
 @dataclass
 class VIProblem:
     """Operator + constraint set + optional reactions (interior, boundary),
-    and for an auxiliary problem the bound pair of its penalty (``aux``)."""
+    and for an auxiliary problem the bound pair of its penalty (``aux``), all
+    on the operator's mesh."""
 
     operator: DoublePhaseOperator
     constraint: ConstraintSet
@@ -155,6 +156,12 @@ class VIProblem:
     aux: Optional[TruncationData] = None
 
     def __post_init__(self):
+        cs = self.constraint
+        parts = (("constraint lower bound", cs.lower), ("constraint upper bound", cs.upper),
+                 ("f", self.f), ("f_gamma", self.f_gamma), ("aux", self.aux))
+        for name, part in parts:
+            if part is not None and part.mesh is not self.mesh:
+                raise ValueError(f"{name} lives on a different mesh than the operator")
         self.constraint.check_admissible(self.mesh)
         if self.f_gamma is not None and not len(self.mesh.layout("boundary_gamma").conn):
             raise ValueError("boundary multifunction given but no gamma facets exist")

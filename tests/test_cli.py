@@ -98,6 +98,80 @@ def test_verify_constructed_pair(tmp_path):
     certs = json.loads((out / "certificates.json").read_text())
     assert certs["lower"]["passed"] and certs["upper"]["passed"]
     assert certs["ordered"] is True
+    assert_rules_fixed_by_side(certs)
+
+
+def assert_rules_fixed_by_side(certs):
+    # the subsolution is tested with the lower endpoint, the supersolution with the upper
+    assert (certs["lower"]["side"], certs["lower"]["selection_rule"]) == ("subsolution", "lower")
+    assert (certs["upper"]["side"], certs["upper"]["selection_rule"]) == ("supersolution", "upper")
+
+
+def explicit_bounds_config():
+    # f in [-1, 1] between the explicit bounds -+x(1 - x): both certificates pass
+    return {
+        "schema": 1,
+        "mesh": {"dim": 1, "n": 16},
+        "exponents": {"p": "2", "q": "3", "mu": "0"},
+        "f": {"f1": "-1", "f2": "1"},
+        "bounds": {"u_lower": "-x*(1 - x)", "u_upper": "x*(1 - x)"},
+        "solver": {"tol": 1e-10},
+    }
+
+
+@pytest.mark.parametrize("command", ["verify", "extremal"])
+def test_explicit_bounds(tmp_path, command):
+    cfg = write_config(tmp_path, explicit_bounds_config())
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    if command == "verify":
+        certs = json.loads((out / "certificates.json").read_text())
+        assert certs["lower"]["passed"] and certs["upper"]["passed"]
+        assert certs["M"] == 0.0
+        assert_rules_fixed_by_side(certs)
+    else:
+        lo, hi = read_solution(out / "u_smallest.csv"), read_solution(out / "u_greatest.csv")
+        assert np.all(lo <= hi + 1e-12)
+
+
+@pytest.mark.parametrize("bounds", [{"u_lower": "-x*(1 - x)"}, {"u_upper": "x*(1 - x)"}],
+                         ids=["u_lower_only", "u_upper_only"])
+def test_explicit_bounds_need_both(tmp_path, capsys, bounds):
+    payload = explicit_bounds_config()
+    payload["bounds"] = bounds
+    cfg = write_config(tmp_path, payload)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: explicit bounds need both u_lower and u_upper\n"
+
+
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)])
+def test_solve_with_boundary_reaction(tmp_path, dim, n):
+    # a natural boundary part right of x = 0.5 carrying a multi-valued reaction
+    payload = {
+        "schema": 1,
+        "mesh": {"dim": dim, "n": n, "gamma_predicate": "x - 0.5"},
+        "exponents": {"p": "2", "q": "3", "mu": "0"},
+        "f": {"f1": "1", "f2": "1"},
+        "f_gamma": {"f1": "-1", "f2": "1"},
+    }
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True and report["residual"] <= 1e-9
+
+
+def test_norm_reports_violated_hypotheses(tmp_path, capsys):
+    payload = {
+        "schema": 1,
+        "mesh": {"dim": 1, "n": 8},
+        "exponents": {"p": "3", "q": "2", "mu": "1"},
+        "function": {"u": "1"},
+    }
+    cfg = write_config(tmp_path, payload)
+    assert main(["norm", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    text = capsys.readouterr().out
+    # every one of the 8 elements' 3 quadrature points has q < p
+    assert "exponent hypotheses: violated\n  violated: p(x) < q(x) at 24 points\n" in text
 
 
 def test_extremal_command(tmp_path):

@@ -98,7 +98,7 @@ def test_subsolution_above_box_fails_lattice():
 def test_k1_zero_gives_zero_lower_bound():
     prob, mesh = make_problem(1, 8, f=("-1", "0"))
     oi = construct_obstacle_bounds(prob, k1="0", k2="-1")
-    np.testing.assert_allclose(oi.u1.coeffs, 0.0, atol=1e-9)
+    np.testing.assert_allclose(oi.lower.coeffs, 0.0, atol=1e-9)
 
 
 def test_poisson_upper_bound_closed_form():
@@ -107,8 +107,9 @@ def test_poisson_upper_bound_closed_form():
     prob, mesh = make_problem(1, 64, f=("-1", "-1"))
     oi = construct_obstacle_bounds(prob, k1="-1", k2="-1")
     x = mesh.nodes[:, 0]
-    np.testing.assert_allclose(oi.u2.coeffs, x * (1 - x) / 2, atol=1e-9)
-    assert oi.u2.coeffs.max() == pytest.approx(0.125, abs=1e-9)
+    core = oi.upper.coeffs - oi.M
+    np.testing.assert_allclose(core, x * (1 - x) / 2, atol=1e-9)
+    assert core.max() == pytest.approx(0.125, abs=1e-9)
 
 
 def test_m_formula_with_obstacle_ceiling():
@@ -381,8 +382,8 @@ def test_fixed_point_history_selects_the_boundary_reaction_by_side():
     step = "min(1, max(0, 1000000*(r - 0.05)))"
     j = TwoArgIntervalMultifunction(mesh, f"-1 - 0.5*{step}", f"1 - 0.5*{step}")
     lower, upper = fe_interpolate("-5*x", mesh), fe_interpolate("5*x", mesh)
-    oi = OrderedInterval(lower, upper, verify_subsolution(lower, prob, "lower"),
-                         verify_supersolution(upper, prob, "upper"))
+    oi = OrderedInterval(lower, upper, verify_subsolution(lower, prob),
+                         verify_supersolution(upper, prob))
     lo, hi, hist = discontinuous_fixed_point(prob, j, oi, SolverOptions(tol=1e-9))
     for side, u, rule in (("smallest", lo, "upper"), ("greatest", hi, "lower")):
         probv = VIProblem(op, prob.constraint, j.freeze(u), f_gamma)
@@ -539,8 +540,9 @@ def test_equal_envelopes_share_one_bound_solve(monkeypatch):
     shared, n_shared = bounds("8", "8.0")
     twice, n_twice = bounds("8", "8 + 0")
     assert (n_shared, n_twice) == (1, 2)
-    assert shared.u2 is shared.u1
-    for name in ("lower", "upper", "u1", "u2"):
+    # the upper bound is the shared solve shifted by M
+    np.testing.assert_array_equal(shared.upper.coeffs, shared.lower.coeffs + shared.M)
+    for name in ("lower", "upper"):
         np.testing.assert_array_equal(getattr(shared, name).coeffs, getattr(twice, name).coeffs)
     assert shared.M == twice.M
     assert shared.certified() and twice.certified()

@@ -149,6 +149,39 @@ def test_empty_constraint_set_rejected(constraint):
         make_problem(1, 8, constraint=constraint, f=("1", "1"))
 
 
+def _problem_parts(mesh):
+    """The optional parts of a VIProblem, keyed by their name in its errors, on ``mesh``."""
+    return {
+        "constraint lower bound": FeFunction.constant(mesh, -1.0),
+        "constraint upper bound": FeFunction.constant(mesh, 1.0),
+        "f": IntervalMultifunction(mesh, "-1", "1"),
+        "f_gamma": IntervalMultifunction(mesh, "0", "0", on_boundary=True),
+        "aux": TruncationData(FeFunction.constant(mesh, -1.0), FeFunction.constant(mesh, 1.0)),
+    }
+
+
+def _vi_problem(op, parts):
+    lower, upper = parts.pop("constraint lower bound"), parts.pop("constraint upper bound")
+    return VIProblem(op, ConstraintSet(lower, upper), **parts)
+
+
+@pytest.mark.parametrize("other_n", [8, 16], ids=["same_n", "other_n"])
+@pytest.mark.parametrize("part", list(_problem_parts(build_mesh(1, 1))))
+def test_part_on_another_mesh_rejected(part, other_n):
+    # a part built on a second mesh is named, also when that mesh has as many nodes
+    # (at n = 16 it would end in an IndexError, at n = 8 it would be used silently)
+    mesh = build_mesh(1, 8, "x - 0.5")
+    op = DoublePhaseOperator(mesh, ExponentData.from_expressions(mesh, "2", "3", "0"))
+    _vi_problem(op, _problem_parts(mesh))  # every part on the operator's mesh
+    parts = _problem_parts(mesh)
+    parts[part] = _problem_parts(build_mesh(1, other_n, "x - 0.5"))[part]
+    if part.startswith("constraint"):  # a bound under test comes alone: no box of two sizes
+        other = "constraint upper bound" if "lower" in part else "constraint lower bound"
+        parts[other] = None
+    with pytest.raises(ValueError, match=f"^{part} lives on a different mesh than the operator$"):
+        _vi_problem(op, parts)
+
+
 def test_vi_residual_zero_iterate_matches_load():
     n = 8
     prob, mesh = make_problem(1, n, f=("2", "2"))
