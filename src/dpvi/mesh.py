@@ -26,9 +26,10 @@ rows sum to zero, on the diagonal (:meth:`Layout.matrix_data`).  One plan per me
 first use with one sort over the element edges and the nodes, gives the
 pattern (the diagonal plus the element edges) and the CSR slots of every
 element edge above and below the diagonal and of every node's diagonal.
-Each mesh also ranks its nodes in a nested-dissection order found from the
-node coordinates alone, in which the Newton matrices are factorised, and
-keeps its free nodes in that order.
+Each mesh also chooses, once, the order in which the Newton matrices are
+factorised, and keeps its free nodes in that order: node-index order when
+banded Cholesky in that order is cheap (:attr:`Mesh.elimination_band`), and
+otherwise a nested-dissection order found from the node coordinates alone.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ _TRI_QW = np.array([_TRI_W1, _TRI_W1, _TRI_W1, _TRI_W2, _TRI_W2, _TRI_W2])
 # parts of at most this many nodes end the nested dissection
 _ND_LEAF = 16
 
+# largest work m (b + 1)^2 (m free rows, half-bandwidth b) of a banded Cholesky in
+# node-index order: up to 2D n = 112 (1.6e8) it beat sparse LU in nested dissection
+# on both 2-vCPU AMD EPYC machines measured (table in CHANGES.md); at n = 128
+# (2.7e8) it only tied on one of them
+_BAND_WORK = 2e8
+
 
 _SPATIAL_VARS = ("x", "y")  # an expression's spatial variables are _SPATIAL_VARS[:dim]
 
@@ -114,11 +121,14 @@ class Mesh:
     subdivisions : int or None
         n for the uniform grid of ``build_mesh(dim, n)``, with its node and
         element numbering; None for any other mesh.
-    elimination_rank : (n_nodes,) int array
+    elimination_band : int or None
+        Half-bandwidth of the free rows in node-index order when the Newton
+        matrices are factorised in that order, else None (see the property).
+    nested_dissection_rank : (n_nodes,) int array
         Position of each node in a nested-dissection order for sparse LU,
         built on first use (see the property).
     free_nodes_by_rank : int array
-        The free nodes in that order, built on first use.
+        The free nodes in elimination order, built on first use.
     local_edges : two int arrays
         Local node pairs (i, j), i < j, of an element's edges.
     edge_gram : (n_elements, n_edges) array
@@ -253,13 +263,40 @@ class Mesh:
 
     @cached_property
     def free_nodes_by_rank(self):
-        """Read-only indices of the free (non-gamma0) nodes, in elimination order
-        (increasing :attr:`elimination_rank`).  Built on first use."""
+        """Read-only indices of the free (non-gamma0) nodes, in elimination order:
+        by node index when :attr:`elimination_band` is set, otherwise by
+        increasing :attr:`nested_dissection_rank`.  Built on first use."""
         free = np.flatnonzero(self.free_node_mask)
-        return _freeze(free[np.argsort(self.elimination_rank[free])])
+        if self.elimination_band is None:
+            free = free[np.argsort(self.nested_dissection_rank[free])]
+        return _freeze(free)
 
     @cached_property
-    def elimination_rank(self):
+    def elimination_band(self):
+        """Half-bandwidth b of the free rows in node-index order, or None when that
+        order is too wide to factorise in.
+
+        b is the largest distance, counted in free rows, between the free ends
+        of an element edge.  A banded Cholesky of m free rows costs about
+        m (b + 1)^2; while that is at most ``_BAND_WORK`` the Newton matrices
+        are factorised in node-index order, otherwise in
+        :attr:`nested_dissection_rank` order.  On a :func:`build_mesh` grid
+        node-index order is the natural order and b is 1 in 1D and n in 2D
+        when the whole boundary is Gamma0; 2D grids up to n = 112 stay below
+        the constant.  A subset of the free rows has no wider band in the
+        order it inherits, so one order serves every active set.  Built on
+        first use.
+        """
+        free = self.free_node_mask
+        row = np.cumsum(free) - 1  # position of each free node among the free rows
+        i, j = self.local_edges
+        heads, tails = self.elements[:, i].ravel(), self.elements[:, j].ravel()
+        both = free[heads] & free[tails]
+        b = int(np.max(np.abs(row[heads] - row[tails])[both], initial=0))
+        return b if np.count_nonzero(free) * (b + 1) ** 2 <= _BAND_WORK else None
+
+    @cached_property
+    def nested_dissection_rank(self):
         """Read-only position of each node in a nested-dissection elimination order.
 
         Coordinate nested dissection (George, SIAM J. Numer. Anal. 10, 1973),

@@ -21,25 +21,28 @@ Euclidean norm of the residual, since the semismooth Newton direction is a
 descent direction for the Euclidean norm.  Shorter steps must cut the max
 norm.
 
-Each Newton step ends in one sparse LU of the inactive free rows.  They are
-taken in the mesh's nested-dissection order (:attr:`Mesh.free_nodes_by_rank`,
-built once per mesh), and SuperLU factorises in that order instead of
-choosing its own; the order a subset inherits never adds fill, so it holds
-for every active set.
+Each Newton step ends in one factorisation of the inactive free rows, taken
+in the elimination order the mesh chose once (:attr:`Mesh.free_nodes_by_rank`);
+the order a subset inherits is no worse, so it holds for every active set.
+On a mesh whose node-index band is cheap (:attr:`Mesh.elimination_band`),
+that order is node-index order and a positive definite Newton matrix is
+factorised by banded Cholesky.  Wider meshes, indefinite Newton matrices and
+exactly singular ones go to sparse LU: SuperLU factorises in the given
+order, nested dissection on wide meshes, instead of choosing its own.
 
 A solve pays for its Newton steps and little else.  A cold solve starts
 from the p = 2 problem with the selections frozen at the projection of
 zero (:func:`_warm_start`).  Without bounds or penalty, on a :func:`build_mesh`
 grid whose whole boundary is Gamma0, that start is one Dirichlet Laplace
-solve by sine transform, so every LU of the solve is a counted Newton step;
-other problems reach their start by Newton steps of their own.  The
-residual, the selections and the iterate that ``solve_vi`` reports are those
-of the last accepted merit evaluation, and the next step linearises at that
-same :class:`FeFunction`, whose quadrature values and gradients are computed
-once.  Whether a selection can change during a solve is decided in one
-place, the Newton loop: when no reaction reads the state (``reads_s``), its
-selections are frozen at the start, their sources assembled once, and their
-slopes are zero.
+solve by sine transform, so every factorisation of the solve is a counted
+Newton step; other problems reach their start by Newton steps of their own.
+The residual, the selections and the iterate that ``solve_vi`` reports are
+those of the last accepted merit evaluation, and the next step linearises at
+that same :class:`FeFunction`, whose quadrature values and gradients are
+computed once.  Whether a selection can change during a solve is decided in
+one place, the Newton loop: when no reaction reads the state (``reads_s``),
+its selections are frozen at the start, their sources assembled once, and
+their slopes are zero.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .mesh import FeFunction, Mesh, _freeze
 from .multifun import (
@@ -91,12 +95,16 @@ class ConstraintSet:
     both a box.  The essential boundary Gamma0 stays out of the bounds (no
     lo = hi = 0 there), because certificates test bounds such as ``u2 + M``
     that do not vanish on it: :meth:`project` zeroes Gamma0 instead, and
-    admissibility needs lower <= 0 <= upper at every Gamma0 node.
+    admissibility needs lower <= 0 <= upper at every Gamma0 node.  The two
+    bounds of a box live on one mesh.
     """
 
     def __init__(self, lower: Optional[FeFunction] = None, upper: Optional[FeFunction] = None):
-        if lower is not None and upper is not None and np.any(lower.coeffs > upper.coeffs):
-            raise ValueError("box bounds out of order")
+        if lower is not None and upper is not None:
+            if lower.mesh is not upper.mesh:
+                raise ValueError("box bounds live on different meshes")
+            if np.any(lower.coeffs > upper.coeffs):
+                raise ValueError("box bounds out of order")
         self.lower = lower
         self.upper = upper
         self._bounds = {}  # n_nodes -> read-only (lo, hi)
@@ -278,15 +286,29 @@ def _selection_slope(mf, u: FeFunction, rule):
 # inner semismooth Newton / active set
 
 
-def _factor_solve(K, rhs):
-    """Solve K x = rhs by sparse LU with K's rows and columns already in elimination order.
+def _factor_solve(K, rhs, band):
+    """Solve K x = rhs, K exactly symmetric with its rows and columns already in
+    elimination order.
 
-    SuperLU keeps the given column order (``NATURAL``) and prefers diagonal
-    pivots (``SymmetricMode``); the default pivot threshold still allows row
-    interchanges, which an indefinite K may need.  K is exactly symmetric, so
-    its CSR arrays are also its CSC arrays and no conversion is needed.
-    Raises RuntimeError on an exactly singular factor.
+    ``band`` is the mesh's :attr:`Mesh.elimination_band`: when it is set, K's
+    rows are in node-index order and its half-bandwidth is at most ``band``,
+    and K is first factorised by banded Cholesky (LAPACK ``dpbtrf`` on its
+    lower band).  A K that Cholesky rejects as not positive definite, and
+    every K without a band, is factorised by sparse LU: SuperLU keeps the
+    given column order (``NATURAL``) and prefers diagonal pivots
+    (``SymmetricMode``); the default pivot threshold still allows row
+    interchanges, which an indefinite K may need.  K's CSR arrays are also
+    its CSC arrays, so no conversion is needed.  Raises RuntimeError on an
+    exactly singular LU factor.
     """
+    if band is not None:
+        rows = np.repeat(np.arange(len(rhs)), np.diff(K.indptr))
+        lower = K.indices <= rows
+        ab = np.zeros((band + 1, len(rhs)), order="F")  # ab[i - j, j] = K[i, j], i >= j
+        ab[(rows - K.indices)[lower], K.indices[lower]] = K.data[lower]
+        chol, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info == 0:
+            return lapack.dpbtrs(chol, rhs, lower=1)[0]
     K = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape)
     lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
     return lu.solve(rhs)
@@ -300,11 +322,13 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     cannot change are frozen for the whole loop instead, and their sources
     assembled once: those ``frozen`` supplies (the warm start's), or, when no
     reaction reads s, those selected at the start.  The Newton system on the
-    inactive free nodes is sliced with its rows in the mesh's
-    nested-dissection order and factorised in that order by
-    :func:`_factor_solve`; a slope field that is identically zero adds no
-    mass to it.  A singular Newton system is retried twice with only the
-    Jacobian re-assembled, its smoothing eps 100 times larger each time.
+    inactive free nodes is sliced with its rows in the mesh's elimination
+    order and factorised in that order by :func:`_factor_solve`, by banded
+    Cholesky when the mesh has an :attr:`Mesh.elimination_band` and K is
+    positive definite, otherwise by sparse LU; a slope field that is
+    identically zero adds no mass to it.  A singular Newton system is
+    retried twice with only the Jacobian re-assembled, its smoothing eps 100
+    times larger each time.
 
     The merit is the complementarity residual at the trial point.  The full
     step (t = 1) is accepted when it cuts the max norm or the Euclidean norm
@@ -373,10 +397,10 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
                 for mass in masses:  # left to right, the rounding of J + M_aux + M_f + M_gamma
                     J.data += mass
                 K = J[np.ix_(rows, rows)]
-                K.eliminate_zeros()  # entries that cancel exactly only add fill to the LU
+                K.eliminate_zeros()  # entries that cancel exactly only add fill to an LU
                 rhs = -(r + J @ d)[rows]
                 try:
-                    sol = _factor_solve(K, rhs)
+                    sol = _factor_solve(K, rhs, mesh.elimination_band)
                 except RuntimeError:  # exactly singular factor
                     continue
                 if np.all(np.isfinite(sol)):
@@ -449,7 +473,7 @@ def _warm_start(prob: VIProblem, opts) -> np.ndarray:
     frozen sources, solved directly by sine transform
     (:func:`_grid_laplace_solve`) with no factorisation.  Any other problem
     (obstacle and box LCPs, auxiliary problems, gamma facets, meshes not
-    built by :func:`build_mesh`) is solved by Newton steps whose LU
+    built by :func:`build_mesh`) is solved by Newton steps whose
     factorisations count in no report.
     """
     mesh = prob.mesh

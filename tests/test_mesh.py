@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from dpvi import operator as operator_module
 from dpvi.expr import eval_expression, parse_expression
 from dpvi.mesh import (
-    _TRI_BARY, FeFunction, Layout, Mesh, build_mesh, fe_interpolate,
+    _BAND_WORK, _TRI_BARY, FeFunction, Layout, Mesh, build_mesh, fe_interpolate,
 )
 from dpvi.multifun import assemble_source
 from dpvi.operator import DoublePhaseOperator
@@ -380,24 +380,24 @@ def test_symmetric_assembly_is_bitwise_the_element_scatter(dim, n, gamma, relabe
 @pytest.mark.parametrize("dim,n", [(1, 1), (1, 40), (2, 1), (2, 3), (2, 17), (2, 64)])
 def test_elimination_rank_is_a_read_only_permutation(dim, n):
     for m in (build_mesh(dim, n), _relabelled(build_mesh(dim, n), n)):
-        rank = m.elimination_rank
+        rank = m.nested_dissection_rank
         np.testing.assert_array_equal(np.sort(rank), np.arange(m.n_nodes))
-        assert m.elimination_rank is rank  # built once per mesh
+        assert m.nested_dissection_rank is rank  # built once per mesh
         with pytest.raises(ValueError):
             rank[0] = 1
 
 
 def test_elimination_rank_is_natural_in_1d():
-    np.testing.assert_array_equal(build_mesh(1, 40).elimination_rank, np.arange(41))
+    np.testing.assert_array_equal(build_mesh(1, 40).nested_dissection_rank, np.arange(41))
     m = _relabelled(build_mesh(1, 40), 3)  # any 1D mesh is ranked along the line
-    np.testing.assert_array_equal(m.nodes[np.argsort(m.elimination_rank), 0],
+    np.testing.assert_array_equal(m.nodes[np.argsort(m.nested_dissection_rank), 0],
                                   np.linspace(0.0, 1.0, 41))
 
 
 def test_elimination_rank_orders_separators_last():
     # on the 2D grid the first split takes the middle column x = 1/2 last
     m = build_mesh(2, 16)
-    last = np.argsort(m.elimination_rank)[-17:]
+    last = np.argsort(m.nested_dissection_rank)[-17:]
     np.testing.assert_array_equal(m.nodes[last, 0], 0.5)
 
 
@@ -466,17 +466,45 @@ def test_elimination_rank_is_the_adjacency_bisection_on_grids(dim, n, gamma):
     # on a build_mesh grid every part is a rectangle of nodes, so the nodes on the
     # median coordinate are exactly those of the right half that touch the left
     m = build_mesh(dim, n, gamma)
-    np.testing.assert_array_equal(m.elimination_rank, _adjacency_bisection_rank(m))
+    np.testing.assert_array_equal(m.nested_dissection_rank, _adjacency_bisection_rank(m))
 
 
 def test_free_nodes_by_rank():
-    m = build_mesh(2, 9, "x - 0.5")
-    free = m.free_nodes_by_rank
-    np.testing.assert_array_equal(np.sort(free), np.flatnonzero(m.free_node_mask))
-    assert np.all(np.diff(m.elimination_rank[free]) > 0)
-    assert m.free_nodes_by_rank is free  # built once per mesh
-    with pytest.raises(ValueError):
-        free[0] = 0
+    # in node-index order while the mesh has a band, in nested dissection above it
+    small, wide = build_mesh(2, 9, "x - 0.5"), build_mesh(2, 128, "x - 0.5")
+    assert small.elimination_band is not None and wide.elimination_band is None
+    for m, rank in ((small, np.arange(small.n_nodes)), (wide, wide.nested_dissection_rank)):
+        free = m.free_nodes_by_rank
+        np.testing.assert_array_equal(np.sort(free), np.flatnonzero(m.free_node_mask))
+        assert np.all(np.diff(rank[free]) > 0)
+        assert m.free_nodes_by_rank is free  # built once per mesh
+        with pytest.raises(ValueError):
+            free[0] = 0
+
+
+@pytest.mark.parametrize("dim,n,gamma,relabel", [
+    (1, 1, None, False), (1, 40, "x - 0.5", False), (1, 40, None, True), (2, 1, None, False),
+    (2, 16, "x - 0.5", False), (2, 16, "y - x", True), (2, 112, None, False),
+    (2, 128, None, False),
+])
+def test_elimination_band_is_the_band_of_the_free_rows(dim, n, gamma, relabel):
+    # the half-bandwidth of the assembled pattern's free rows in node-index order,
+    # kept while m (b + 1)^2 is at most the crossover
+    m = build_mesh(dim, n, gamma)
+    if relabel:
+        m = _relabelled(m, n)
+    free = np.flatnonzero(m.free_node_mask)
+    pattern = m.csr(np.ones(len(m._assembly_plan[1])))[free][:, free].tocoo()
+    b = int(np.max(np.abs(pattern.row - pattern.col), initial=0))
+    assert m.elimination_band == (b if len(free) * (b + 1) ** 2 <= _BAND_WORK else None)
+
+
+def test_elimination_band_on_grids():
+    # node (i, j) and (i + 1, j + 1) are n free rows apart when the whole boundary is Gamma0
+    assert build_mesh(1, 4096).elimination_band == 1
+    assert build_mesh(2, 16).elimination_band == 16
+    assert build_mesh(2, 112).elimination_band == 112  # the widest grid below the crossover
+    assert build_mesh(2, 128).elimination_band is None
 
 
 # -- build_mesh against its cell-by-cell construction ----------------------------------

@@ -182,6 +182,17 @@ def test_part_on_another_mesh_rejected(part, other_n):
         _vi_problem(op, parts)
 
 
+@pytest.mark.parametrize("other_n", [8, 16], ids=["same_n", "other_n"])
+def test_box_bounds_on_different_meshes_rejected(other_n):
+    # at n = 16 the comparison of the bounds would fail to broadcast, at n = 8 the
+    # box would be accepted
+    lower = FeFunction.constant(build_mesh(1, 8), -1.0)
+    upper = FeFunction.constant(build_mesh(1, other_n), 1.0)
+    for make in (ConstraintSet, ConstraintSet.box):
+        with pytest.raises(ValueError, match="^box bounds live on different meshes$"):
+            make(lower, upper)
+
+
 def test_vi_residual_zero_iterate_matches_load():
     n = 8
     prob, mesh = make_problem(1, n, f=("2", "2"))
@@ -459,9 +470,9 @@ def _spy_singular_solves(monkeypatch, n_singular):
     solves, eps_seen = [], []
     factor_solve, jacobian = visolve._factor_solve, DoublePhaseOperator.jacobian
 
-    def nan_solve(A, b):
+    def nan_solve(A, b, band):
         solves.append(len(b))
-        return np.full(len(b), np.nan) if len(solves) <= n_singular else factor_solve(A, b)
+        return np.full(len(b), np.nan) if len(solves) <= n_singular else factor_solve(A, b, band)
 
     def spy_jacobian(self, u, eps=None):
         eps_seen.append(eps)
@@ -518,8 +529,10 @@ def test_immutability_of_functions_and_meshes():
 
 
 def test_elimination_order_cuts_lu_fill(monkeypatch):
-    # the last system (p = 2.5, u != 0) keeps all seven points per row
-    prob, mesh = make_problem(2, 64, p="2.5", f=("1", "1"))
+    # the last system (p = 2.5, u != 0) keeps all seven points per row; n = 128 is
+    # above the band crossover, so the mesh orders its rows by nested dissection
+    prob, mesh = make_problem(2, 128, p="2.5", f=("1", "1"))
+    assert mesh.elimination_band is None
     lus = []
     splu = visolve.spla.splu
 
@@ -531,7 +544,7 @@ def test_elimination_order_cuts_lu_fill(monkeypatch):
     u, eta, zeta, rep = solve_vi(prob)
     assert rep.converged and len(lus) >= 2
     K, lu = lus[-1]
-    assert K.shape == (63 * 63,) * 2 and K.nnz > 6.5 * 63 * 63
+    assert K.shape == (127 * 127,) * 2 and K.nnz > 6.5 * 127 * 127
     default = splu(K)
     assert lu.L.nnz + lu.U.nnz <= 0.8 * (default.L.nnz + default.U.nnz)
 
@@ -551,28 +564,66 @@ def _noncoercive():
     return build_problem(load_config(CONFIGS / "noncoercive.yaml"))
 
 
-@pytest.mark.parametrize("build", [_whole_space_2d, _obstacle_2d, _noncoercive],
-                         ids=["whole_space", "obstacle", "noncoercive"])
+def _tridiagonal_1d():
+    return make_problem(1, 64, p="3", q="4", mu="x", f=("-1", "-1"))[0]
+
+
+def _nested_dissection_2d():
+    # above the band crossover; p = 2 needs one Newton step from the flat start
+    return make_problem(2, 128, p="2", f=("1", "1"))[0]
+
+
+@pytest.mark.parametrize("build", [_whole_space_2d, _obstacle_2d, _noncoercive,
+                                   _tridiagonal_1d, _nested_dissection_2d],
+                         ids=["whole_space", "obstacle", "noncoercive", "tridiagonal_1d",
+                              "nested_dissection"])
 def test_newton_solutions_match_spsolve(monkeypatch, build):
     prob = build()
-    seen, factor_solve = [], visolve._factor_solve
+    seen, infos, lus = [], [], []
+    factor_solve, dpbtrf, splu = visolve._factor_solve, visolve.lapack.dpbtrf, visolve.spla.splu
 
-    def spy(K, rhs):
-        seen.append((K, rhs, factor_solve(K, rhs)))
-        return seen[-1][2]
+    def spy(K, rhs, band):
+        tried = len(infos), len(lus)
+        sol = factor_solve(K, rhs, band)
+        seen.append((K, rhs, band, sol, infos[tried[0]:], len(lus) > tried[1]))
+        return sol
+
+    def spy_dpbtrf(*args, **kwargs):
+        out = dpbtrf(*args, **kwargs)
+        infos.append(out[1])
+        return out
+
+    def spy_splu(*args, **kwargs):
+        lus.append(args[0])
+        return splu(*args, **kwargs)
 
     monkeypatch.setattr(visolve, "_factor_solve", spy)
+    monkeypatch.setattr(visolve.lapack, "dpbtrf", spy_dpbtrf)
+    monkeypatch.setattr(visolve.spla, "splu", spy_splu)
     # the upper selection -100 s + 1 has a source, so u = 0 does not solve noncoercive
     u, eta, zeta, rep = solve_vi(prob, SolverOptions(max_iter=20, selection="upper"))
     assert seen
-    for K, rhs, sol in seen:
+    for K, rhs, band, sol, tried, lu in seen:
         ref = spla.spsolve(K.tocsc(), rhs)
         assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert band == prob.mesh.elimination_band
+        # Cholesky when the mesh has a band, LU when it has none or Cholesky failed
+        assert len(tried) == (band is not None)
+        assert lu == (not tried or tried[0] != 0)
+    paths = {"band" if not lu else "lu" for *_, lu in seen}
+    if build in (_whole_space_2d, _obstacle_2d, _tridiagonal_1d):
+        assert paths == {"band"}
+        assert prob.mesh.elimination_band == (1 if build is _tridiagonal_1d else 16)
     if build is _obstacle_2d:
         assert rep.converged and max(rep.active_set_history) > 0
     if build is _noncoercive:
-        # negative selection slopes: some Newton matrix has a negative eigenvalue
-        assert any(np.linalg.eigvalsh(K.toarray()).min() < 0 for K, _, _ in seen)
+        # negative selection slopes: some Newton matrix has a negative eigenvalue,
+        # which Cholesky rejects
+        indefinite = [np.linalg.eigvalsh(K.toarray()).min() < 0 for K, *_ in seen]
+        assert any(indefinite)
+        assert all(lu for (*_, lu), neg in zip(seen, indefinite) if neg)
+    if build is _nested_dissection_2d:
+        assert rep.converged and paths == {"lu"} and prob.mesh.elimination_band is None
 
 
 # -- the p = 2 warm start by sine transform --------------------------------------
