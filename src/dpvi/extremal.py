@@ -144,6 +144,13 @@ def _lattice_condition(prob: VIProblem, u: FeFunction, side):
 
 
 def _certify(side, u: FeFunction, prob: VIProblem):
+    """Certificate of ``u`` as a sub- or supersolution (``side``).
+
+    The margin is the smallest signed slack over the testable nodes.  The
+    worst node is the lowest node index among the nodes whose slack lies
+    within 1e-12 max(1, |margin|) of it, so slacks that agree to rounding
+    (as on symmetric problems) name one node whatever their last bits.
+    """
     rule = "lower" if side == "subsolution" else "upper"
     lattice_ok, note = _lattice_condition(prob, u, side)
     r = _residual_vector(prob, u, _sources(prob, *_select_terms(prob, u, rule)))
@@ -162,8 +169,10 @@ def _certify(side, u: FeFunction, prob: VIProblem):
     idx = np.flatnonzero(testable)
     margin, worst = 0.0, None
     if len(idx):
-        worst_pos = int(np.argmin(margins[idx]))
-        margin, worst = float(margins[idx[worst_pos]]), int(idx[worst_pos])
+        margin = float(np.min(margins[idx]))
+        # margins that agree to rounding tie: the lowest node index among them
+        tied = margins[idx] <= margin + 1e-12 * max(1.0, abs(margin))
+        worst = int(idx[np.argmax(tied)])
     return CertificateReport(
         side=side,
         margin=margin,

@@ -30,6 +30,9 @@ Each mesh also chooses, once, the order in which the Newton matrices are
 factorised, and keeps its free nodes in that order: node-index order when
 banded Cholesky in that order is cheap (:attr:`Mesh.elimination_band`), and
 otherwise a nested-dissection order found from the node coordinates alone.
+A mesh with a band also keeps, once, where each entry of that band sits in
+the CSR data (:attr:`Mesh.band_entries`), so the band of any Newton matrix is
+gathered straight from the data of the full matrix.
 """
 
 from __future__ import annotations
@@ -74,10 +77,18 @@ _TRI_QW = np.array([_TRI_W1, _TRI_W1, _TRI_W1, _TRI_W2, _TRI_W2, _TRI_W2])
 _ND_LEAF = 16
 
 # largest work m (b + 1)^2 (m free rows, half-bandwidth b) of a banded Cholesky in
-# node-index order: up to 2D n = 112 (1.6e8) it beat sparse LU in nested dissection
-# on both 2-vCPU AMD EPYC machines measured (table in CHANGES.md); at n = 128
-# (2.7e8) it only tied on one of them
-_BAND_WORK = 2e8
+# node-index order.  Factorise-and-solve time (ms) of one 2D whole-space Newton
+# matrix on a 2-vCPU AMD EPYC, one BLAS thread:
+#
+#   2D n            96     112    128    144    160    176    192
+#   m (b + 1)^2     8.5e7  1.6e8  2.7e8  4.3e8  6.6e8  9.6e8  1.4e9
+#   SuperLU, ND     9.1    13.0   17.6   25.8   31.6   39.2   50.5
+#   band Cholesky   3.2    5.0    8.3    12.0   17.8   23.9   33.3
+#   band array, MB  7.0    11.1   16.6   23.7   32.6   43.4   56.3
+#
+# The band won at every size, but its array grows as m (b + 1): the constant takes
+# n = 128 and stops there, so that n = 256 (4.3e9, a 134 MB array) stays on SuperLU
+_BAND_WORK = 3e8
 
 
 _SPATIAL_VARS = ("x", "y")  # an expression's spatial variables are _SPATIAL_VARS[:dim]
@@ -124,6 +135,9 @@ class Mesh:
     elimination_band : int or None
         Half-bandwidth of the free rows in node-index order when the Newton
         matrices are factorised in that order, else None (see the property).
+    band_entries : three read-only int arrays or None
+        The CSR slots and node pairs of that band, built on first use (see
+        the property).
     nested_dissection_rank : (n_nodes,) int array
         Position of each node in a nested-dissection order for sparse LU,
         built on first use (see the property).
@@ -282,7 +296,7 @@ class Mesh:
         are factorised in node-index order, otherwise in
         :attr:`nested_dissection_rank` order.  On a :func:`build_mesh` grid
         node-index order is the natural order and b is 1 in 1D and n in 2D
-        when the whole boundary is Gamma0; 2D grids up to n = 112 stay below
+        when the whole boundary is Gamma0; 2D grids up to n = 128 stay below
         the constant.  A subset of the free rows has no wider band in the
         order it inherits, so one order serves every active set.  Built on
         first use.
@@ -294,6 +308,26 @@ class Mesh:
         both = free[heads] & free[tails]
         b = int(np.max(np.abs(row[heads] - row[tails])[both], initial=0))
         return b if np.count_nonzero(free) * (b + 1) ** 2 <= _BAND_WORK else None
+
+    @cached_property
+    def band_entries(self):
+        """Read-only ``(slots, rows, cols)`` of the band a Newton matrix is gathered
+        from when :attr:`elimination_band` is set, else None.
+
+        For every entry (i, j), i >= j, of the shared CSR pattern between two
+        free nodes: its slot in the matrix data and its node indices i and j,
+        ordered by j, then i.  That is the column-major order of LAPACK's lower
+        band storage ``ab[i - j, j]``, and it stays so for the rows of any
+        subset, which keep their node-index order.  Built on first use.
+        """
+        if self.elimination_band is None:
+            return None
+        indptr, indices, _, _ = self._assembly_plan
+        rows = np.repeat(np.arange(self.n_nodes), np.diff(indptr))
+        free = self.free_node_mask
+        slots = np.flatnonzero((indices <= rows) & free[rows] & free[indices])
+        slots = slots[np.lexsort((rows[slots], indices[slots]))]
+        return _freeze(slots), _freeze(rows[slots]), _freeze(indices[slots].astype(np.intp))
 
     @cached_property
     def nested_dissection_rank(self):

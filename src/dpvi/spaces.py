@@ -15,6 +15,8 @@ logarithm reaches the root in a few steps from any start.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,12 +33,24 @@ __all__ = [
 ]
 
 
+class _Phase(NamedTuple):
+    """One phase of the modular integrand, weight * t**exponent, at the quadrature
+    points, with the facts about its weight that every norm reads."""
+
+    weight: np.ndarray
+    exponent: np.ndarray
+    finite: bool  # every weight is finite
+    negative: np.ndarray  # weight < 0
+    positive: np.ndarray  # weight > 0
+    log_weight: np.ndarray  # log(weight) where it is positive, 0 elsewhere
+
+
 class ExponentData:
     """Exponents p, q and weight mu sampled at interior quadrature points.
 
     Carries the scalar bounds p_minus/p_plus/q_minus/q_plus (extrema over the
     sampled points); :func:`validate_exponents` derives the critical exponent
-    p* from p.
+    p* from p.  The fields are never changed after construction.
     """
 
     def __init__(self, mesh: Mesh, p, q, mu):
@@ -62,6 +76,22 @@ class ExponentData:
             return mesh.sample(e)
 
         return cls(mesh, field(p_expr), field(q_expr), field(mu_expr))
+
+    @cached_property
+    def _phases(self):
+        """The two phases of the modular integrand H(x, t) = t^p + mu t^q at the
+        quadrature points: weight w (the quadrature weight) with exponent p,
+        then weight w * mu with exponent q.  Built on first use, so every norm
+        on this data shares one weight check and one logarithm."""
+        w = self.mesh.quad_weights
+        out = []
+        for weight, exponent in ((w, self.p), (w * self.mu, self.q)):
+            positive = weight > 0
+            log_weight = np.zeros(weight.shape)
+            log_weight[positive] = np.log(weight[positive])
+            out.append(_Phase(weight, exponent, bool(np.all(np.isfinite(weight))), weight < 0,
+                              positive, log_weight))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -144,24 +174,25 @@ _NORM_TOL = 1e-10
 
 
 def _integrand_terms(kind: ModularKind, ed: ExponentData, u: FeFunction):
-    """(weight, magnitude, exponent) triples sampled at the quadrature points.
+    """(phase, magnitude) pairs sampled at the quadrature points, the phases those
+    of :attr:`ExponentData._phases`.
 
-    modular(u/lam) = sum over the triples of sum(weight * (magnitude/lam)**exponent).
+    modular(u/lam) = sum over the pairs of sum(weight * (magnitude/lam)**exponent).
     """
     if u.mesh is not ed.mesh:
         raise ValueError("function and exponent data live on different meshes")
-    w = ed.mesh.quad_weights
     a = np.abs(u.values_at_quad())
-    terms = [(w, a, ed.p), (w * ed.mu, a, ed.q)]
+    terms = [(phase, a) for phase in ed._phases]
     if kind.kind == "sobolev_H":
-        g = np.broadcast_to(_grad_magnitude(u.gradient_at_elements())[:, None], w.shape)
-        terms += [(w, g, ed.p), (w * ed.mu, g, ed.q)]
+        g = _grad_magnitude(u.gradient_at_elements())[:, None]
+        g = np.broadcast_to(g, ed.mesh.quad_weights.shape)
+        terms += [(phase, g) for phase in ed._phases]
     return terms
 
 
 def _modular_from_samples(terms, scale=1.0):
     """Quadrature sum of the modular integrand, with the function scaled by ``scale``."""
-    return float(sum(np.sum(c * (a * scale) ** r) for c, a, r in terms))
+    return float(sum(np.sum(ph.weight * (a * scale) ** ph.exponent) for ph, a in terms))
 
 
 def modular(kind: ModularKind, ed: ExponentData, u: FeFunction) -> float:
@@ -172,17 +203,19 @@ def modular(kind: ModularKind, ed: ExponentData, u: FeFunction) -> float:
 def _log_terms(terms):
     """Log-weights and exponents of the positive terms.
 
-    modular(u/lam) = sum_i exp(logc_i + r_i * tau) with tau = log(1/lam).
+    modular(u/lam) = sum_i exp(logc_i + r_i * tau) with tau = log(1/lam).  The
+    weights' checks and logarithms come from their phase; the magnitudes are
+    checked here, in the order of the terms.
     """
     logc, r = [], []
-    for coef, mag, expo in terms:
-        if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(mag))):
+    for phase, mag in terms:
+        if not (phase.finite and np.all(np.isfinite(mag))):
             raise ValueError("modular is not finite; cannot compute the norm")
-        if np.any((coef < 0) & (mag > 0)):
+        if np.any(phase.negative & (mag > 0)):
             raise ValueError("the modular has a negative weight mu(x) < 0; no norm exists")
-        keep = (coef > 0) & (mag > 0)
-        logc.append(np.log(coef[keep]) + expo[keep] * np.log(mag[keep]))
-        r.append(expo[keep])
+        keep = phase.positive & (mag > 0)
+        logc.append(phase.log_weight[keep] + phase.exponent[keep] * np.log(mag[keep]))
+        r.append(phase.exponent[keep])
     return np.concatenate(logc), np.concatenate(r)
 
 

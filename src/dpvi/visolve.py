@@ -25,10 +25,15 @@ Each Newton step ends in one factorisation of the inactive free rows, taken
 in the elimination order the mesh chose once (:attr:`Mesh.free_nodes_by_rank`);
 the order a subset inherits is no worse, so it holds for every active set.
 On a mesh whose node-index band is cheap (:attr:`Mesh.elimination_band`),
-that order is node-index order and a positive definite Newton matrix is
+that order is node-index order, the Newton matrix's band is gathered
+straight from the Jacobian's data, and a positive definite one is
 factorised by banded Cholesky.  Wider meshes, indefinite Newton matrices and
-exactly singular ones go to sparse LU: SuperLU factorises in the given
-order, nested dissection on wide meshes, instead of choosing its own.
+exactly singular ones go to sparse LU on the matrix cut out of the
+Jacobian: SuperLU factorises in the given order, nested dissection on wide
+meshes, instead of choosing its own.  A solve whose accepted steps stay
+shorter than ``_SHORT_STEP`` for ``_SHORT_STEPS`` steps in a row stops, as
+one whose line search finds no decrease does, instead of spending its
+budget.
 
 A solve pays for its Newton steps and little else.  A cold solve starts
 from the p = 2 problem with the selections frozen at the projection of
@@ -86,6 +91,11 @@ class SolverError(RuntimeError):
 
 # shortest line-search step; no sufficient decrease down to it ends the solve
 _LINE_SEARCH_MIN = 1e-8
+# this many accepted steps in a row shorter than _SHORT_STEP end the solve: no
+# benchmark or CLI solve takes one such step, the slow 1D whole-space solves at
+# n = 4096 take at most 6 in a row, and a stalled solve takes one every step
+_SHORT_STEP = 1e-4
+_SHORT_STEPS = 20
 
 
 class ConstraintSet:
@@ -286,29 +296,50 @@ def _selection_slope(mf, u: FeFunction, rule):
 # inner semismooth Newton / active set
 
 
-def _factor_solve(K, rhs, band):
-    """Solve K x = rhs, K exactly symmetric with its rows and columns already in
-    elimination order.
+def _band_gather(J, rows, mesh: Mesh):
+    """Lower band of K = J[rows, rows] in LAPACK storage, ``ab[i - j, j] = K[i, j]``
+    for i >= j, on a mesh with an :attr:`Mesh.elimination_band`.
 
-    ``band`` is the mesh's :attr:`Mesh.elimination_band`: when it is set, K's
-    rows are in node-index order and its half-bandwidth is at most ``band``,
-    and K is first factorised by banded Cholesky (LAPACK ``dpbtrf`` on its
-    lower band).  A K that Cholesky rejects as not positive definite, and
-    every K without a band, is factorised by sparse LU: SuperLU keeps the
-    given column order (``NATURAL``) and prefers diagonal pivots
-    (``SymmetricMode``); the default pivot threshold still allows row
-    interchanges, which an indefinite K may need.  K's CSR arrays are also
-    its CSC arrays, so no conversion is needed.  Raises RuntimeError on an
-    exactly singular LU factor.
+    ``rows`` are free nodes in node-index order.  The mesh's
+    :attr:`Mesh.band_entries` are cut down to the entries between two of them
+    and renumbered by one cumulative count, and J's data is scattered straight
+    into the Fortran array: no sparse K is formed.  An entry that is an exact
+    zero stays one, so the band is K's lower band bitwise.
     """
-    if band is not None:
-        rows = np.repeat(np.arange(len(rhs)), np.diff(K.indptr))
-        lower = K.indices <= rows
-        ab = np.zeros((band + 1, len(rhs)), order="F")  # ab[i - j, j] = K[i, j], i >= j
-        ab[(rows - K.indices)[lower], K.indices[lower]] = K.data[lower]
-        chol, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    inside = np.zeros(mesh.n_nodes, dtype=bool)
+    inside[rows] = True
+    slots, i, j = mesh.band_entries
+    keep = np.flatnonzero(inside[i] & inside[j])
+    pos = np.cumsum(inside) - 1  # position of each node among the rows
+    i, j = pos[i[keep]], pos[j[keep]]
+    b = mesh.elimination_band
+    ab = np.zeros((b + 1) * len(rows))
+    ab[b * j + i] = J.data[slots[keep]]  # entry (i - j, j) of the column-major array
+    return ab.reshape((b + 1, len(rows)), order="F")
+
+
+def _factor_solve(J, rows, rhs, mesh: Mesh):
+    """Solve K x = rhs for the Newton matrix K = J[rows, rows], J exactly
+    symmetric on the mesh's shared pattern and ``rows`` the inactive free nodes
+    in the mesh's elimination order (:attr:`Mesh.free_nodes_by_rank`).
+
+    When the mesh has an :attr:`Mesh.elimination_band`, the rows are in
+    node-index order and K's lower band is gathered from J
+    (:func:`_band_gather`) and factorised by banded Cholesky (LAPACK
+    ``dpbtrf``).  A K that Cholesky rejects as not positive definite, and
+    every K on a mesh without a band, is cut out of J and factorised by
+    sparse LU: SuperLU keeps the given column order (``NATURAL``) and prefers
+    diagonal pivots (``SymmetricMode``); the default pivot threshold still
+    allows row interchanges, which an indefinite K may need.  The cut K's CSR
+    arrays are also its CSC arrays, so no conversion is needed.  Raises
+    RuntimeError on an exactly singular LU factor.
+    """
+    if mesh.elimination_band is not None:
+        chol, info = lapack.dpbtrf(_band_gather(J, rows, mesh), lower=1, overwrite_ab=1)
         if info == 0:
             return lapack.dpbtrs(chol, rhs, lower=1)[0]
+    K = J[np.ix_(rows, rows)]
+    K.eliminate_zeros()  # entries that cancel exactly only add fill to an LU
     K = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape)
     lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
     return lu.solve(rhs)
@@ -322,10 +353,11 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     cannot change are frozen for the whole loop instead, and their sources
     assembled once: those ``frozen`` supplies (the warm start's), or, when no
     reaction reads s, those selected at the start.  The Newton system on the
-    inactive free nodes is sliced with its rows in the mesh's elimination
-    order and factorised in that order by :func:`_factor_solve`, by banded
-    Cholesky when the mesh has an :attr:`Mesh.elimination_band` and K is
-    positive definite, otherwise by sparse LU; a slope field that is
+    inactive free nodes, taken in the mesh's elimination order, is solved by
+    :func:`_factor_solve` from the full Jacobian: by banded Cholesky on its
+    band, gathered from the Jacobian's data, when the mesh has an
+    :attr:`Mesh.elimination_band` and K is positive definite, otherwise by
+    sparse LU on K cut out of the Jacobian; a slope field that is
     identically zero adds no mass to it.  A singular Newton system is
     retried twice with only the Jacobian re-assembled, its smoothing eps 100
     times larger each time.
@@ -338,7 +370,10 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     reaches the tolerance.  The first line search without sufficient
     decrease down to ``_LINE_SEARCH_MIN`` ends the solve: it leaves the
     iterate and its residual unchanged, so every later step would repeat it
-    exactly.  Returns ``(u, eta, zeta, residual, cause)`` of the last
+    exactly.  So do ``_SHORT_STEPS`` accepted steps in a row shorter than
+    ``_SHORT_STEP``: a step that short need cut the max norm by less than
+    1e-8 of itself, and a solve that takes only such steps is making no
+    progress.  Returns ``(u, eta, zeta, residual, cause)`` of the last
     accepted merit evaluation: the iterate as a :class:`FeFunction`, its
     selections and its max-norm residual, with cause None on convergence and
     otherwise naming why the solve stopped.  Each step linearises at the
@@ -365,10 +400,13 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
         return at, r, float(np.max(np.abs(alpha), initial=0.0)), float(np.sqrt(alpha @ alpha))
 
     at, r, phi, ell2 = merit(u)
+    short = 0  # accepted steps in a row shorter than _SHORT_STEP
     for _ in range(opts.max_iter):
         report.residual_history.append(phi)
         if phi <= opts.tol:
             return *at, phi, None
+        if short == _SHORT_STEPS:
+            return *at, phi, f"no progress: {short} steps in a row shorter than {_SHORT_STEP:g}"
         rf, u_free = r[free], u[free]
         # active where the bound wins the pointwise min/max in the NCP
         act_lo = np.isfinite(lo_f) & (u_free - lo_f <= rf)
@@ -396,11 +434,9 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
                 J = op.jacobian(uf, eps=op.eps * (100.0**attempt))
                 for mass in masses:  # left to right, the rounding of J + M_aux + M_f + M_gamma
                     J.data += mass
-                K = J[np.ix_(rows, rows)]
-                K.eliminate_zeros()  # entries that cancel exactly only add fill to an LU
                 rhs = -(r + J @ d)[rows]
                 try:
-                    sol = _factor_solve(K, rhs, mesh.elimination_band)
+                    sol = _factor_solve(J, rows, rhs, mesh)
                 except RuntimeError:  # exactly singular factor
                     continue
                 if np.all(np.isfinite(sol)):
@@ -420,6 +456,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
             full_l2 = t == 1.0 and ell2_t < ell2 * (1.0 - 1e-4)
             if phi_t < phi * (1.0 - 1e-4 * t) or phi_t <= opts.tol or full_l2:
                 u, at, r, phi, ell2 = trial, at_t, r_t, phi_t, ell2_t
+                short = short + 1 if t < _SHORT_STEP else 0
                 break
             t *= 0.5
         else:

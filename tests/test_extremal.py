@@ -21,7 +21,15 @@ from dpvi.mesh import FeFunction, build_mesh, fe_interpolate
 from dpvi.multifun import IntervalMultifunction, TruncationData, TwoArgIntervalMultifunction
 from dpvi.operator import DoublePhaseOperator
 from dpvi.spaces import ExponentData
-from dpvi.visolve import ConstraintSet, SolverOptions, VIProblem, solve_vi, vi_residual
+from dpvi.visolve import (
+    ConstraintSet,
+    SolverError,
+    SolverOptions,
+    VIProblem,
+    build_auxiliary,
+    solve_vi,
+    vi_residual,
+)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -81,6 +89,28 @@ def test_failed_supersolution_reports_node():
     assert sup.passed
     assert not sub.passed
     assert sub.worst_node is not None
+
+
+@pytest.mark.parametrize("side", ["subsolution", "supersolution"])
+def test_worst_node_of_tied_margins_ignores_their_last_bits(monkeypatch, side):
+    # u = 0 with f = 5 on a uniform mesh: every margin is 5 h up to rounding.  Moving
+    # any one of them 2 ulp down does not move the worst node
+    prob, mesh = make_problem(1, 8, f=("5", "5"))
+    u = fe_interpolate("0", mesh)
+    verify = verify_subsolution if side == "subsolution" else verify_supersolution
+    cert = verify(u, prob)
+    assert cert.worst_node == 1 and cert.tested_nodes == 7
+    residual = extremal._residual_vector
+    for node in range(1, 8):
+        def moved(*args, node=node):
+            r = residual(*args).copy()
+            away = np.inf if side == "subsolution" else -np.inf  # the margin is -r or r
+            r[node] = np.nextafter(np.nextafter(r[node], away), away)
+            return r
+
+        monkeypatch.setattr(extremal, "_residual_vector", moved)
+        moved_cert = verify(u, prob)
+        assert moved_cert.worst_node == 1 and moved_cert.margin <= cert.margin
 
 
 def test_subsolution_above_box_fails_lattice():
@@ -481,6 +511,25 @@ def test_fixed_point_runs_one_side_per_outer_step(monkeypatch):
     smallest, greatest, _ = discontinuous_fixed_point(prob, j, oi, opts)
     assert np.all(smallest.coeffs <= greatest.coeffs)
     assert len(calls) == 6
+
+
+def test_enclosed_solve_without_progress_stops_early():
+    # the greatest solution moved up 5e-9 at the free nodes is still a certified
+    # supersolution; from it, the auxiliary solve on [lower, moved] takes one step
+    # of length 2^-18 after another, which once spent all 200 Newton steps
+    prob, mesh, oi = _interval_problem()
+    opts = SolverOptions(tol=1e-10)
+    greatest = extremal_pair(prob, oi, opts)[1]
+    moved = FeFunction(mesh, greatest.coeffs + 5e-9 * mesh.free_node_mask)
+    cert = verify_supersolution(moved, prob)
+    assert cert.passed
+    iv = OrderedInterval(oi.lower, moved, oi.lower_certificate, cert)
+    start = dataclasses.replace(opts, selection="lower", initial=moved)
+    u, eta, zeta, rep = solve_vi(build_auxiliary(prob, iv), start)
+    assert not rep.converged and rep.newton_iterations <= 30
+    assert rep.message.endswith("; no progress: 20 steps in a row shorter than 0.0001")
+    with pytest.raises(SolverError, match="auxiliary solve failed: .*; no progress"):
+        solve_enclosed(prob, iv, start)
 
 
 def test_failed_certificate_names_the_iterate(monkeypatch):

@@ -471,7 +471,7 @@ def test_elimination_rank_is_the_adjacency_bisection_on_grids(dim, n, gamma):
 
 def test_free_nodes_by_rank():
     # in node-index order while the mesh has a band, in nested dissection above it
-    small, wide = build_mesh(2, 9, "x - 0.5"), build_mesh(2, 128, "x - 0.5")
+    small, wide = build_mesh(2, 9, "x - 0.5"), build_mesh(2, 144, "x - 0.5")
     assert small.elimination_band is not None and wide.elimination_band is None
     for m, rank in ((small, np.arange(small.n_nodes)), (wide, wide.nested_dissection_rank)):
         free = m.free_nodes_by_rank
@@ -485,7 +485,7 @@ def test_free_nodes_by_rank():
 @pytest.mark.parametrize("dim,n,gamma,relabel", [
     (1, 1, None, False), (1, 40, "x - 0.5", False), (1, 40, None, True), (2, 1, None, False),
     (2, 16, "x - 0.5", False), (2, 16, "y - x", True), (2, 112, None, False),
-    (2, 128, None, False),
+    (2, 128, None, False), (2, 144, None, False),
 ])
 def test_elimination_band_is_the_band_of_the_free_rows(dim, n, gamma, relabel):
     # the half-bandwidth of the assembled pattern's free rows in node-index order,
@@ -503,8 +503,9 @@ def test_elimination_band_on_grids():
     # node (i, j) and (i + 1, j + 1) are n free rows apart when the whole boundary is Gamma0
     assert build_mesh(1, 4096).elimination_band == 1
     assert build_mesh(2, 16).elimination_band == 16
-    assert build_mesh(2, 112).elimination_band == 112  # the widest grid below the crossover
-    assert build_mesh(2, 128).elimination_band is None
+    assert build_mesh(2, 112).elimination_band == 112
+    assert build_mesh(2, 128).elimination_band == 128  # the widest ladder grid below the crossover
+    assert build_mesh(2, 256).elimination_band is None
 
 
 # -- build_mesh against its cell-by-cell construction ----------------------------------

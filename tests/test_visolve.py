@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -470,9 +471,11 @@ def _spy_singular_solves(monkeypatch, n_singular):
     solves, eps_seen = [], []
     factor_solve, jacobian = visolve._factor_solve, DoublePhaseOperator.jacobian
 
-    def nan_solve(A, b, band):
+    def nan_solve(J, rows, b, mesh):
         solves.append(len(b))
-        return np.full(len(b), np.nan) if len(solves) <= n_singular else factor_solve(A, b, band)
+        if len(solves) <= n_singular:
+            return np.full(len(b), np.nan)
+        return factor_solve(J, rows, b, mesh)
 
     def spy_jacobian(self, u, eps=None):
         eps_seen.append(eps)
@@ -529,9 +532,9 @@ def test_immutability_of_functions_and_meshes():
 
 
 def test_elimination_order_cuts_lu_fill(monkeypatch):
-    # the last system (p = 2.5, u != 0) keeps all seven points per row; n = 128 is
+    # the last system (p = 2.5, u != 0) keeps all seven points per row; n = 144 is
     # above the band crossover, so the mesh orders its rows by nested dissection
-    prob, mesh = make_problem(2, 128, p="2.5", f=("1", "1"))
+    prob, mesh = make_problem(2, 144, p="2.5", f=("1", "1"))
     assert mesh.elimination_band is None
     lus = []
     splu = visolve.spla.splu
@@ -544,9 +547,40 @@ def test_elimination_order_cuts_lu_fill(monkeypatch):
     u, eta, zeta, rep = solve_vi(prob)
     assert rep.converged and len(lus) >= 2
     K, lu = lus[-1]
-    assert K.shape == (127 * 127,) * 2 and K.nnz > 6.5 * 127 * 127
+    assert K.shape == (143 * 143,) * 2 and K.nnz > 6.5 * 143 * 143
     default = splu(K)
     assert lu.L.nnz + lu.U.nnz <= 0.8 * (default.L.nnz + default.U.nnz)
+
+
+@pytest.mark.parametrize("dim, n, gamma, relabel", [
+    (1, 64, None, False), (2, 16, None, False), (2, 16, "x - 0.5", False),
+    (2, 12, "y - x", True),
+], ids=["1d", "2d", "2d_gamma_facets", "2d_relabelled"])
+def test_band_gather_is_the_lower_band_of_the_cut_matrix(dim, n, gamma, relabel):
+    # J + M at a random iterate, and the p = 2 stiffness with its exact zeros, against
+    # the band of J[rows, rows] cut out of J
+    rng = np.random.default_rng(n)
+    mesh = build_mesh(dim, n, gamma)
+    if relabel:
+        mesh = _not_built(mesh, reverse=True)
+    band = mesh.elimination_band
+    assert band is not None
+    u = FeFunction(mesh, rng.normal(size=mesh.n_nodes))
+    jac, stiffness = (DoublePhaseOperator(mesh, ExponentData.from_expressions(mesh, *e)).jacobian(u)
+                      for e in (("1.8", "2.6", "x"), ("2", "3", "0")))
+    jac.data += mesh.layout("interior").mass_data(np.abs(u.values_at_quad()))
+    free = mesh.free_nodes_by_rank
+    for J, share in itertools.product((jac, stiffness), (1.0, 0.7, 0.3, 0.05)):
+        rows = free[rng.random(len(free)) < share]
+        K = J[np.ix_(rows, rows)]
+        K.eliminate_zeros()
+        K = K.tocoo()
+        lower = K.row >= K.col
+        ref = np.zeros((band + 1, len(rows)), order="F")
+        ref[(K.row - K.col)[lower], K.col[lower]] = K.data[lower]
+        ab = visolve._band_gather(J, rows, mesh)
+        assert ab.shape == ref.shape and ab.flags.f_contiguous
+        assert ab.tobytes(order="F") == ref.tobytes(order="F")
 
 
 def _whole_space_2d():
@@ -570,7 +604,7 @@ def _tridiagonal_1d():
 
 def _nested_dissection_2d():
     # above the band crossover; p = 2 needs one Newton step from the flat start
-    return make_problem(2, 128, p="2", f=("1", "1"))[0]
+    return make_problem(2, 144, p="2", f=("1", "1"))[0]
 
 
 @pytest.mark.parametrize("build", [_whole_space_2d, _obstacle_2d, _noncoercive,
@@ -582,10 +616,11 @@ def test_newton_solutions_match_spsolve(monkeypatch, build):
     seen, infos, lus = [], [], []
     factor_solve, dpbtrf, splu = visolve._factor_solve, visolve.lapack.dpbtrf, visolve.spla.splu
 
-    def spy(K, rhs, band):
+    def spy(J, rows, rhs, mesh):
         tried = len(infos), len(lus)
-        sol = factor_solve(K, rhs, band)
-        seen.append((K, rhs, band, sol, infos[tried[0]:], len(lus) > tried[1]))
+        sol = factor_solve(J, rows, rhs, mesh)
+        K = J[np.ix_(rows, rows)]
+        seen.append((K, rhs, mesh.elimination_band, sol, infos[tried[0]:], len(lus) > tried[1]))
         return sol
 
     def spy_dpbtrf(*args, **kwargs):
