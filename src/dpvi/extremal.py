@@ -26,6 +26,15 @@ candidate of the same interval (smallest side).  None runs Newton from the
 bound that moves, where the truncation of an interval reaction jumps from
 the rule-selected endpoint to the frozen opposite one; a first step starts
 there only when that bound already solves its problem.
+
+The greatest side's first solve in ``extremal_pair``, the one whose Newton
+steps grow with the mesh from the fixed bound, starts instead from a nested
+start on grids large enough (nested iteration, Hackbusch 1985): the same
+auxiliary problem solved on the grid with half the subdivisions, itself
+started one level further down, then prolonged and clipped into the bounds.
+Coarse solves are ordinary ``solve_vi`` calls and only supply a start; the
+bounds, certificates, every fine solve and every check stay on the
+problem's mesh.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from .visolve import (
     SolverError,
     SolverOptions,
     VIProblem,
+    _coarse_problem,
     _infeasibility,
     _residual_vector,
     _select_terms,
@@ -69,6 +79,21 @@ __all__ = [
 ]
 
 _MAX_OUTER = 50  # bound on the steps of each monotone (extremal or fixed-point) iteration
+
+# a coarse level of the greatest side's nested start is solved only on a coarse grid
+# of at least this many nodes.  Newton steps of the greatest side's first enclosed
+# solve on bench.cases.ExtremalCase (2D obstacle, f = 8), cold from the lower bound
+# and nested, coarsest level first:
+#
+#   2D n    cold    nested, per level
+#   32      13      9 + 9 (from 16: +5 counted, so no)
+#   64      24      13 + 11
+#   128     41      13 + 11 + 10
+#   256     101     13 + 11 + 10 + 12
+#
+# Below the constant a cold solve takes at most 13 steps, and a coarse level only
+# adds counted steps
+_NEST_MIN_NODES = 1000
 
 
 class EnclosureError(RuntimeError):
@@ -403,7 +428,9 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
     moving bound (``oi.upper`` for the greatest side, ``oi.lower`` for the
     smallest) that already solves its problem, checked on ``prob`` itself
     (:func:`_solves_enclosed`), and from ``start`` if neither does.  Both lie
-    in the interval.  ``start`` must not be the moving bound: there the
+    in the interval.  ``start`` is the fixed bound, a candidate of the other
+    side, or on the greatest side of :func:`extremal_pair` the nested start
+    (:func:`_nested_start`).  It must not be the moving bound: there the
     truncation of an interval reaction switches from the rule-selected
     endpoint to the frozen opposite one, so Newton from the moving bound
     fails to converge unless it is already a solution (as the lower bound
@@ -437,6 +464,39 @@ def _extremal_iterate(prob: VIProblem, oi: OrderedInterval, opts, side, start):
     return u, members, history
 
 
+def _nested_start(prob: VIProblem, oi: TruncationData, opts):
+    """Start of the greatest side's first enclosed solve, by nested iteration.
+
+    The same auxiliary problem, that of the interval ``[oi.lower, oi.upper]``,
+    is solved on the grid with half the subdivisions (:func:`_coarse_problem`)
+    between the bounds injected there, by one :func:`solve_vi` call with
+    ``opts`` whose start is, recursively, this start one level down.  Its
+    solution is prolonged (:meth:`CoarseGrid.prolong`) and clipped into the
+    bounds.  The start is ``oi.lower``, as without nesting, when the coarse
+    grid would have fewer than ``_NEST_MIN_NODES`` nodes, when the problem
+    cannot be rebuilt there, or when the coarse solve does not converge.
+    Only the start comes from the coarse grid: the fine solve, its bounds and
+    every check stay on the problem's mesh.
+    """
+    mesh, n = prob.mesh, prob.mesh.subdivisions
+    big = n is not None and (n // 2 + 1) ** mesh.dim >= _NEST_MIN_NODES
+    grid = mesh.coarse_grid if big else None
+    coarse_prob = None if grid is None else _coarse_problem(prob, grid)
+    if coarse_prob is None:
+        return oi.lower
+    coarse_oi = TruncationData(*(FeFunction(grid.mesh, grid.inject(b.coeffs))
+                                 for b in (oi.lower, oi.upper)))
+    start = _nested_start(coarse_prob, coarse_oi, opts)
+    try:
+        u, _, _, report = solve_vi(build_auxiliary(coarse_prob, coarse_oi),
+                                   replace(opts, initial=start))
+    except SolverError:
+        return oi.lower
+    if not report.converged:
+        return oi.lower
+    return FeFunction(mesh, np.clip(grid.prolong(u.coeffs), oi.lower.coeffs, oi.upper.coeffs))
+
+
 def extremal_pair(prob: VIProblem, oi: OrderedInterval,
                   opts: Optional[SolverOptions] = None):
     """Smallest and greatest solution candidates inside a certified interval.
@@ -447,13 +507,20 @@ def extremal_pair(prob: VIProblem, oi: OrderedInterval,
     raise, because the monotone iteration is a heuristic whose output is
     only accepted with certificates.  Each side checks its members against
     its own candidate; here each is checked against the other's.
+
+    The greatest side starts from :func:`_nested_start`: on a grid whose
+    half-size grid has at least ``_NEST_MIN_NODES`` nodes, that adds one
+    ``solve_vi`` call per coarse level, with the greatest side's options,
+    before the first fine solve; elsewhere it is the lower bound.
     """
     opts = opts or SolverOptions()
     if not oi.certified():
         raise ValueError("interval certificates missing or failed")
-    # each side starts off its moving bound: the greatest from the fixed
-    # lower bound, the smallest from the greatest candidate just computed
-    greatest, members_g, hist_g = _extremal_iterate(prob, oi, opts, "greatest", oi.lower)
+    # each side starts off its moving bound: the greatest from the nested start
+    # (the fixed lower bound on small grids), the smallest from the greatest
+    # candidate just computed
+    start = _nested_start(prob, oi, replace(opts, selection="lower"))
+    greatest, members_g, hist_g = _extremal_iterate(prob, oi, opts, "greatest", start)
     smallest, members_s, hist_s = _extremal_iterate(prob, oi, opts, "smallest", greatest)
 
     sset = SolutionSet(members_s + members_g, {"greatest": hist_g, "smallest": hist_s})

@@ -33,6 +33,13 @@ otherwise a nested-dissection order found from the node coordinates alone.
 A mesh with a band also keeps, once, where each entry of that band sits in
 the CSR data (:attr:`Mesh.band_entries`), so the band of any Newton matrix is
 gathered straight from the data of the full matrix.
+
+A :func:`build_mesh` grid records its subdivisions and Gamma predicate, so the
+grid with half its subdivisions can be built again (:attr:`Mesh.coarse_grid`).
+A coarse grid's P1 functions are P1 functions on the fine grid too: one
+:class:`CoarseGrid` injects fine nodal values onto the coarse nodes and
+prolongs coarse functions exactly onto the fine grid, by index arithmetic, in
+1D and 2D alike.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ __all__ = [
     "Mesh",
     "Layout",
     "FeFunction",
+    "CoarseGrid",
     "build_mesh",
     "fe_interpolate",
 ]
@@ -132,6 +140,12 @@ class Mesh:
     subdivisions : int or None
         n for the uniform grid of ``build_mesh(dim, n)``, with its node and
         element numbering; None for any other mesh.
+    gamma_predicate : ExprAst or None
+        The Gamma predicate ``build_mesh`` tagged the facets with; None for
+        no predicate or any other mesh.
+    coarse_grid : CoarseGrid or None
+        The grid with half the subdivisions and its transfers, built on first
+        use (see the property).
     elimination_band : int or None
         Half-bandwidth of the free rows in node-index order when the Newton
         matrices are factorised in that order, else None (see the property).
@@ -163,7 +177,7 @@ class Mesh:
         for facet, tag in self.boundary_facets:
             if tag not in ("gamma", "gamma0"):
                 raise ValueError(f"facet {facet} has invalid tag {tag!r}")
-        self.subdivisions = None  # build_mesh records its grid
+        self.subdivisions = self.gamma_predicate = None  # build_mesh records its grid
         self._build_interior()
         self._build_boundary()
 
@@ -259,6 +273,16 @@ class Mesh:
                  zip(self._layouts, np.split(upper, ends), np.split(lower, ends))}
         return _freeze(indptr.astype(idx)), _freeze(cols.astype(idx)), _freeze(diagonal), edges
 
+    @cached_property
+    def coarse_grid(self):
+        """The :class:`CoarseGrid` of ``build_mesh(dim, n // 2, gamma_predicate)``
+        for a :func:`build_mesh` grid with an even number n of subdivisions, else
+        None.  Built on first use."""
+        n = self.subdivisions
+        if n is None or n % 2:
+            return None
+        return CoarseGrid(self.dim, n, self.gamma_predicate)
+
     @property
     def local_edges(self):
         """Local node pairs (i, j), i < j, of an element's edges, as two index arrays."""
@@ -269,11 +293,7 @@ class Mesh:
         """Read-only (n_elements, n_edges) products grad(hat_i).grad(hat_j) over the
         element edges (i, j) of :attr:`local_edges`.  Built on first use."""
         i, j = self.local_edges
-        gi, gj = self.grad_basis[:, i], self.grad_basis[:, j]
-        gram = gi[..., 0] * gj[..., 0]
-        for d in range(1, self.dim):
-            gram += gi[..., d] * gj[..., d]
-        return _freeze(gram)
+        return _freeze(_dot(self.grad_basis[:, i], self.grad_basis[:, j]))
 
     @cached_property
     def free_nodes_by_rank(self):
@@ -496,9 +516,10 @@ class Layout:
 class FeFunction:
     """Continuous piecewise-linear function given by one coefficient per node.
 
-    The coefficients are frozen, so the quadrature values and the element
-    gradients are computed on first use and then returned, read-only, to
-    every later caller.
+    The coefficients are frozen, so the quadrature values, the element
+    gradients, their magnitudes and their products with the basis gradients
+    are computed on first use and then returned, read-only, to every later
+    caller: the operator's residual and its Jacobian at one iterate share them.
     """
 
     def __init__(self, mesh: Mesh, coeffs):
@@ -509,7 +530,7 @@ class FeFunction:
             )
         self.mesh = mesh
         self.coeffs = _freeze(coeffs.copy())
-        self._quad = self._grad = None
+        self._quad = self._grad = self._grad_norm = self._grad_basis = None
 
     @classmethod
     def zero(cls, mesh):
@@ -531,6 +552,24 @@ class FeFunction:
             local = self.coeffs[self.mesh.elements]
             self._grad = _freeze(np.einsum("ei,eid->ed", local, self.mesh.grad_basis))
         return self._grad
+
+    def gradient_magnitude(self):
+        """|grad u| per element, shape (n_elements,), read-only; taken without
+        squaring (``abs`` in 1D, ``hypot`` in 2D), which would underflow or
+        overflow far from unit scale."""
+        if self._grad_norm is None:
+            g = self.gradient_at_elements()
+            self._grad_norm = _freeze(np.abs(g[:, 0]) if self.mesh.dim == 1
+                                      else np.hypot(g[:, 0], g[:, 1]))
+        return self._grad_norm
+
+    def gradient_dot_basis(self):
+        """grad(u).grad(hat_i) per element and local node i, shape (n_elements,
+        dim + 1), read-only."""
+        if self._grad_basis is None:
+            g = self.gradient_at_elements()
+            self._grad_basis = _freeze(_dot(g[:, None], self.mesh.grad_basis))
+        return self._grad_basis
 
     def __add__(self, other):
         if isinstance(other, FeFunction):
@@ -567,11 +606,12 @@ class FeFunction:
         return "\n".join(lines) + "\n"
 
 
-def _grad_magnitude(grad):
-    """|grad u| per element from its (n_elements, dim) gradient
-    (:meth:`FeFunction.gradient_at_elements`), without squaring, which would
-    underflow or overflow far from unit scale."""
-    return np.abs(grad[:, 0]) if grad.shape[1] == 1 else np.hypot(grad[:, 0], grad[:, 1])
+def _dot(a, b):
+    """Dot product over the last (dimension) axis, with the others broadcast."""
+    out = a[..., 0] * b[..., 0]
+    for d in range(1, a.shape[-1]):
+        out += a[..., d] * b[..., d]
+    return out
 
 
 def build_mesh(dim, subdivisions, gamma_predicate=None):
@@ -582,7 +622,8 @@ def build_mesh(dim, subdivisions, gamma_predicate=None):
     ``gamma_predicate`` may be an AST, an expression string in the spatial
     variables, or None, which tags the whole boundary gamma0.  Node (i, j)
     of the 2D grid, at (i/n, j/n), has index j (n+1) + i, and the mesh
-    records n as :attr:`Mesh.subdivisions`.
+    records n as :attr:`Mesh.subdivisions` and the predicate's AST as
+    :attr:`Mesh.gamma_predicate`.
     """
     n = int(subdivisions)
     if n < 1:
@@ -621,8 +662,53 @@ def build_mesh(dim, subdivisions, gamma_predicate=None):
     tags = np.where(gamma, "gamma", "gamma0")
     facets = [(tuple(f), str(t)) for f, t in zip(facets.tolist(), tags)]
     mesh = Mesh(dim, nodes, elements, facets)
-    mesh.subdivisions = n
+    mesh.subdivisions, mesh.gamma_predicate = n, gamma_predicate
     return mesh
+
+
+class CoarseGrid:
+    """The :func:`build_mesh` grid with half the subdivisions of a finer one, and
+    the two transfers of nodal values between them.
+
+    ``mesh`` is ``build_mesh(dim, n // 2, gamma_predicate)`` for the fine
+    grid's dimension, even n and Gamma predicate, so its Gamma/Gamma0
+    partition is the one that call gives.  Coarse node i (1D) or (i, j) (2D)
+    is fine node 2i or (2i, 2j).  Every coarse triangle is the union of four
+    fine ones, since the fine cells split along the same a-c diagonal, so each
+    coarse P1 function is a fine one.  The transfers are index arithmetic:
+
+    * :meth:`inject` reads fine nodal values at the coarse nodes;
+    * :meth:`prolong` is that exact embedding.  Each fine node averages its
+      two parents, the coarse nodes at half its grid index rounded down and
+      rounded up along every axis: a coarse node is its own parent twice, an
+      edge midpoint averages the edge's ends (in 1D this is linear
+      interpolation) and a cell midpoint the ends of the cell's a-c diagonal,
+      on which it lies.  ``inject(prolong(c))`` is ``c`` bitwise.
+
+    The fine grid is not referenced, so a grid may cache its coarse grid.
+    """
+
+    def __init__(self, dim, n, gamma_predicate=None):
+        if n % 2:
+            raise ValueError("a coarse grid needs an even number of subdivisions")
+        self.mesh = build_mesh(dim, n // 2, gamma_predicate)
+        axis = np.arange(n + 1)
+
+        def flat(index, size):  # grid index along each axis -> node index
+            return index if dim == 1 else (size * index[:, None] + index[None, :]).ravel()
+
+        self._nodes = flat(axis[::2], n + 1)
+        self._parents = (flat(axis // 2, n // 2 + 1), flat((axis + 1) // 2, n // 2 + 1))
+
+    def inject(self, coeffs):
+        """Values of the fine nodal ``coeffs`` at the coarse nodes."""
+        return np.asarray(coeffs, dtype=float)[self._nodes]
+
+    def prolong(self, coeffs):
+        """Fine nodal values of the coarse P1 function with nodal ``coeffs``."""
+        c = np.asarray(coeffs, dtype=float)
+        lo, hi = self._parents
+        return 0.5 * (c[lo] + c[hi])
 
 
 def fe_interpolate(expr, mesh: Mesh):

@@ -12,7 +12,9 @@ weights, standard practice for p-Laplacian-type problems.
 
 The gradient of a P1 function is constant per element, and |grad u| is
 taken without squaring it (``abs`` in 1D, ``hypot`` in 2D), so the operator
-stays homogeneous far from unit scale.  Each power law then costs one
+stays homogeneous far from unit scale.  The magnitudes and the products
+grad(u).grad(hat_i) come from the :class:`FeFunction`, which computes them
+once, so the residual and the Jacobian at one iterate share them.  Each power law then costs one
 ``log`` per element and one ``exp`` per exponent and element: an exponent
 constant over each element's quadrature points (a constant exponent, and
 every shipped configuration) is held as one column, with its quadrature
@@ -32,18 +34,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import FeFunction, Mesh, _grad_magnitude
+from .mesh import FeFunction, Mesh
 from .spaces import ExponentData
 
 __all__ = ["DoublePhaseOperator"]
-
-
-def _dot(a, b):
-    """Dot product over the last (dimension) axis, with the others broadcast."""
-    out = a[..., 0] * b[..., 0]
-    for d in range(1, a.shape[-1]):
-        out += a[..., d] * b[..., d]
-    return out
 
 
 def _per_element(field):
@@ -92,23 +86,21 @@ class DoublePhaseOperator:
         are ignored by solvers, which restrict to free nodes.
         """
         self._check(u)
-        mesh = self.mesh
-        grad = u.gradient_at_elements()  # (ne, dim)
-        w = _grad_magnitude(grad)
+        w = u.gradient_magnitude()
         # log w = 0 where w = 0 keeps the coefficient finite, and grad u = 0 there
         # makes the flux exactly zero: the continuous extension
         lw = np.log(w, out=np.zeros_like(w), where=w > 0.0)[:, None]
         gp, gq = self._weighted_powers(lw)
         cw = np.sum(gp, axis=1) + np.sum(gq, axis=1)  # quadrature sum of h(w), (ne,)
         # flux . grad(hat_i) summed over quadrature, gradient constant per element
-        contrib = cw[:, None] * _dot(grad[:, None], mesh.grad_basis)
-        return mesh.layout("interior").scatter(contrib)
+        contrib = cw[:, None] * u.gradient_dot_basis()
+        return self.mesh.layout("interior").scatter(contrib)
 
     def energy(self, u: FeFunction) -> float:
         """The convex potential: integral of |grad u|^p / p + mu |grad u|^q / q."""
         self._check(u)
         mesh, ed = self.mesh, self.exponents
-        w = _grad_magnitude(u.gradient_at_elements())
+        w = u.gradient_magnitude()
         wq = np.broadcast_to(w[:, None], mesh.quad_weights.shape)
         dens = wq**ed.p / ed.p + ed.mu * wq**ed.q / ed.q
         return float(np.sum(mesh.quad_weights * dens))
@@ -139,9 +131,8 @@ class DoublePhaseOperator:
         if eps is None:
             eps = self.eps
         mesh = self.mesh
-        grad = u.gradient_at_elements()  # (ne, dim)
         # tiny floor keeps the power weights finite when eps = 0 at grad u = 0
-        ge = np.maximum(np.hypot(_grad_magnitude(grad), eps), 1e-12)  # (ne,)
+        ge = np.maximum(np.hypot(u.gradient_magnitude(), eps), 1e-12)  # (ne,)
         gp, gq = self._weighted_powers(np.log(ge)[:, None])
         # quadrature-summed isotropic weight h and rank-one weight h'(ge)/ge per element,
         # with ge h'(ge) = (p-2) ge^(p-2) + mu (q-2) ge^(q-2)
@@ -149,7 +140,7 @@ class DoublePhaseOperator:
         a_rank1 = (np.sum(self._pm2 * gp, axis=1) + np.sum(self._qm2 * gq, axis=1)) / ge / ge
 
         i, j = mesh.local_edges
-        gu = _dot(grad[:, None], mesh.grad_basis)  # grad(u).grad(hat_i), (ne, nloc)
+        gu = u.gradient_dot_basis()  # grad(u).grad(hat_i), (ne, nloc)
         edge = a_iso[:, None] * mesh.edge_gram + (a_rank1[:, None] * gu[:, i]) * gu[:, j]
         return mesh.csr(mesh.layout("interior").matrix_data(edge))
 

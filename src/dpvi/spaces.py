@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expr import parse_expression
-from .mesh import _SPATIAL_VARS, FeFunction, Mesh, _grad_magnitude
+from .mesh import _SPATIAL_VARS, FeFunction, Mesh
 
 __all__ = [
     "ExponentData",
@@ -50,8 +50,13 @@ class ExponentData:
 
     Carries the scalar bounds p_minus/p_plus/q_minus/q_plus (extrema over the
     sampled points); :func:`validate_exponents` derives the critical exponent
-    p* from p.  The fields are never changed after construction.
+    p* from p.  ``expressions`` holds the ASTs of p, q and mu when the data
+    were sampled from them (:meth:`from_expressions`), so the same exponents
+    can be sampled on another mesh, and None for data given as arrays.  The
+    fields are never changed after construction.
     """
+
+    expressions = None  # (p, q, mu) ASTs, set by from_expressions
 
     def __init__(self, mesh: Mesh, p, q, mu):
         shape = mesh.quad_weights.shape
@@ -69,13 +74,14 @@ class ExponentData:
 
     @classmethod
     def from_expressions(cls, mesh: Mesh, p_expr, q_expr, mu_expr):
-        """Sample expression strings or ASTs for p, q, mu on ``mesh``."""
-        def field(e):
-            if isinstance(e, str):
-                e = parse_expression(e, _SPATIAL_VARS[:mesh.dim])
-            return mesh.sample(e)
-
-        return cls(mesh, field(p_expr), field(q_expr), field(mu_expr))
+        """Sample expression strings or ASTs for p, q, mu on ``mesh``, keeping
+        their ASTs as :attr:`expressions`."""
+        spatial = _SPATIAL_VARS[:mesh.dim]
+        asts = tuple(parse_expression(e, spatial) if isinstance(e, str) else e
+                     for e in (p_expr, q_expr, mu_expr))
+        ed = cls(mesh, *(mesh.sample(e) for e in asts))
+        ed.expressions = asts
+        return ed
 
     @cached_property
     def _phases(self):
@@ -184,7 +190,7 @@ def _integrand_terms(kind: ModularKind, ed: ExponentData, u: FeFunction):
     a = np.abs(u.values_at_quad())
     terms = [(phase, a) for phase in ed._phases]
     if kind.kind == "sobolev_H":
-        g = _grad_magnitude(u.gradient_at_elements())[:, None]
+        g = u.gradient_magnitude()[:, None]
         g = np.broadcast_to(g, ed.mesh.quad_weights.shape)
         terms += [(phase, g) for phase in ed._phases]
     return terms

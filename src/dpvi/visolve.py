@@ -60,8 +60,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .mesh import FeFunction, Mesh, _freeze
+from .mesh import CoarseGrid, FeFunction, Mesh, _freeze
 from .multifun import (
+    IntervalMultifunction,
     TruncationData,
     assemble_source,
     penalty,
@@ -563,6 +564,40 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
     if not report.converged:
         report.message = f"not converged: residual {report.residual:.3e}; {cause}"
     return uf, eta, zeta, report
+
+
+def _coarse_problem(prob: VIProblem, grid: CoarseGrid) -> Optional[VIProblem]:
+    """``prob`` rebuilt on the coarse grid ``grid.mesh``, or None.
+
+    The exponents are sampled again from their expressions, the constraint
+    bounds are injected (:meth:`CoarseGrid.inject`) and each interval
+    reaction is rebuilt from its endpoint ASTs on the same layout.  None when
+    a part cannot be rebuilt: exponent data given as arrays, a reaction that
+    is not a plain :class:`IntervalMultifunction` (two-argument, frozen or
+    truncated), a penalty (``aux``), or a coarse problem that is not
+    admissible, such as bounds that exclude 0 at a coarse Gamma0 node.
+    """
+    ed = prob.exponents
+    reactions = (prob.f, prob.f_gamma)
+    if (ed.expressions is None or prob.aux is not None
+            or any(mf is not None and type(mf) is not IntervalMultifunction for mf in reactions)):
+        return None
+    coarse = grid.mesh
+
+    def injected(u):
+        return None if u is None else FeFunction(coarse, grid.inject(u.coeffs))
+
+    def rebuilt(mf):
+        on_boundary = mf.layout.where == "boundary_gamma"
+        return IntervalMultifunction(coarse, mf.lower, mf.upper, on_boundary=on_boundary)
+
+    op = DoublePhaseOperator(coarse, ExponentData.from_expressions(coarse, *ed.expressions))
+    cs = ConstraintSet(injected(prob.constraint.lower), injected(prob.constraint.upper))
+    f, f_gamma = (None if mf is None else rebuilt(mf) for mf in reactions)
+    try:
+        return VIProblem(op, cs, f, f_gamma)
+    except ValueError:  # not admissible on the coarse grid
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpvi import extremal
-from dpvi.cli import build_problem, load_config, make_interval, solver_options
+from dpvi.cli import build_problem, load_config, main, make_interval, solver_options
 from dpvi.extremal import (
     EnclosureError,
     OrderedInterval,
@@ -595,3 +595,136 @@ def test_equal_envelopes_share_one_bound_solve(monkeypatch):
         np.testing.assert_array_equal(getattr(shared, name).coeffs, getattr(twice, name).coeffs)
     assert shared.M == twice.M
     assert shared.certified() and twice.certified()
+
+
+# -- the greatest side's nested start -----------------------------------------------
+
+
+def _obstacle_case(n):
+    """bench.cases.ExtremalCase's 2D obstacle problem (f = 8) and its options."""
+    prob, mesh = make_problem(2, n, "1.8", "2.6", "max(0, x - 0.5)",
+                              constraint=_obstacle_minus_half, f=("8", "8"))
+    return prob, SolverOptions(tol=1e-10, max_iter=200, selection="midpoint")
+
+
+def _recording(monkeypatch, inner=None):
+    """Record (mesh, selection, initial, report) of every solve_vi call of extremal."""
+    calls, inner = [], inner or extremal.solve_vi
+
+    def recording(prob, opts=None):
+        out = inner(prob, opts)
+        calls.append((prob.mesh, opts.selection, opts.initial, out[3]))
+        return out
+
+    monkeypatch.setattr(extremal, "solve_vi", recording)
+    return calls
+
+
+def _cold(monkeypatch):
+    """The greatest side starts from the lower bound, as without nesting."""
+    monkeypatch.setattr(extremal, "_nested_start", lambda prob, oi, opts: oi.lower)
+
+
+def _pipeline(prob, opts, k="8"):
+    oi = construct_obstacle_bounds(prob, k, k, c_psi=0.1, margin=1e-3, opts=opts)
+    return oi, extremal_pair(prob, oi, opts)
+
+
+def test_nested_start_finishes_the_cold_pair_in_few_fine_steps(monkeypatch):
+    prob, opts = _obstacle_case(64)
+    runs = {}
+    for nested in (False, True):
+        with monkeypatch.context() as m:
+            if not nested:
+                _cold(m)
+            calls = _recording(m)
+            runs[nested] = _pipeline(prob, opts), calls
+    (oi, (smallest, greatest, _)), calls = runs[True]
+    (_, (smallest0, greatest0, _)), calls0 = runs[False]
+    for u, u0 in ((smallest, smallest0), (greatest, greatest0)):
+        assert np.max(np.abs(u.coeffs - u0.coeffs)) <= 10 * opts.tol
+    # the bound solve, the coarse (n = 32) solve, then the greatest side's first solve
+    assert [mesh.subdivisions for mesh, *_ in calls[:3]] == [64, 32, 64]
+    assert all(mesh is prob.mesh for mesh, *_ in calls[2:])
+    _, selection, initial, first = calls[2]
+    assert selection == "lower" and initial is not oi.lower
+    assert first.converged and first.newton_iterations <= 12
+    steps = sum(report.newton_iterations for *_, report in calls)
+    cold_steps = sum(report.newton_iterations for *_, report in calls0)
+    assert cold_steps == 29 and steps <= cold_steps
+
+
+def _steps(calls):
+    return [(mesh.n_nodes, report.newton_iterations) for mesh, *_, report in calls]
+
+
+def test_small_grids_take_no_coarse_solve(monkeypatch):
+    # 2D n = 32: the coarse grid n = 16 has 289 < _NEST_MIN_NODES nodes
+    prob, opts = _obstacle_case(32)
+    with monkeypatch.context() as m:
+        _cold(m)
+        cold = _recording(m)
+        _pipeline(prob, opts)
+    calls = _recording(monkeypatch)
+    _pipeline(prob, opts)
+    assert all(mesh is prob.mesh for mesh, *_ in calls)
+    assert _steps(calls) == _steps(cold)
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+def test_shipped_configs_take_no_coarse_solve(monkeypatch, tmp_path, config):
+    argv = ["extremal", "--config", str(CONFIGS / config)]
+    with monkeypatch.context() as m:
+        _cold(m)
+        cold = _recording(m)
+        code = main(argv + ["--out", str(tmp_path / "cold")])
+    calls = _recording(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "nested")]) == code
+    n_nodes = build_problem(load_config(CONFIGS / config)).mesh.n_nodes
+    assert all(mesh.n_nodes == n_nodes for mesh, *_ in calls)
+    assert _steps(calls) == _steps(cold)
+
+
+@pytest.mark.parametrize("failure", ["not converged", "singular"])
+def test_failed_coarse_solve_falls_back_to_the_lower_bound(monkeypatch, failure):
+    prob, opts = _obstacle_case(64)
+    with monkeypatch.context() as m:
+        _cold(m)
+        _, (smallest0, greatest0, _) = _pipeline(prob, opts)
+    inner = extremal.solve_vi
+
+    def failing(p, o=None):
+        if p.mesh is prob.mesh:
+            return inner(p, o)
+        if failure == "singular":
+            raise SolverError("Newton system singular after smoothing retries")
+        u, eta, zeta, report = inner(p, o)
+        return u, eta, zeta, dataclasses.replace(report, converged=False)
+
+    calls = _recording(monkeypatch, failing)
+    oi, (smallest, greatest, sset) = _pipeline(prob, opts)
+    fine = [(selection, initial) for mesh, selection, initial, _ in calls if mesh is prob.mesh]
+    assert fine[1][0] == "lower" and fine[1][1] is oi.lower
+    # the cold pipeline, with every check passed
+    np.testing.assert_array_equal(smallest.coeffs, smallest0.coeffs)
+    np.testing.assert_array_equal(greatest.coeffs, greatest0.coeffs)
+    for u, rule in ((smallest, "upper"), (greatest, "lower")):
+        assert vi_residual(prob, u, prob.f.select(u, rule)) <= opts.tol
+    assert verify_supersolution(greatest, prob).passed
+
+
+def test_problems_that_cannot_be_rebuilt_take_no_coarse_solve(monkeypatch):
+    prob, opts = _obstacle_case(64)
+    mesh, ed = prob.mesh, prob.exponents
+    # exponent data given as arrays
+    raw = VIProblem(DoublePhaseOperator(mesh, ExponentData(mesh, ed.p, ed.q, ed.mu)),
+                    prob.constraint, prob.f)
+    calls = _recording(monkeypatch)
+    oi, _ = _pipeline(raw, opts)
+    assert calls and all(m is mesh for m, *_ in calls)
+    # a two-argument reaction, frozen as the fixed point freezes it
+    del calls[:]
+    j = TwoArgIntervalMultifunction(mesh, "8 - 0*r", "8 - 0*r")
+    frozen = VIProblem(prob.operator, prob.constraint, j.freeze(oi.lower))
+    assert extremal._nested_start(frozen, oi, opts) is oi.lower
+    assert not calls

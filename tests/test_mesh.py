@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from dpvi import operator as operator_module
 from dpvi.expr import eval_expression, parse_expression
 from dpvi.mesh import (
-    _BAND_WORK, _TRI_BARY, FeFunction, Layout, Mesh, build_mesh, fe_interpolate,
+    _BAND_WORK, _TRI_BARY, CoarseGrid, FeFunction, Layout, Mesh, build_mesh, fe_interpolate,
 )
 from dpvi.multifun import assemble_source
 from dpvi.operator import DoublePhaseOperator
@@ -142,6 +142,21 @@ def test_quad_values_and_gradients_computed_once():
     np.testing.assert_array_equal(vals, m.layout("interior").values(u.coeffs))
     np.testing.assert_array_equal(
         grads, np.einsum("ei,eid->ed", u.coeffs[m.elements], m.grad_basis))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gradient_magnitudes_and_basis_products_computed_once(dim):
+    m = build_mesh(dim, 4)
+    u = FeFunction(m, np.random.default_rng(dim).normal(size=m.n_nodes))
+    norm, products = u.gradient_magnitude(), u.gradient_dot_basis()
+    assert u.gradient_magnitude() is norm and u.gradient_dot_basis() is products
+    assert not norm.flags.writeable and not products.flags.writeable
+    grads = u.gradient_at_elements()
+    # abs in 1D and hypot in 2D, so the magnitude never squares the gradient
+    np.testing.assert_array_equal(
+        norm, np.abs(grads[:, 0]) if dim == 1 else np.hypot(grads[:, 0], grads[:, 1]))
+    np.testing.assert_allclose(products, np.einsum("ed,eid->ei", grads, m.grad_basis),
+                               rtol=1e-14, atol=1e-14)
 
 
 # -- layout assembly against the np.add.at / COO construction ------------------------
@@ -586,3 +601,76 @@ def test_quad_points_are_bitwise_the_vertex_broadcast(n):
         ref = _broadcast_quad_points(m)
         assert m.quad_points.dtype == ref.dtype and m.quad_points.flags.c_contiguous
         np.testing.assert_array_equal(m.quad_points, ref)
+
+
+# -- the coarse grid: injection and prolongation ------------------------------------
+
+_NESTED = [(1, 8, None), (1, 10, "x - 0.5"), (2, 8, None), (2, 6, "x - 0.4"),
+           (2, 8, "sin(3*x) - y")]
+
+
+def _p1_at(mesh, coeffs, points):
+    """Values at ``points`` (k, dim) of the P1 function ``coeffs`` on ``mesh``, each
+    point located by its barycentric coordinates in every element."""
+    verts = mesh.nodes[mesh.elements]  # (ne, dim + 1, dim)
+    # lambda_i(x) = delta_i0 + grad(hat_i) . (x - v0) on each element
+    lam = np.einsum("eid,ked->kei", mesh.grad_basis, points[:, None, :] - verts[None, :, 0])
+    lam[:, :, 0] += 1.0
+    inside = np.all(lam >= -1e-12, axis=2)
+    assert inside.any(axis=1).all()
+    e = np.argmax(inside, axis=1)
+    k = np.arange(len(points))
+    return np.sum(lam[k, e] * coeffs[mesh.elements[e]], axis=1)
+
+
+@pytest.mark.parametrize("dim,n,gamma", _NESTED)
+def test_coarse_grid_is_build_mesh_at_half_the_subdivisions(dim, n, gamma):
+    fine = build_mesh(dim, n, gamma)
+    grid = fine.coarse_grid
+    assert fine.coarse_grid is grid and isinstance(grid, CoarseGrid)
+    ref = build_mesh(dim, n // 2, gamma)
+    assert grid.mesh.subdivisions == n // 2 and grid.mesh.dim == dim
+    assert grid.mesh.boundary_facets == ref.boundary_facets  # the same Gamma/Gamma0 partition
+    np.testing.assert_array_equal(grid.mesh.gamma0_node_mask, ref.gamma0_node_mask)
+    np.testing.assert_array_equal(grid.mesh.nodes, ref.nodes)
+    # coarse node i (1D) or (i, j) (2D) is fine node 2i or (2i, 2j)
+    np.testing.assert_array_equal(grid.inject(fine.nodes[:, 0]), ref.nodes[:, 0])
+    np.testing.assert_array_equal(grid.inject(fine.nodes[:, -1]), ref.nodes[:, -1])
+
+
+def test_coarse_grid_needs_an_even_build_mesh_grid():
+    assert build_mesh(2, 7).coarse_grid is None
+    assert build_mesh(1, 1).coarse_grid is None
+    assert _relabelled(build_mesh(2, 8), 0).coarse_grid is None  # not from build_mesh
+    with pytest.raises(ValueError, match="even"):
+        CoarseGrid(2, 7)
+
+
+@pytest.mark.parametrize("dim,n,gamma", _NESTED)
+def test_injection_undoes_prolongation(dim, n, gamma):
+    grid = build_mesh(dim, n, gamma).coarse_grid
+    c = np.random.default_rng(n).normal(size=grid.mesh.n_nodes)
+    fine = grid.prolong(c)
+    assert fine.shape == ((n + 1) ** dim,)
+    np.testing.assert_array_equal(grid.inject(fine), c)
+
+
+@pytest.mark.parametrize("dim,n,gamma", _NESTED)
+def test_prolonged_affine_function_is_its_fine_interpolant(dim, n, gamma):
+    fine = build_mesh(dim, n, gamma)
+    grid = fine.coarse_grid
+    expr = "0.3 - 2*x" if dim == 1 else "0.3 - 2*x + 5*y"
+    prolonged = grid.prolong(fe_interpolate(expr, grid.mesh).coeffs)
+    np.testing.assert_allclose(prolonged, fe_interpolate(expr, fine).coeffs,
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim,n,gamma", _NESTED)
+def test_prolongation_is_the_coarse_function_on_the_fine_grid(dim, n, gamma):
+    fine = build_mesh(dim, n, gamma)
+    grid = fine.coarse_grid
+    c = np.random.default_rng(n + dim).normal(size=grid.mesh.n_nodes)
+    on_fine = FeFunction(fine, grid.prolong(c)).values_at_quad()
+    points = fine.quad_points.reshape(-1, dim)
+    expected = _p1_at(grid.mesh, c, points).reshape(on_fine.shape)
+    np.testing.assert_allclose(on_fine, expected, rtol=0, atol=1e-13)

@@ -8,7 +8,12 @@ import scipy.sparse.linalg as spla
 from dpvi import visolve
 from dpvi.cli import build_problem, load_config
 from dpvi.mesh import FeFunction, Mesh, build_mesh, fe_interpolate
-from dpvi.multifun import IntervalMultifunction, TruncationData, pick_endpoint
+from dpvi.multifun import (
+    IntervalMultifunction,
+    TruncationData,
+    TwoArgIntervalMultifunction,
+    pick_endpoint,
+)
 from dpvi.operator import DoublePhaseOperator
 from dpvi.spaces import ExponentData, ModularKind, luxemburg_norm
 from dpvi.visolve import (
@@ -842,3 +847,63 @@ def test_state_free_selections_frozen_once_per_solve(monkeypatch):
     assert len(selects) == len(sources) == 2
     monkeypatch.undo()
     assert rep.residual == vi_residual(prob, u, eta, zeta)
+
+
+# -- the problem on the coarse grid -----------------------------------------------
+
+
+def test_coarse_problem_is_the_problem_sampled_on_the_coarse_grid():
+    prob, mesh = make_problem(2, 8, "1.8", "2.6", "max(0, x - 0.5)",
+                              constraint=lambda m: ConstraintSet.obstacle(
+                                  fe_interpolate("-0.5 + 0.1*x*y", m)),
+                              f=("-1 + s", "1 + s"), f_gamma=("x", "x + 1"),
+                              gamma_predicate="x - 0.5")
+    grid = mesh.coarse_grid
+    coarse = visolve._coarse_problem(prob, grid)
+    ref, ref_mesh = make_problem(2, 4, "1.8", "2.6", "max(0, x - 0.5)",
+                                 constraint=lambda m: ConstraintSet.obstacle(
+                                     fe_interpolate("-0.5 + 0.1*x*y", m)),
+                                 f=("-1 + s", "1 + s"), f_gamma=("x", "x + 1"),
+                                 gamma_predicate="x - 0.5")
+    assert coarse.mesh is grid.mesh and coarse.mesh.boundary_facets == ref_mesh.boundary_facets
+    for name in ("p", "q", "mu"):
+        np.testing.assert_array_equal(getattr(coarse.exponents, name),
+                                      getattr(ref.exponents, name))
+    np.testing.assert_array_equal(coarse.constraint.lower.coeffs, ref.constraint.lower.coeffs)
+    assert coarse.constraint.upper is None and coarse.aux is None
+    for mf, ref_mf in ((coarse.f, ref.f), (coarse.f_gamma, ref.f_gamma)):
+        assert type(mf) is IntervalMultifunction and mf.mesh is grid.mesh
+        assert (mf.lower, mf.upper, mf.layout.where) == (ref_mf.lower, ref_mf.upper,
+                                                         ref_mf.layout.where)
+    u = FeFunction(grid.mesh, np.random.default_rng(0).normal(size=grid.mesh.n_nodes))
+    np.testing.assert_array_equal(coarse.operator.apply(u),
+                                  ref.operator.apply(FeFunction(ref_mesh, u.coeffs)))
+
+
+def test_coarse_problem_is_none_where_a_part_cannot_be_rebuilt():
+    prob, mesh = make_problem(2, 8, "1.8", "2.6", "0", f=("-1", "1"))
+    grid = mesh.coarse_grid
+    assert visolve._coarse_problem(prob, grid) is not None
+    ed = prob.exponents
+    raw = VIProblem(DoublePhaseOperator(mesh, ExponentData(mesh, ed.p, ed.q, ed.mu)),
+                    prob.constraint, prob.f)
+    assert raw.exponents.expressions is None
+    assert visolve._coarse_problem(raw, grid) is None
+    j = TwoArgIntervalMultifunction(mesh, "-1 - r", "1 - r")
+    frozen = VIProblem(prob.operator, prob.constraint, j.freeze(FeFunction.zero(mesh)))
+    assert visolve._coarse_problem(frozen, grid) is None
+    td = TruncationData(FeFunction.constant(mesh, -1.0), FeFunction.constant(mesh, 1.0))
+    assert visolve._coarse_problem(build_auxiliary(prob, td), grid) is None
+
+
+def test_coarse_problem_is_none_where_it_is_not_admissible():
+    # y in (0.18, 0.32) is Gamma on the left and right edges: the fine facets there
+    # (midpoints y = 3/16, 5/16) are Gamma, so node y = 1/4 is free, while the
+    # coarse facets (midpoints y = 1/8, 3/8) are Gamma0
+    predicate = "0.07 - abs(y - 0.25)"
+    obstacle = lambda m: ConstraintSet.obstacle(fe_interpolate("0.5 - 8*abs(y - 0.25)", m))
+    prob, mesh = make_problem(2, 8, constraint=obstacle, gamma_predicate=predicate)
+    assert visolve._coarse_problem(prob, mesh.coarse_grid) is None  # lower bound 0.5 on Gamma0
+    prob, mesh = make_problem(2, 8, f_gamma=("-1", "1"), gamma_predicate=predicate)
+    assert not len(mesh.coarse_grid.mesh.layout("boundary_gamma").conn)
+    assert visolve._coarse_problem(prob, mesh.coarse_grid) is None  # no coarse Gamma facet
