@@ -10,6 +10,14 @@ A Luxemburg norm is the scaling lambda with modular(u/lambda) = 1.  Each
 modular is a positive sum of terms c_i lambda^(-r_i), so its logarithm is
 convex and increasing in log(1/lambda), and Newton's method on that
 logarithm reaches the root in a few steps from any start.
+
+A modular's terms are laid out magnitudes by phases: the magnitudes |u| at
+the quadrature points and, for ``sobolev_H``, |grad u| (constant on each
+element), against the phases t^p and mu t^q, in the order (p, |u|),
+(q, |u|), (p, |grad u|), (q, |grad u|).  A norm takes each logarithm once
+(log|u| per quadrature point, log|grad u| per element) and runs its Newton
+iteration on one flat array of all positive terms; the modular sums each
+term's quadrature points, then the terms in that order.
 """
 
 from __future__ import annotations
@@ -33,14 +41,15 @@ __all__ = [
 ]
 
 
-class _Phase(NamedTuple):
-    """One phase of the modular integrand, weight * t**exponent, at the quadrature
-    points, with the facts about its weight that every norm reads."""
+class _Phases(NamedTuple):
+    """The two phases of the modular integrand, weight * t**exponent, stacked on a
+    leading axis of length 2 over the quadrature points, with the facts about
+    their weights that every norm reads."""
 
     weight: np.ndarray
     exponent: np.ndarray
-    finite: bool  # every weight is finite
-    negative: np.ndarray  # weight < 0
+    finite: tuple  # per phase: every weight is finite
+    negative: tuple  # per phase: the mask weight < 0, or None if no weight is negative
     positive: np.ndarray  # weight > 0
     log_weight: np.ndarray  # log(weight) where it is positive, 0 elsewhere
 
@@ -86,18 +95,19 @@ class ExponentData:
     @cached_property
     def _phases(self):
         """The two phases of the modular integrand H(x, t) = t^p + mu t^q at the
-        quadrature points: weight w (the quadrature weight) with exponent p,
-        then weight w * mu with exponent q.  Built on first use, so every norm
-        on this data shares one weight check and one logarithm."""
+        quadrature points, stacked: weight w (the quadrature weight) with
+        exponent p, then weight w * mu with exponent q.  Built on first use, so
+        every norm on this data shares one copy, one weight check and one
+        logarithm, and data that never take a norm build nothing."""
         w = self.mesh.quad_weights
-        out = []
-        for weight, exponent in ((w, self.p), (w * self.mu, self.q)):
-            positive = weight > 0
-            log_weight = np.zeros(weight.shape)
-            log_weight[positive] = np.log(weight[positive])
-            out.append(_Phase(weight, exponent, bool(np.all(np.isfinite(weight))), weight < 0,
-                              positive, log_weight))
-        return tuple(out)
+        weight = np.stack((w, w * self.mu))
+        positive = weight > 0
+        log_weight = np.zeros(weight.shape)
+        log_weight[positive] = np.log(weight[positive])
+        negative = tuple(m if np.any(m) else None for m in weight < 0)
+        finite = tuple(bool(np.all(np.isfinite(x))) for x in weight)
+        return _Phases(weight, np.stack((self.p, self.q)), finite, negative, positive,
+                       log_weight)
 
 
 @dataclass(frozen=True)
@@ -179,50 +189,67 @@ _NORM_MAX_NEWTON = 50
 _NORM_TOL = 1e-10
 
 
-def _integrand_terms(kind: ModularKind, ed: ExponentData, u: FeFunction):
-    """(phase, magnitude) pairs sampled at the quadrature points, the phases those
-    of :attr:`ExponentData._phases`.
+def _magnitudes(kind: ModularKind, ed: ExponentData, u: FeFunction):
+    """|u| at the quadrature points and, for ``sobolev_H``, |grad u| repeated over
+    each element's points, stacked as ``(M, *quad shape)``; with them |grad u|
+    per element, or None for ``lebesgue_H``.
 
-    modular(u/lam) = sum over the pairs of sum(weight * (magnitude/lam)**exponent).
+    modular(u/lam) = sum over magnitudes m, then phases k of
+    :attr:`ExponentData._phases`, of sum(weight_k * (mags[m]/lam)**exponent_k).
     """
     if u.mesh is not ed.mesh:
         raise ValueError("function and exponent data live on different meshes")
-    a = np.abs(u.values_at_quad())
-    terms = [(phase, a) for phase in ed._phases]
-    if kind.kind == "sobolev_H":
-        g = u.gradient_magnitude()[:, None]
-        g = np.broadcast_to(g, ed.mesh.quad_weights.shape)
-        terms += [(phase, g) for phase in ed._phases]
-    return terms
+    values = u.values_at_quad()
+    if kind.kind == "lebesgue_H":
+        return np.abs(values)[None], None
+    g = u.gradient_magnitude()
+    mags = np.empty((2,) + values.shape)
+    np.abs(values, out=mags[0])
+    mags[1] = g[:, None]
+    return mags, g
 
 
-def _modular_from_samples(terms, scale=1.0):
-    """Quadrature sum of the modular integrand, with the function scaled by ``scale``."""
-    return float(sum(np.sum(ph.weight * (a * scale) ** ph.exponent) for ph, a in terms))
+def _modular_from_samples(ed: ExponentData, mags, scale=1.0):
+    """Quadrature sum of the modular integrand over the magnitudes ``mags`` of
+    :func:`_magnitudes`, scaled by ``scale``: one array over all terms, summed
+    term by term in their order."""
+    ph = ed._phases
+    values = ph.weight * (mags * scale)[:, None] ** ph.exponent
+    return float(sum(values.reshape(-1, mags[0].size).sum(axis=1)))
 
 
 def modular(kind: ModularKind, ed: ExponentData, u: FeFunction) -> float:
-    """Quadrature approximation of the requested modular of ``u``."""
-    return _modular_from_samples(_integrand_terms(kind, ed, u))
+    """Quadrature approximation of the requested modular of ``u``, summed term by
+    term in the order of :func:`_magnitudes`."""
+    return _modular_from_samples(ed, _magnitudes(kind, ed, u)[0])
 
 
-def _log_terms(terms):
-    """Log-weights and exponents of the positive terms.
+def _log_terms(ed: ExponentData, mags, g):
+    """Log-weights and exponents of the positive terms, as two flat arrays in the
+    order of the terms and, within a term, of the quadrature points.
 
     modular(u/lam) = sum_i exp(logc_i + r_i * tau) with tau = log(1/lam).  The
-    weights' checks and logarithms come from their phase; the magnitudes are
-    checked here, in the order of the terms.
+    weights' checks and logarithms come from their phase.  The terms are
+    checked in order, so the first one with a non-finite magnitude or weight,
+    or with a negative weight where its magnitude is positive, names the
+    error.  log|u| is taken once per quadrature point, log|grad u| once per
+    element, each only where positive.
     """
-    logc, r = [], []
-    for phase, mag in terms:
-        if not (phase.finite and np.all(np.isfinite(mag))):
-            raise ValueError("modular is not finite; cannot compute the norm")
-        if np.any(phase.negative & (mag > 0)):
-            raise ValueError("the modular has a negative weight mu(x) < 0; no norm exists")
-        keep = phase.positive & (mag > 0)
-        logc.append(phase.log_weight[keep] + phase.exponent[keep] * np.log(mag[keep]))
-        r.append(phase.exponent[keep])
-    return np.concatenate(logc), np.concatenate(r)
+    ph = ed._phases
+    positive = mags > 0
+    for m, mag_finite in enumerate(np.isfinite(mags).all(axis=(1, 2))):
+        for k in range(2):
+            if not (ph.finite[k] and mag_finite):
+                raise ValueError("modular is not finite; cannot compute the norm")
+            if ph.negative[k] is not None and (ph.negative[k] & positive[m]).any():
+                raise ValueError("the modular has a negative weight mu(x) < 0; no norm exists")
+    log_mag = np.zeros(mags.shape)
+    np.log(mags[0], out=log_mag[0], where=positive[0])
+    if g is not None:
+        log_mag[1] = np.log(g, out=np.zeros(g.shape), where=g > 0)[:, None]
+    keep = ph.positive & positive[:, None]
+    logc = (ph.log_weight + ph.exponent * log_mag[:, None])[keep]
+    return logc, ph.exponent[None].repeat(len(mags), axis=0)[keep]
 
 
 def _log_modular(logc, r, tau):
@@ -241,13 +268,15 @@ def luxemburg_norm(kind: ModularKind, ed: ExponentData, u: FeFunction) -> float:
     tau = log(1/lambda), so g(tau) = log modular is convex and increasing with
     slope between min r and max r.  Newton on g from lambda = 1 overshoots the
     root at most once and then decreases monotonically onto it, in a handful
-    of steps.  The result is checked against the modular evaluated directly.
+    of steps.  All terms lie in one flat array (:func:`_log_terms`), so a
+    Newton step is a few whole-array operations.  The result is checked
+    against the modular evaluated directly.
 
     Returns 0 for the zero function, and only for it: both modulars weigh
     |u|^p with weight 1.
     """
-    terms = _integrand_terms(kind, ed, u)
-    logc, r = _log_terms(terms)
+    mags, g = _magnitudes(kind, ed, u)
+    logc, r = _log_terms(ed, mags, g)
     if logc.size == 0:  # the zero function
         return 0.0
     tau = 0.0
@@ -260,7 +289,7 @@ def luxemburg_norm(kind: ModularKind, ed: ExponentData, u: FeFunction) -> float:
     else:
         raise ValueError("Newton iteration for the norm did not converge")
     lam = float(np.exp(-tau))
-    rho = _modular_from_samples(terms, scale=1.0 / lam)
+    rho = _modular_from_samples(ed, mags, scale=1.0 / lam)
     if not abs(rho - 1.0) <= _NORM_TOL:
         raise ValueError(f"the norm misses the modular tolerance: modular {rho!r} at the root")
     return lam

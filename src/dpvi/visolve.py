@@ -554,6 +554,10 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
     opts = opts or SolverOptions()
     report = SolveReport(selection_rule=opts.selection)
     mesh = prob.mesh
+    # the mesh's CSR pattern, built once per mesh: here it lands below the warm
+    # start's freed temporaries, where at the first Jacobian it would land above
+    # them and raise the peak memory of a large solve
+    mesh._assembly_plan
 
     if opts.initial is not None:
         u = prob.constraint.project(opts.initial.coeffs.copy(), mesh)

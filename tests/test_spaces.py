@@ -270,3 +270,116 @@ def test_norm_is_homogeneous_at_extreme_scales(dim, n, kind):
     base = luxemburg_norm(kind, ed, g)
     for s in (1e-300, 1e300):
         assert luxemburg_norm(kind, ed, g * s) == pytest.approx(s * base, rel=1e-12)
+
+
+# -- the norm against the per-term evaluation it replaced ---------------------
+
+
+def _per_term(kind, ed, u):
+    # (weight, exponent, magnitude) per term, one loop iteration each:
+    # (p, |u|), (q, |u|), then for sobolev_H (p, |grad u|), (q, |grad u|)
+    w = ed.mesh.quad_weights
+    a = np.abs(u.values_at_quad())
+    mags = [a]
+    if kind.kind == "sobolev_H":
+        mags.append(np.broadcast_to(u.gradient_magnitude()[:, None], a.shape))
+    return [(weight, exponent, mag) for mag in mags
+            for weight, exponent in ((w, ed.p), (w * ed.mu, ed.q))]
+
+
+def _per_term_modular(terms, scale=1.0):
+    return float(sum(np.sum(weight * (mag * scale) ** exponent) for weight, exponent, mag in terms))
+
+
+def _per_term_norm(kind, ed, u):
+    # the reference: checks, logarithms, Newton on log modular and the final
+    # modular check, each taken one term at a time
+    terms = _per_term(kind, ed, u)
+    logc, r = [], []
+    for weight, exponent, mag in terms:
+        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(mag))):
+            raise ValueError("modular is not finite; cannot compute the norm")
+        if np.any((weight < 0) & (mag > 0)):
+            raise ValueError("the modular has a negative weight mu(x) < 0; no norm exists")
+        keep = (weight > 0) & (mag > 0)
+        logc.append(np.log(weight[keep]) + exponent[keep] * np.log(mag[keep]))
+        r.append(exponent[keep])
+    logc, r = np.concatenate(logc), np.concatenate(r)
+    if logc.size == 0:
+        return 0.0
+    tau = 0.0
+    for _ in range(50):
+        e = logc + r * tau
+        top = np.max(e)
+        t = np.exp(e - top)
+        total = np.sum(t)
+        step = (top + np.log(total)) / (float(r @ t) / total)
+        tau -= step
+        if abs(step) <= 1e-12 * (1.0 + abs(tau)):
+            break
+    lam = float(np.exp(-tau))
+    assert abs(_per_term_modular(terms, 1.0 / lam) - 1.0) <= 1e-10
+    return lam
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 8), (2, 48)])
+@pytest.mark.parametrize("kind", [ModularKind.sobolev(), ModularKind.lebesgue()],
+                         ids=["sobolev_H", "lebesgue_H"])
+def test_norm_and_modular_equal_the_per_term_evaluation_bitwise(dim, n, kind):
+    # mu vanishes on half the domain, and the last function of each scale
+    # vanishes on half the nodes, so terms drop out where a weight or a
+    # magnitude is zero; 2D n = 48 has more than 8192 points per term
+    m = build_mesh(dim, n)
+    ed = exponents(m, "1.05", "6", "max(0, x - 0.5)")
+    rng = np.random.default_rng(31)
+    for scale in (1e-300, 1e-6, 1.0, 1e6, 1e300):
+        for half in (False, False, True):
+            c = scale * rng.normal(size=m.n_nodes)
+            if half:
+                c[m.nodes[:, -1] < 0.5] = 0.0
+            u = FeFunction(m, c)
+            lam = luxemburg_norm(kind, ed, u)
+            assert lam == _per_term_norm(kind, ed, u)
+            # the modular of u itself overflows at 1e300 (inf, or nan where mu = 0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rho, expected = modular(kind, ed, u), _per_term_modular(_per_term(kind, ed, u))
+            assert rho == expected or (np.isnan(rho) and np.isnan(expected))
+            v = u * (1.0 / lam)
+            assert modular(kind, ed, v) == _per_term_modular(_per_term(kind, ed, v))
+
+
+def _outcome(norm, kind, ed, u):
+    try:
+        return norm(kind, ed, u)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("kind", [ModularKind.sobolev(), ModularKind.lebesgue()],
+                         ids=["sobolev_H", "lebesgue_H"])
+def test_norm_errors_keep_their_per_term_precedence(kind):
+    # the terms are checked in their order, (p, |u|), (q, |u|), (p, |grad u|),
+    # (q, |grad u|), each for a non-finite magnitude first, then for a negative
+    # weight where its magnitude is positive
+    m = build_mesh(1, 16)
+    random = np.random.default_rng(37).normal(size=m.n_nodes)
+    with_nan = random.copy()
+    with_nan[3] = np.nan  # |u| and |grad u| non-finite
+    # finite |u| but |grad u| = inf: the differences of +-1e308 overflow
+    steep = np.where(np.arange(m.n_nodes) % 2, 1e308, -1e308)
+    negative = "the modular has a negative weight mu(x) < 0; no norm exists"
+    not_finite = "modular is not finite; cannot compute the norm"
+    sobolev = kind.kind == "sobolev_H"
+    for c, mu, expected in [
+        (random, "x - 0.5", negative),  # (q, |u|)
+        (with_nan, "x - 0.5", not_finite),  # (p, |u|), before the negative weight
+        (steep, "x - 0.5", negative),  # (q, |u|), before (p, |grad u|)
+        (steep, "x", not_finite if sobolev else None),  # (p, |grad u|)
+    ]:
+        ed = exponents(m, "1.5", "2.5", mu)
+        u = FeFunction(m, c)
+        with np.errstate(over="ignore"):  # cached on u, which both norms read
+            u.gradient_magnitude()
+        got = _outcome(luxemburg_norm, kind, ed, u)
+        assert got == _outcome(_per_term_norm, kind, ed, u)
+        assert got == expected or (expected is None and isinstance(got, float))
