@@ -39,7 +39,8 @@ grid with half its subdivisions can be built again (:attr:`Mesh.coarse_grid`).
 A coarse grid's P1 functions are P1 functions on the fine grid too: one
 :class:`CoarseGrid` injects fine nodal values onto the coarse nodes and
 prolongs coarse functions exactly onto the fine grid, by index arithmetic, in
-1D and 2D alike.
+1D and 2D alike; it also gives that prolongation as a sparse matrix, cut down
+to a set of fine rows, for the multigrid hierarchy of a Newton matrix.
 """
 
 from __future__ import annotations
@@ -683,7 +684,9 @@ class CoarseGrid:
       rounded up along every axis: a coarse node is its own parent twice, an
       edge midpoint averages the edge's ends (in 1D this is linear
       interpolation) and a cell midpoint the ends of the cell's a-c diagonal,
-      on which it lies.  ``inject(prolong(c))`` is ``c`` bitwise.
+      on which it lies.  ``inject(prolong(c))`` is ``c`` bitwise;
+    * :meth:`prolongation` is that embedding as a sparse matrix, restricted to
+      a set of fine rows and to the coarse nodes at one of them.
 
     The fine grid is not referenced, so a grid may cache its coarse grid.
     """
@@ -709,6 +712,29 @@ class CoarseGrid:
         c = np.asarray(coeffs, dtype=float)
         lo, hi = self._parents
         return 0.5 * (c[lo] + c[hi])
+
+    @cached_property
+    def _matrix(self):
+        """:meth:`prolong` as a CSR matrix, fine nodes by coarse nodes; built once."""
+        lo, hi = self._parents
+        fine = np.arange(len(lo))
+        ij = np.concatenate([fine, fine]), np.concatenate([lo, hi])
+        # a coarse node's own fine node has it as both parents: the duplicates sum to 1
+        return sp.coo_matrix((np.full(2 * len(lo), 0.5), ij),
+                             shape=(len(lo), self.mesh.n_nodes)).tocsr()
+
+    def prolongation(self, rows):
+        """:meth:`prolong` as a sparse matrix from the coarse nodes whose own fine
+        node is one of the fine ``rows`` (node indices, in any order) to those
+        rows, and those coarse nodes in increasing order.
+
+        Each column has a 1 in its own fine node's row, where every other
+        column has a 0, so the columns are linearly independent.
+        """
+        inside = np.zeros(len(self._parents[0]), dtype=bool)
+        inside[rows] = True
+        keep = np.flatnonzero(inside[self._nodes])
+        return self._matrix[rows][:, keep], keep
 
 
 def fe_interpolate(expr, mesh: Mesh):

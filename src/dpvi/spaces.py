@@ -212,9 +212,12 @@ def _magnitudes(kind: ModularKind, ed: ExponentData, u: FeFunction):
 def _modular_from_samples(ed: ExponentData, mags, scale=1.0):
     """Quadrature sum of the modular integrand over the magnitudes ``mags`` of
     :func:`_magnitudes`, scaled by ``scale``: one array over all terms, summed
-    term by term in their order."""
+    term by term in their order.  A power beyond the float range is inf, and a
+    phase of weight 0 adds 0 even there, so the modular is inf, not nan."""
     ph = ed._phases
-    values = ph.weight * (mags * scale)[:, None] ** ph.exponent
+    with np.errstate(over="ignore"):
+        powers = (mags * scale)[:, None] ** ph.exponent
+    values = ph.weight * np.where(ph.weight == 0, 0.0, powers)
     return float(sum(values.reshape(-1, mags[0].size).sum(axis=1)))
 
 
@@ -255,9 +258,9 @@ def _log_terms(ed: ExponentData, mags, g):
 def _log_modular(logc, r, tau):
     """log modular(u/lam) at tau = log(1/lam), and its slope in tau."""
     e = logc + r * tau
-    top = np.max(e)
+    top = e.max()
     t = np.exp(e - top)
-    total = np.sum(t)
+    total = t.sum()
     return top + np.log(total), float(r @ t) / total
 
 

@@ -21,19 +21,26 @@ Euclidean norm of the residual, since the semismooth Newton direction is a
 descent direction for the Euclidean norm.  Shorter steps must cut the max
 norm.
 
-Each Newton step ends in one factorisation of the inactive free rows, taken
-in the elimination order the mesh chose once (:attr:`Mesh.free_nodes_by_rank`);
+Each Newton step ends in one linear solve on the inactive free rows, taken in
+the elimination order the mesh chose once (:attr:`Mesh.free_nodes_by_rank`);
 the order a subset inherits is no worse, so it holds for every active set.
-On a mesh whose node-index band is cheap (:attr:`Mesh.elimination_band`),
-that order is node-index order, the Newton matrix's band is gathered
-straight from the Jacobian's data, and a positive definite one is
-factorised by banded Cholesky.  Wider meshes, indefinite Newton matrices and
-exactly singular ones go to sparse LU on the matrix cut out of the
-Jacobian: SuperLU factorises in the given order, nested dissection on wide
-meshes, instead of choosing its own.  A solve whose accepted steps stay
-shorter than ``_SHORT_STEP`` for ``_SHORT_STEPS`` steps in a row stops, as
-one whose line search finds no decrease does, instead of spending its
-budget.
+It takes one of three paths (:func:`_factor_solve`):
+
+* on a mesh whose node-index band is cheap (:attr:`Mesh.elimination_band`),
+  that order is node-index order, the Newton matrix's band is gathered
+  straight from the Jacobian's data, and a positive definite one is
+  factorised by banded Cholesky;
+* on a wider :func:`build_mesh` grid, a positive definite Newton matrix is
+  solved by conjugate gradients preconditioned by a Galerkin multigrid
+  V-cycle on the grid's :attr:`Mesh.coarse_grid` chain, its coarse spaces
+  restricted to the inactive rows;
+* every other Newton matrix, indefinite ones among them, goes to sparse LU on
+  the matrix cut out of the Jacobian: SuperLU factorises in the given order,
+  nested dissection on wide meshes, instead of choosing its own.
+
+A solve whose accepted steps stay shorter than ``_SHORT_STEP`` for
+``_SHORT_STEPS`` steps in a row stops, as one whose line search finds no
+decrease does, instead of spending its budget.
 
 A solve pays for its Newton steps and little else.  A cold solve starts
 from the p = 2 problem with the selections frozen at the projection of
@@ -97,6 +104,15 @@ _LINE_SEARCH_MIN = 1e-8
 # n = 4096 take at most 6 in a row, and a stalled solve takes one every step
 _SHORT_STEP = 1e-4
 _SHORT_STEPS = 20
+
+# multigrid-preconditioned CG on a mesh without a band: the Jacobi smoother's
+# damping, the grid size at which coarsening stops, and CG's relative residual and
+# iteration cap.  A Newton matrix of the solve_2d problem at 2D n = 256 takes 13-16
+# iterations; CG stopped by the cap hands its matrix to sparse LU
+_JACOBI_OMEGA = 0.6
+_COARSEST_GRID = 16
+_PCG_TOL = 1e-12
+_PCG_MAX_ITER = 100
 
 
 class ConstraintSet:
@@ -319,31 +335,134 @@ def _band_gather(J, rows, mesh: Mesh):
     return ab.reshape((b + 1, len(rows)), order="F")
 
 
+def _multigrid_levels(K, rows, mesh: Mesh):
+    """Galerkin hierarchy of K = J[rows, rows] on the :attr:`Mesh.coarse_grid`
+    chain: ``([(A, P, R, w), ...], lu)``, or None when some level's matrix has
+    a diagonal entry that is not positive, and so is not positive definite.
+
+    Each level holds its matrix A (K first), the prolongation P from the next
+    level (:meth:`CoarseGrid.prolongation` from the coarse nodes whose own fine
+    node is one of A's rows), the restriction R = P^T and the damped inverse
+    diagonal w = ``_JACOBI_OMEGA`` / diag(A).  The next level's matrix is
+    R A P.  A coarse node is kept only where its own fine node is a row, so no
+    kept node has all its fine children outside the rows, which would give the
+    next matrix a zero row, and P's columns are independent: the next matrix
+    is positive definite whenever A is.  Coarsening stops at the grid with at
+    most ``_COARSEST_GRID`` subdivisions, or at one that has no coarse grid,
+    and ``lu`` is the sparse LU of that grid's matrix; None also when that
+    matrix is exactly singular.
+    """
+    levels, A = [], K
+    while True:
+        diag = A.diagonal()
+        if not np.all(diag > 0):  # also catches NaN
+            return None
+        grid = mesh.coarse_grid if mesh.subdivisions > _COARSEST_GRID else None
+        if grid is None:
+            try:
+                return levels, spla.splu(A.tocsc())
+            except RuntimeError:  # exactly singular
+                return None
+        P, rows = grid.prolongation(rows)
+        R = P.T.tocsr()
+        levels.append((A, P, R, _JACOBI_OMEGA / diag))
+        A, mesh = R @ (A @ P), grid.mesh
+
+
+def _v_cycle(levels, lu, b, k=0):
+    """One V(2, 2) cycle for A x = b on level k from x = 0: two damped Jacobi
+    sweeps, the coarse correction, two more sweeps; the coarsest level is
+    solved directly.  Symmetric in b, so it may precondition CG."""
+    if k == len(levels):
+        return lu.solve(b)
+    A, P, R, w = levels[k]
+    x = w * b
+    x += w * (b - A @ x)
+    x += P @ _v_cycle(levels, lu, R @ (b - A @ x), k + 1)
+    for _ in range(2):
+        x += w * (b - A @ x)
+    return x
+
+
+def _multigrid_solve(K, rows, rhs, mesh: Mesh):
+    """Solution of K x = rhs by conjugate gradients preconditioned by one
+    :func:`_v_cycle` per iteration, from x = 0 down to a relative Euclidean
+    residual of ``_PCG_TOL``; None when K or the preconditioner shows a
+    direction of non-positive curvature (K is not positive definite), or when
+    CG has not converged after ``_PCG_MAX_ITER`` iterations.
+
+    Every inner product is ``np.sum`` of an elementwise product, not a BLAS
+    dot, whose blocking depends on the thread count: so the solution is the
+    same bitwise under any number of BLAS threads.
+    """
+    hierarchy = _multigrid_levels(K, rows, mesh)
+    if hierarchy is None:
+        return None
+    x, r = np.zeros(len(rhs)), rhs.copy()
+    stop = _PCG_TOL**2 * np.sum(rhs * rhs)
+    if stop == 0:  # rhs = 0, or too small to measure a relative residual against
+        return x
+    z = _v_cycle(*hierarchy, r)
+    p, rz = z, np.sum(r * z)
+    for _ in range(_PCG_MAX_ITER):
+        q = K @ p
+        pq = np.sum(p * q)
+        if not (rz > 0 and pq > 0):
+            return None
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        if np.sum(r * r) <= stop:
+            return x
+        z = _v_cycle(*hierarchy, r)
+        rz, rz_old = np.sum(r * z), rz
+        p = z + (rz / rz_old) * p
+    return None
+
+
+def _lu_solve(K, rhs):
+    """Solution of K x = rhs by sparse LU in K's own row order.  SuperLU keeps
+    the given column order (``NATURAL``) and prefers diagonal pivots
+    (``SymmetricMode``); the default pivot threshold still allows row
+    interchanges, which an indefinite K may need.  K's CSR arrays are also its
+    CSC arrays, so no conversion is needed.  Raises RuntimeError on an
+    exactly singular factor."""
+    K.eliminate_zeros()  # entries that cancel exactly only add fill to an LU
+    K = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape)
+    return spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True}).solve(rhs)
+
+
 def _factor_solve(J, rows, rhs, mesh: Mesh):
     """Solve K x = rhs for the Newton matrix K = J[rows, rows], J exactly
     symmetric on the mesh's shared pattern and ``rows`` the inactive free nodes
     in the mesh's elimination order (:attr:`Mesh.free_nodes_by_rank`).
 
-    When the mesh has an :attr:`Mesh.elimination_band`, the rows are in
-    node-index order and K's lower band is gathered from J
-    (:func:`_band_gather`) and factorised by banded Cholesky (LAPACK
-    ``dpbtrf``).  A K that Cholesky rejects as not positive definite, and
-    every K on a mesh without a band, is cut out of J and factorised by
-    sparse LU: SuperLU keeps the given column order (``NATURAL``) and prefers
-    diagonal pivots (``SymmetricMode``); the default pivot threshold still
-    allows row interchanges, which an indefinite K may need.  The cut K's CSR
-    arrays are also its CSC arrays, so no conversion is needed.  Raises
-    RuntimeError on an exactly singular LU factor.
+    Three paths:
+
+    * on a mesh with an :attr:`Mesh.elimination_band`, the rows are in
+      node-index order and K's lower band is gathered from J
+      (:func:`_band_gather`) and factorised by banded Cholesky (LAPACK
+      ``dpbtrf``);
+    * on a mesh without a band but with a :attr:`Mesh.coarse_grid`, K is cut
+      out of J and solved by multigrid-preconditioned CG
+      (:func:`_multigrid_solve`);
+    * a K that either of them finds not positive definite, a K on which CG
+      does not converge, and every K on any other mesh, is cut out of J and
+      factorised by sparse LU in the rows' order (:func:`_lu_solve`), nested
+      dissection on a mesh without a band.
+
+    Raises RuntimeError on an exactly singular LU factor.
     """
     if mesh.elimination_band is not None:
         chol, info = lapack.dpbtrf(_band_gather(J, rows, mesh), lower=1, overwrite_ab=1)
         if info == 0:
             return lapack.dpbtrs(chol, rhs, lower=1)[0]
     K = J[np.ix_(rows, rows)]
-    K.eliminate_zeros()  # entries that cancel exactly only add fill to an LU
-    K = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape)
-    lu = spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
-    return lu.solve(rhs)
+    if mesh.elimination_band is None and mesh.coarse_grid is not None:
+        sol = _multigrid_solve(K, rows, rhs, mesh)
+        if sol is not None:
+            return sol
+    return _lu_solve(K, rhs)
 
 
 def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, frozen=None):
@@ -357,7 +476,8 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     inactive free nodes, taken in the mesh's elimination order, is solved by
     :func:`_factor_solve` from the full Jacobian: by banded Cholesky on its
     band, gathered from the Jacobian's data, when the mesh has an
-    :attr:`Mesh.elimination_band` and K is positive definite, otherwise by
+    :attr:`Mesh.elimination_band` and K is positive definite, by
+    multigrid-preconditioned CG when a wider grid's K is, otherwise by
     sparse LU on K cut out of the Jacobian; a slope field that is
     identically zero adds no mass to it.  A singular Newton system is
     retried twice with only the Jacobian re-assembled, its smoothing eps 100

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,24 @@ def test_norm_plastic_number(tmp_path, capsys):
     match = re.search(r"lebesgue_H luxemburg norm: ([0-9.]+)", text)
     assert match, text
     assert float(match.group(1)) == pytest.approx(1.3247180, abs=1e-6)
+
+
+def test_norm_of_an_overflowing_function_has_an_infinite_modular(tmp_path, capsys):
+    # |u|^p and |u|^q overflow; the q phase has weight mu = 0, which must add 0, not 0 * inf
+    payload = {
+        "schema": 1,
+        "mesh": {"dim": 1, "n": 8},
+        "exponents": {"p": "2", "q": "3", "mu": "0"},
+        "function": {"u": "1e300"},
+    }
+    cfg = write_config(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["norm", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    text = capsys.readouterr().out
+    assert "nan" not in text
+    assert "lebesgue_H modular: inf\n" in text and "sobolev_H modular: inf\n" in text
+    assert "lebesgue_H luxemburg norm: 1e+300\n" in text
 
 
 def test_verify_constructed_pair(tmp_path):

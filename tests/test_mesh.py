@@ -647,6 +647,23 @@ def test_coarse_grid_needs_an_even_build_mesh_grid():
 
 
 @pytest.mark.parametrize("dim,n,gamma", _NESTED)
+def test_prolongation_matrix_is_prolong_on_the_rows(dim, n, gamma):
+    # two thirds of the fine nodes, shuffled; the kept coarse nodes are those whose
+    # own fine node is a row, and P times their values is prolong's, bitwise
+    fine = build_mesh(dim, n, gamma)
+    grid = fine.coarse_grid
+    rng = np.random.default_rng(n)
+    rows = rng.permutation(fine.n_nodes)[:2 * fine.n_nodes // 3]
+    P, keep = grid.prolongation(rows)
+    own = grid.inject(np.arange(fine.n_nodes)).astype(np.intp)
+    np.testing.assert_array_equal(keep, np.flatnonzero(np.isin(own, rows)))
+    assert 0 < len(keep) < grid.mesh.n_nodes and P.shape == (len(rows), len(keep))
+    c = np.zeros(grid.mesh.n_nodes)
+    c[keep] = rng.normal(size=len(keep))
+    np.testing.assert_array_equal(P @ c[keep], grid.prolong(c)[rows])
+
+
+@pytest.mark.parametrize("dim,n,gamma", _NESTED)
 def test_injection_undoes_prolongation(dim, n, gamma):
     grid = build_mesh(dim, n, gamma).coarse_grid
     c = np.random.default_rng(n).normal(size=grid.mesh.n_nodes)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -538,9 +539,12 @@ def test_immutability_of_functions_and_meshes():
 
 def test_elimination_order_cuts_lu_fill(monkeypatch):
     # the last system (p = 2.5, u != 0) keeps all seven points per row; n = 144 is
-    # above the band crossover, so the mesh orders its rows by nested dissection
+    # above the band crossover, so the mesh orders its rows by nested dissection.  It is
+    # positive definite, so multigrid solves it and only the coarsest grid's matrices
+    # reach splu: the LU fallback is driven on it directly
     prob, mesh = make_problem(2, 144, p="2.5", f=("1", "1"))
     assert mesh.elimination_band is None
+    systems = _spy(monkeypatch, "_multigrid_solve")
     lus = []
     splu = visolve.spla.splu
 
@@ -550,9 +554,13 @@ def test_elimination_order_cuts_lu_fill(monkeypatch):
 
     monkeypatch.setattr(visolve.spla, "splu", spy)
     u, eta, zeta, rep = solve_vi(prob)
-    assert rep.converged and len(lus) >= 2
-    K, lu = lus[-1]
+    assert rep.converged and len(systems) >= 2
+    assert all(A.shape[0] <= 8 * 8 for A, _ in lus)  # the n = 9 grid's interior
+    K, _, rhs, _ = systems[-1]
     assert K.shape == (143 * 143,) * 2 and K.nnz > 6.5 * 143 * 143
+    lus.clear()
+    visolve._lu_solve(K, rhs)
+    (K, lu), = lus
     default = splu(K)
     assert lu.L.nnz + lu.U.nnz <= 0.8 * (default.L.nnz + default.U.nnz)
 
@@ -618,14 +626,16 @@ def _nested_dissection_2d():
                               "nested_dissection"])
 def test_newton_solutions_match_spsolve(monkeypatch, build):
     prob = build()
-    seen, infos, lus = [], [], []
-    factor_solve, dpbtrf, splu = visolve._factor_solve, visolve.lapack.dpbtrf, visolve.spla.splu
+    seen, infos, mgs, lus = [], [], [], []
+    factor_solve, dpbtrf = visolve._factor_solve, visolve.lapack.dpbtrf
+    multigrid_solve, lu_solve = visolve._multigrid_solve, visolve._lu_solve
 
     def spy(J, rows, rhs, mesh):
-        tried = len(infos), len(lus)
+        tried = len(infos), len(mgs), len(lus)
         sol = factor_solve(J, rows, rhs, mesh)
         K = J[np.ix_(rows, rows)]
-        seen.append((K, rhs, mesh.elimination_band, sol, infos[tried[0]:], len(lus) > tried[1]))
+        seen.append((K, rhs, mesh.elimination_band, sol, infos[tried[0]:], mgs[tried[1]:],
+                     len(lus) > tried[2]))
         return sol
 
     def spy_dpbtrf(*args, **kwargs):
@@ -633,24 +643,31 @@ def test_newton_solutions_match_spsolve(monkeypatch, build):
         infos.append(out[1])
         return out
 
-    def spy_splu(*args, **kwargs):
+    def spy_multigrid(*args):
+        out = multigrid_solve(*args)
+        mgs.append(out is not None)
+        return out
+
+    def spy_lu(*args):
         lus.append(args[0])
-        return splu(*args, **kwargs)
+        return lu_solve(*args)
 
     monkeypatch.setattr(visolve, "_factor_solve", spy)
     monkeypatch.setattr(visolve.lapack, "dpbtrf", spy_dpbtrf)
-    monkeypatch.setattr(visolve.spla, "splu", spy_splu)
+    monkeypatch.setattr(visolve, "_multigrid_solve", spy_multigrid)
+    monkeypatch.setattr(visolve, "_lu_solve", spy_lu)
     # the upper selection -100 s + 1 has a source, so u = 0 does not solve noncoercive
     u, eta, zeta, rep = solve_vi(prob, SolverOptions(max_iter=20, selection="upper"))
     assert seen
-    for K, rhs, band, sol, tried, lu in seen:
+    for K, rhs, band, sol, tried, mg, lu in seen:
         ref = spla.spsolve(K.tocsc(), rhs)
         assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
         assert band == prob.mesh.elimination_band
-        # Cholesky when the mesh has a band, LU when it has none or Cholesky failed
-        assert len(tried) == (band is not None)
-        assert lu == (not tried or tried[0] != 0)
-    paths = {"band" if not lu else "lu" for *_, lu in seen}
+        # Cholesky when the mesh has a band, multigrid when it has none, LU when the
+        # one tried failed
+        assert len(tried) == (band is not None) and len(mg) == (band is None)
+        assert lu == (tried[0] != 0 if tried else not mg[0])
+    paths = {"lu" if lu else "band" if tried else "multigrid" for *_, tried, mg, lu in seen}
     if build in (_whole_space_2d, _obstacle_2d, _tridiagonal_1d):
         assert paths == {"band"}
         assert prob.mesh.elimination_band == (1 if build is _tridiagonal_1d else 16)
@@ -663,7 +680,94 @@ def test_newton_solutions_match_spsolve(monkeypatch, build):
         assert any(indefinite)
         assert all(lu for (*_, lu), neg in zip(seen, indefinite) if neg)
     if build is _nested_dissection_2d:
-        assert rep.converged and paths == {"lu"} and prob.mesh.elimination_band is None
+        assert rep.converged and paths == {"multigrid"} and prob.mesh.elimination_band is None
+
+
+# -- multigrid-preconditioned CG on meshes without a band ---------------------------
+
+
+def _spy_multigrid(monkeypatch):
+    """Record (K, rows, rhs, solution or None) of every multigrid solve."""
+    calls, original = [], visolve._multigrid_solve
+
+    def spy(K, rows, rhs, mesh):
+        calls.append((K, rows, rhs, original(K, rows, rhs, mesh)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(visolve, "_multigrid_solve", spy)
+    return calls
+
+
+def test_indefinite_newton_matrix_without_a_band_falls_back_to_lu(monkeypatch):
+    # noncoercive's drift -100 s on 2D n = 144: K = stiffness - 100 mass has negative
+    # eigenvalues, since the smallest of the Dirichlet Laplacian is about 2 pi^2
+    prob = make_problem(2, 144, f=("-100*s + 1", "-100*s + 1"))[0]
+    assert prob.mesh.elimination_band is None
+    calls = _spy_multigrid(monkeypatch)
+    lus = _spy(monkeypatch, "_lu_solve")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, eta, zeta, rep = solve_vi(prob)
+    assert rep.converged and rep.newton_iterations == 1
+    (K, rows, rhs, sol), = calls
+    assert sol is None and len(lus) == 1
+    x, y = prob.mesh.nodes[rows].T
+    v = np.sin(np.pi * x) * np.sin(np.pi * y)  # about (2 pi^2 - 100) |v|^2 in the mass norm
+    assert v @ (K @ v) < 0
+
+
+def test_multigrid_drops_coarse_nodes_whose_children_are_all_active(monkeypatch):
+    # the obstacle holds most of the square at n = 144, so whole coarse patches are
+    # active: their coarse nodes would give zero rows, whose 1 / diag would warn
+    prob = make_problem(
+        2, 144, p="2.5", f=("8", "8"),
+        constraint=lambda m: ConstraintSet.obstacle(FeFunction.constant(m, -0.02)),
+    )[0]
+    mesh, grid = prob.mesh, prob.mesh.coarse_grid
+    calls = _spy_multigrid(monkeypatch)
+    factorised = _spy(monkeypatch, "_factor_solve")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, eta, zeta, rep = solve_vi(prob)
+    assert rep.converged and max(rep.active_set_history) > mesh.n_nodes // 2
+    assert len(calls) == len(factorised) and all(sol is not None for *_, sol in calls)
+    # free coarse nodes none of whose fine children (the fine nodes that have them
+    # as a parent) is a row
+    lo, hi = grid._parents
+    dropped = 0
+    for _, rows, _, _ in calls:
+        inside = np.zeros(mesh.n_nodes, dtype=bool)
+        inside[rows] = True
+        has_row = np.zeros(grid.mesh.n_nodes, dtype=bool)
+        has_row[lo[inside]] = has_row[hi[inside]] = True
+        dropped += np.count_nonzero(~has_row[grid.mesh.free_node_mask])
+    assert dropped > 0
+    for K, _, rhs, sol in calls:
+        ref = spla.spsolve(K.tocsc(), rhs)
+        assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_multigrid_matches_spsolve_on_the_solve_2d_n256_system(monkeypatch):
+    cfg = load_config(CONFIGS / "double_phase_2d.yaml")
+    cfg["mesh"]["n"] = 256
+    prob = build_problem(cfg)
+    calls = _spy_multigrid(monkeypatch)
+    coarsest = []
+    splu = visolve.spla.splu
+
+    def spy_splu(A, *args, **kwargs):
+        coarsest.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(visolve.spla, "splu", spy_splu)
+    u, eta, zeta, rep = solve_vi(prob, SolverOptions(tol=1e-9))
+    assert rep.converged and len(calls) == rep.newton_iterations
+    # no row is active, so the coarsest level is the n = 16 grid's interior
+    assert coarsest == [(15 * 15,) * 2] * len(calls)
+    K, _, rhs, sol = calls[-1]
+    assert K.shape == (255 * 255,) * 2
+    ref = spla.spsolve(K.tocsc(), rhs)
+    assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 # -- the p = 2 warm start by sine transform --------------------------------------
