@@ -23,13 +23,14 @@ data (facets, quadrature, traces) only from the ``boundary_gamma`` and
 Jacobian and the weighted masses) is a sum of symmetric element matrices,
 so it is assembled from their entries on the element edges and, unless the
 rows sum to zero, on the diagonal (:meth:`Layout.matrix_data`).  One plan per mesh, built on
-first use with one sort over the element edges and the nodes, gives the
+first use with one sort over the undirected element edges, gives the
 pattern (the diagonal plus the element edges) and the CSR slots of every
 element edge above and below the diagonal and of every node's diagonal.
-Each mesh also chooses, once, the order in which the Newton matrices are
-factorised, and keeps its free nodes in that order: node-index order when
-banded Cholesky in that order is cheap (:attr:`Mesh.elimination_band`), and
-otherwise a nested-dissection order found from the node coordinates alone.
+The Newton matrices take the free nodes in node-index order on every mesh
+(:attr:`Mesh.free_nodes_by_rank`).  Each mesh decides, once, whether banded
+Cholesky in that order is cheap (:attr:`Mesh.elimination_band`); a
+nested-dissection order found from the node coordinates alone, built only
+when a mesh without a band falls back to sparse LU, orders that LU.
 A mesh with a band also keeps, once, where each entry of that band sits in
 the CSR data (:attr:`Mesh.band_entries`), so the band of any Newton matrix is
 gathered straight from the data of the full matrix.
@@ -96,7 +97,9 @@ _ND_LEAF = 16
 #   band array, MB  7.0    11.1   16.6   23.7   32.6   43.4   56.3
 #
 # The band won at every size, but its array grows as m (b + 1): the constant takes
-# n = 128 and stops there, so that n = 256 (4.3e9, a 134 MB array) stays on SuperLU
+# n = 128 and stops there, so that n = 256 (4.3e9, a 134 MB array) stays off the band,
+# on multigrid-preconditioned CG; SuperLU in nested-dissection order (the "SuperLU, ND"
+# row) now takes only the Newton matrices that CG rejects
 _BAND_WORK = 3e8
 
 
@@ -154,10 +157,12 @@ class Mesh:
         The CSR slots and node pairs of that band, built on first use (see
         the property).
     nested_dissection_rank : (n_nodes,) int array
-        Position of each node in a nested-dissection order for sparse LU,
-        built on first use (see the property).
+        Position of each node in a nested-dissection order, which orders only
+        the sparse-LU fallback on a mesh without a band; built on first use
+        (see the property).
     free_nodes_by_rank : int array
-        The free nodes in elimination order, built on first use.
+        The free nodes in node-index order, the Newton matrices' row order on
+        every mesh; built on first use.
     local_edges : two int arrays
         Local node pairs (i, j), i < j, of an element's edges.
     edge_gram : (n_elements, n_edges) array
@@ -256,23 +261,39 @@ class Mesh:
         layouts, the slot in ``indices`` of each node's diagonal entry and, per
         layout, the slots ``(upper, lower)`` of its element edges above and below
         the diagonal (element-major, local node pairs i < j).  The pattern is the
-        diagonal plus the element edges, found with one sort on first matrix
-        assembly; meshes never change.
+        diagonal plus the element edges, built on first matrix assembly from
+        one sort of the undirected edge keys; meshes never change.
+
+        With the unique edges (lo, hi), lo < hi, sorted by (lo, hi), row r holds
+        its edges with hi = r (by lo), its diagonal, then its edges with lo = r
+        (by hi).  So an edge's upper slot is its position in that sort plus the
+        edges ending at or before lo and lo + 1 diagonals; its lower slot is its
+        position in the stable sort by hi plus the edges starting before hi and
+        hi diagonals.
         """
         n, layouts = self.n_nodes, self._layouts.values()
         heads = np.concatenate([lay.conn[:, lay.edges[0]].ravel() for lay in layouts])
         tails = np.concatenate([lay.conn[:, lay.edges[1]].ravel() for lay in layouts])
-        lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
-        keys = np.concatenate([lo * n + hi, hi * n + lo, np.arange(n) * (n + 1)])
-        flat, inverse = np.unique(keys, return_inverse=True)
-        idx = np.int32 if len(flat) < 2**31 else np.intp  # the index type scipy keeps
-        rows, cols = np.divmod(flat, n)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        upper, lower, diagonal = np.split(inverse.astype(idx), [len(lo), 2 * len(lo)])
-        ends = np.cumsum([len(lay.conn) * len(lay.edges[0]) for lay in layouts])[:-1]
-        edges = {where: (_freeze(u), _freeze(l)) for where, u, l in
-                 zip(self._layouts, np.split(upper, ends), np.split(lower, ends))}
-        return _freeze(indptr.astype(idx)), _freeze(cols.astype(idx)), _freeze(diagonal), edges
+        keys, inverse = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails),
+                                  return_inverse=True)
+        lo, hi = np.divmod(keys, n)
+        n_upper, n_lower = np.bincount(lo, minlength=n), np.bincount(hi, minlength=n)
+        nodes, position, nnz = np.arange(n), np.arange(len(keys)), n + 2 * len(keys)
+        idx = np.int32 if nnz < 2**31 else np.intp  # the index type scipy keeps
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(n_lower + n_upper + 1, out=indptr[1:])
+        diagonal = indptr[1:] - n_upper.astype(idx) - 1
+        upper = (position + (np.cumsum(n_lower) + nodes + 1)[lo]).astype(idx)
+        by_hi = np.argsort(hi, kind="stable")
+        lower = np.empty(len(keys), dtype=idx)
+        lower[by_hi] = position + (np.cumsum(n_upper) - n_upper + nodes)[hi[by_hi]]
+        indices = np.empty(nnz, dtype=idx)
+        indices[upper], indices[lower], indices[diagonal] = hi, lo, nodes
+        upper, lower, edges, end = upper[inverse], lower[inverse], {}, 0
+        for where, lay in self._layouts.items():  # element-major, layout after layout
+            start, end = end, end + lay.conn.shape[0] * len(lay.edges[0])
+            edges[where] = _freeze(upper[start:end]), _freeze(lower[start:end])
+        return _freeze(indptr), _freeze(indices), _freeze(diagonal), edges
 
     @cached_property
     def coarse_grid(self):
@@ -298,13 +319,9 @@ class Mesh:
 
     @cached_property
     def free_nodes_by_rank(self):
-        """Read-only indices of the free (non-gamma0) nodes, in elimination order:
-        by node index when :attr:`elimination_band` is set, otherwise by
-        increasing :attr:`nested_dissection_rank`.  Built on first use."""
-        free = np.flatnonzero(self.free_node_mask)
-        if self.elimination_band is None:
-            free = free[np.argsort(self.nested_dissection_rank[free])]
-        return _freeze(free)
+        """Read-only indices of the free (non-gamma0) nodes in node-index order, the
+        order of the Newton matrices' rows on every mesh.  Built on first use."""
+        return _freeze(np.flatnonzero(self.free_node_mask))
 
     @cached_property
     def elimination_band(self):
@@ -314,13 +331,13 @@ class Mesh:
         b is the largest distance, counted in free rows, between the free ends
         of an element edge.  A banded Cholesky of m free rows costs about
         m (b + 1)^2; while that is at most ``_BAND_WORK`` the Newton matrices
-        are factorised in node-index order, otherwise in
-        :attr:`nested_dissection_rank` order.  On a :func:`build_mesh` grid
-        node-index order is the natural order and b is 1 in 1D and n in 2D
-        when the whole boundary is Gamma0; 2D grids up to n = 128 stay below
-        the constant.  A subset of the free rows has no wider band in the
-        order it inherits, so one order serves every active set.  Built on
-        first use.
+        are factorised on that band, otherwise by multigrid-preconditioned CG
+        or, failing that, by sparse LU in :attr:`nested_dissection_rank`
+        order.  On a :func:`build_mesh` grid node-index order is the natural
+        order and b is 1 in 1D and n in 2D when the whole boundary is Gamma0;
+        2D grids up to n = 128 stay below the constant.  A subset of the free
+        rows has no wider band in the order it inherits, so one order serves
+        every active set.  Built on first use.
         """
         free = self.free_node_mask
         row = np.cumsum(free) - 1  # position of each free node among the free rows

@@ -22,21 +22,21 @@ descent direction for the Euclidean norm.  Shorter steps must cut the max
 norm.
 
 Each Newton step ends in one linear solve on the inactive free rows, taken in
-the elimination order the mesh chose once (:attr:`Mesh.free_nodes_by_rank`);
-the order a subset inherits is no worse, so it holds for every active set.
-It takes one of three paths (:func:`_factor_solve`):
+node-index order on every mesh (:attr:`Mesh.free_nodes_by_rank`).  It takes
+one of three paths (:func:`_factor_solve`):
 
 * on a mesh whose node-index band is cheap (:attr:`Mesh.elimination_band`),
-  that order is node-index order, the Newton matrix's band is gathered
-  straight from the Jacobian's data, and a positive definite one is
-  factorised by banded Cholesky;
+  the Newton matrix's band is gathered straight from the Jacobian's data, and
+  a positive definite one is factorised by banded Cholesky;
 * on a wider :func:`build_mesh` grid, a positive definite Newton matrix is
   solved by conjugate gradients preconditioned by a Galerkin multigrid
   V-cycle on the grid's :attr:`Mesh.coarse_grid` chain, its coarse spaces
   restricted to the inactive rows;
 * every other Newton matrix, indefinite ones among them, goes to sparse LU on
-  the matrix cut out of the Jacobian: SuperLU factorises in the given order,
-  nested dissection on wide meshes, instead of choosing its own.
+  the matrix cut out of the Jacobian.  SuperLU factorises in the order it is
+  given instead of choosing its own: node-index order on a mesh with a band,
+  otherwise the mesh's nested-dissection order, which is built only then and
+  is no worse on the subset of rows an active set leaves.
 
 A solve whose accepted steps stay shorter than ``_SHORT_STEP`` for
 ``_SHORT_STEPS`` steps in a row stops, as one whose line search finds no
@@ -435,21 +435,23 @@ def _lu_solve(K, rhs):
 def _factor_solve(J, rows, rhs, mesh: Mesh):
     """Solve K x = rhs for the Newton matrix K = J[rows, rows], J exactly
     symmetric on the mesh's shared pattern and ``rows`` the inactive free nodes
-    in the mesh's elimination order (:attr:`Mesh.free_nodes_by_rank`).
+    in node-index order (:attr:`Mesh.free_nodes_by_rank`); x comes in the same
+    order.
 
     Three paths:
 
-    * on a mesh with an :attr:`Mesh.elimination_band`, the rows are in
-      node-index order and K's lower band is gathered from J
-      (:func:`_band_gather`) and factorised by banded Cholesky (LAPACK
-      ``dpbtrf``);
+    * on a mesh with an :attr:`Mesh.elimination_band`, K's lower band is
+      gathered from J (:func:`_band_gather`) and factorised by banded Cholesky
+      (LAPACK ``dpbtrf``);
     * on a mesh without a band but with a :attr:`Mesh.coarse_grid`, K is cut
       out of J and solved by multigrid-preconditioned CG
       (:func:`_multigrid_solve`);
     * a K that either of them finds not positive definite, a K on which CG
       does not converge, and every K on any other mesh, is cut out of J and
-      factorised by sparse LU in the rows' order (:func:`_lu_solve`), nested
-      dissection on a mesh without a band.
+      factorised by sparse LU in the order it is cut in (:func:`_lu_solve`):
+      node-index order on a mesh with a band; on one without, the rows sorted
+      by :attr:`Mesh.nested_dissection_rank`, built here on first use, with the
+      solution scattered back to node-index order.
 
     Raises RuntimeError on an exactly singular LU factor.
     """
@@ -457,12 +459,15 @@ def _factor_solve(J, rows, rhs, mesh: Mesh):
         chol, info = lapack.dpbtrf(_band_gather(J, rows, mesh), lower=1, overwrite_ab=1)
         if info == 0:
             return lapack.dpbtrs(chol, rhs, lower=1)[0]
-    K = J[np.ix_(rows, rows)]
-    if mesh.elimination_band is None and mesh.coarse_grid is not None:
-        sol = _multigrid_solve(K, rows, rhs, mesh)
+        return _lu_solve(J[np.ix_(rows, rows)], rhs)
+    if mesh.coarse_grid is not None:
+        sol = _multigrid_solve(J[np.ix_(rows, rows)], rows, rhs, mesh)
         if sol is not None:
             return sol
-    return _lu_solve(K, rhs)
+    order = np.argsort(mesh.nested_dissection_rank[rows])
+    sol = np.empty_like(rhs)
+    sol[order] = _lu_solve(J[np.ix_(rows[order], rows[order])], rhs[order])
+    return sol
 
 
 def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, frozen=None):
@@ -473,7 +478,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     cannot change are frozen for the whole loop instead, and their sources
     assembled once: those ``frozen`` supplies (the warm start's), or, when no
     reaction reads s, those selected at the start.  The Newton system on the
-    inactive free nodes, taken in the mesh's elimination order, is solved by
+    inactive free nodes, taken in node-index order, is solved by
     :func:`_factor_solve` from the full Jacobian: by banded Cholesky on its
     band, gathered from the Jacobian's data, when the mesh has an
     :attr:`Mesh.elimination_band` and K is positive definite, by
@@ -502,7 +507,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     gradients are not sampled again.
     """
     mesh = prob.mesh
-    free = mesh.free_nodes_by_rank  # so the inactive rows come in elimination order
+    free = mesh.free_nodes_by_rank  # so the inactive rows come in node-index order
     lo, hi = prob.constraint.bounds(mesh)
     lo_f, hi_f = lo[free], hi[free]
     u = prob.constraint.project(u0.copy(), mesh)

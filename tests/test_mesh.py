@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -389,6 +391,57 @@ def test_symmetric_assembly_is_bitwise_the_element_scatter(dim, n, gamma, relabe
         np.testing.assert_array_equal(m.csr(lay.mass_data(w)).toarray(), ref)
 
 
+def _ref_assembly_plan(mesh):
+    """The plan from one np.unique over every directed edge key and every diagonal key:
+    each key's rank among them is its CSR slot."""
+    n, layouts = mesh.n_nodes, mesh._layouts.values()
+    heads = np.concatenate([lay.conn[:, lay.edges[0]].ravel() for lay in layouts])
+    tails = np.concatenate([lay.conn[:, lay.edges[1]].ravel() for lay in layouts])
+    lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
+    keys = np.concatenate([lo * n + hi, hi * n + lo, np.arange(n) * (n + 1)])
+    flat, inverse = np.unique(keys, return_inverse=True)
+    idx = np.int32 if len(flat) < 2**31 else np.intp
+    rows, cols = np.divmod(flat, n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    upper, lower, diagonal = np.split(inverse.astype(idx), [len(lo), 2 * len(lo)])
+    ends = np.cumsum([len(lay.conn) * len(lay.edges[0]) for lay in layouts])[:-1]
+    edges = {where: (u, l) for where, u, l in
+             zip(mesh._layouts, np.split(upper, ends), np.split(lower, ends))}
+    return indptr.astype(idx), cols.astype(idx), diagonal, edges
+
+
+def _reversed(mesh):
+    """The same mesh made by the constructor with its nodes numbered backwards."""
+    new = np.arange(mesh.n_nodes)[::-1]  # old -> new
+    facets = [(tuple(new[list(f)]), tag) for f, tag in mesh.boundary_facets]
+    return Mesh(mesh.dim, mesh.nodes[::-1], new[mesh.elements], facets)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim,n,gamma,renumber", [
+    (1, 8, "x - 0.5", None), (2, 1, None, None), (2, 16, "x - 0.5", None),
+    (2, 64, "y - x", None), (2, 12, "y - x", _reversed),
+    (2, 9, "x - 0.5", lambda m: _relabelled(m, 9)),
+], ids=["1d_gamma", "2d_n1", "2d_gamma", "2d_diagonal_gamma", "2d_reversed", "2d_relabelled"])
+def test_assembly_plan_is_the_sort_of_every_directed_key(dim, n, gamma, renumber):
+    # built from the unique undirected edges, the plan has the bits and dtypes of
+    # the sort over both directions of every edge and over the diagonal
+    m = build_mesh(dim, n, gamma)
+    if renumber is not None:
+        m = renumber(m)
+    plan, ref = m._assembly_plan, _ref_assembly_plan(m)
+    for a, b in zip(plan[:3], ref[:3]):
+        assert _same_bits(a, b)
+    assert plan[3].keys() == ref[3].keys()
+    for where in ref[3]:
+        (upper, lower), (ref_upper, ref_lower) = plan[3][where], ref[3][where]
+        assert _same_bits(upper, ref_upper) and _same_bits(lower, ref_lower)
+    assert all(not a.flags.writeable for a in (*plan[:3], *itertools.chain(*plan[3].values())))
+
+
 # -- nested-dissection elimination order ------------------------------------------
 
 
@@ -485,14 +538,14 @@ def test_elimination_rank_is_the_adjacency_bisection_on_grids(dim, n, gamma):
 
 
 def test_free_nodes_by_rank():
-    # in node-index order while the mesh has a band, in nested dissection above it
+    # in node-index order on every mesh, with a band or without one
     small, wide = build_mesh(2, 9, "x - 0.5"), build_mesh(2, 144, "x - 0.5")
     assert small.elimination_band is not None and wide.elimination_band is None
-    for m, rank in ((small, np.arange(small.n_nodes)), (wide, wide.nested_dissection_rank)):
+    for m in (small, wide):
         free = m.free_nodes_by_rank
-        np.testing.assert_array_equal(np.sort(free), np.flatnonzero(m.free_node_mask))
-        assert np.all(np.diff(rank[free]) > 0)
+        np.testing.assert_array_equal(free, np.flatnonzero(m.free_node_mask))
         assert m.free_nodes_by_rank is free  # built once per mesh
+        assert "nested_dissection_rank" not in m.__dict__
         with pytest.raises(ValueError):
             free[0] = 0
 

@@ -539,9 +539,9 @@ def test_immutability_of_functions_and_meshes():
 
 def test_elimination_order_cuts_lu_fill(monkeypatch):
     # the last system (p = 2.5, u != 0) keeps all seven points per row; n = 144 is
-    # above the band crossover, so the mesh orders its rows by nested dissection.  It is
-    # positive definite, so multigrid solves it and only the coarsest grid's matrices
-    # reach splu: the LU fallback is driven on it directly
+    # above the band crossover, so an LU fallback would sort its rows by nested
+    # dissection.  It is positive definite, so multigrid solves it and only the coarsest
+    # grid's matrices reach splu: the LU fallback is driven on it directly, in that order
     prob, mesh = make_problem(2, 144, p="2.5", f=("1", "1"))
     assert mesh.elimination_band is None
     systems = _spy(monkeypatch, "_multigrid_solve")
@@ -556,10 +556,11 @@ def test_elimination_order_cuts_lu_fill(monkeypatch):
     u, eta, zeta, rep = solve_vi(prob)
     assert rep.converged and len(systems) >= 2
     assert all(A.shape[0] <= 8 * 8 for A, _ in lus)  # the n = 9 grid's interior
-    K, _, rhs, _ = systems[-1]
+    K, rows, rhs, _ = systems[-1]
     assert K.shape == (143 * 143,) * 2 and K.nnz > 6.5 * 143 * 143
+    order = np.argsort(mesh.nested_dissection_rank[rows])
     lus.clear()
-    visolve._lu_solve(K, rhs)
+    visolve._lu_solve(K[np.ix_(order, order)], rhs[order])
     (K, lu), = lus
     default = splu(K)
     assert lu.L.nnz + lu.U.nnz <= 0.8 * (default.L.nnz + default.U.nnz)
@@ -768,6 +769,52 @@ def test_multigrid_matches_spsolve_on_the_solve_2d_n256_system(monkeypatch):
     assert K.shape == (255 * 255,) * 2
     ref = spla.spsolve(K.tocsc(), rhs)
     assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+# -- nested dissection only for the LU fallback -------------------------------------
+
+
+def test_positive_definite_solve_without_a_band_builds_no_nested_dissection(monkeypatch):
+    # multigrid takes the rows in node-index order, which needs no elimination order
+    prob, mesh = make_problem(2, 144, p="2.5", f=("1", "1"))
+    assert mesh.elimination_band is None
+    calls = _spy_multigrid(monkeypatch)
+    lus = _spy(monkeypatch, "_lu_solve")
+    u, eta, zeta, rep = solve_vi(prob)
+    assert rep.converged and calls and not lus
+    assert all(sol is not None and np.all(np.diff(rows) > 0) for _, rows, _, sol in calls)
+    assert "nested_dissection_rank" not in mesh.__dict__
+
+
+@pytest.mark.parametrize("n, f", [(144, "-100*s + 1"), (145, "1"), (145, "-100*s + 1")],
+                         ids=["indefinite_n144", "odd_n145", "odd_indefinite_n145"])
+def test_lu_fallback_without_a_band_takes_nested_dissection_order(monkeypatch, n, f):
+    # the indefinite n = 144 system fails multigrid; the odd n = 145 grid has no coarse
+    # grid.  Either LU factorises K cut in nested-dissection order and returns the
+    # solution in the caller's node-index order
+    prob, mesh = make_problem(2, n, f=(f, f))
+    assert mesh.elimination_band is None and (mesh.coarse_grid is None) == (n % 2 == 1)
+    seen, factor_solve = [], visolve._factor_solve
+
+    def spy(J, rows, rhs, mesh):
+        seen.append((J, rows, rhs, factor_solve(J, rows, rhs, mesh)))
+        return seen[-1][3]
+
+    monkeypatch.setattr(visolve, "_factor_solve", spy)
+    lus = _spy(monkeypatch, "_lu_solve")
+    u, eta, zeta, rep = solve_vi(prob)
+    assert rep.converged and len(lus) == len(seen) > 0
+    rank = mesh.__dict__["nested_dissection_rank"]
+    for (J, rows, rhs, sol), (K_lu, rhs_lu) in zip(seen, lus):
+        assert np.all(np.diff(rows) > 0)
+        perm = np.argsort(rank[rows])
+        order = rows[perm]
+        assert np.all(np.diff(rank[order]) > 0)
+        assert (K_lu != J[np.ix_(order, order)]).nnz == 0
+        np.testing.assert_array_equal(rhs_lu, rhs[perm])
+        K = J[np.ix_(rows, rows)]
+        ref = spla.spsolve(K.tocsc(), rhs)
+        assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 # -- the p = 2 warm start by sine transform --------------------------------------
