@@ -31,7 +31,9 @@ one of three paths (:func:`_factor_solve`):
 * on a wider :func:`build_mesh` grid, a positive definite Newton matrix is
   solved by conjugate gradients preconditioned by a Galerkin multigrid
   V-cycle on the grid's :attr:`Mesh.coarse_grid` chain, its coarse spaces
-  restricted to the inactive rows;
+  restricted to the inactive rows.  CG stops at a relative residual of
+  1e-12 or, sooner, once its Euclidean residual is a tenth of the Newton
+  tolerance, which bounds what it adds to the next Newton residual;
 * every other Newton matrix, indefinite ones among them, goes to sparse LU on
   the matrix cut out of the Jacobian.  SuperLU factorises in the order it is
   given instead of choosing its own: node-index order on a mesh with a band,
@@ -106,12 +108,15 @@ _SHORT_STEP = 1e-4
 _SHORT_STEPS = 20
 
 # multigrid-preconditioned CG on a mesh without a band: the Jacobi smoother's
-# damping, the grid size at which coarsening stops, and CG's relative residual and
-# iteration cap.  A Newton matrix of the solve_2d problem at 2D n = 256 takes 13-16
-# iterations; CG stopped by the cap hands its matrix to sparse LU
+# damping, the grid size at which coarsening stops, CG's relative residual, the
+# share of the Newton tolerance at which its Euclidean residual stops it too, and
+# its iteration cap.  The four Newton matrices of the solve_2d problem at 2D
+# n = 256 take 9, 8, 6 and 4 iterations (13-15 to the relative residual alone);
+# CG stopped by the cap hands its matrix to sparse LU
 _JACOBI_OMEGA = 0.6
 _COARSEST_GRID = 16
 _PCG_TOL = 1e-12
+_PCG_NEWTON_SHARE = 0.1
 _PCG_MAX_ITER = 100
 
 
@@ -384,12 +389,14 @@ def _v_cycle(levels, lu, b, k=0):
     return x
 
 
-def _multigrid_solve(K, rows, rhs, mesh: Mesh):
+def _multigrid_solve(K, rows, rhs, mesh: Mesh, floor=0.0):
     """Solution of K x = rhs by conjugate gradients preconditioned by one
-    :func:`_v_cycle` per iteration, from x = 0 down to a relative Euclidean
-    residual of ``_PCG_TOL``; None when K or the preconditioner shows a
-    direction of non-positive curvature (K is not positive definite), or when
-    CG has not converged after ``_PCG_MAX_ITER`` iterations.
+    :func:`_v_cycle` per iteration, from x = 0 until the Euclidean residual
+    ||rhs - K x|| is at most max(``_PCG_TOL`` ||rhs||, ``floor``); None when K or
+    the preconditioner shows a direction of non-positive curvature (K is not
+    positive definite), or when CG has not stopped after ``_PCG_MAX_ITER``
+    iterations.  An rhs that already meets the stop, rhs = 0 among them, gives
+    x = 0 without an iteration.
 
     Every inner product is ``np.sum`` of an elementwise product, not a BLAS
     dot, whose blocking depends on the thread count: so the solution is the
@@ -399,8 +406,9 @@ def _multigrid_solve(K, rows, rhs, mesh: Mesh):
     if hierarchy is None:
         return None
     x, r = np.zeros(len(rhs)), rhs.copy()
-    stop = _PCG_TOL**2 * np.sum(rhs * rhs)
-    if stop == 0:  # rhs = 0, or too small to measure a relative residual against
+    rr = np.sum(rhs * rhs)
+    stop = max(_PCG_TOL**2 * rr, floor**2)
+    if rr <= stop or stop == 0:  # x = 0 meets the stop, or rhs is too small to measure
         return x
     z = _v_cycle(*hierarchy, r)
     p, rz = z, np.sum(r * z)
@@ -432,7 +440,7 @@ def _lu_solve(K, rhs):
     return spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True}).solve(rhs)
 
 
-def _factor_solve(J, rows, rhs, mesh: Mesh):
+def _factor_solve(J, rows, rhs, mesh: Mesh, floor):
     """Solve K x = rhs for the Newton matrix K = J[rows, rows], J exactly
     symmetric on the mesh's shared pattern and ``rows`` the inactive free nodes
     in node-index order (:attr:`Mesh.free_nodes_by_rank`); x comes in the same
@@ -445,7 +453,8 @@ def _factor_solve(J, rows, rhs, mesh: Mesh):
       (LAPACK ``dpbtrf``);
     * on a mesh without a band but with a :attr:`Mesh.coarse_grid`, K is cut
       out of J and solved by multigrid-preconditioned CG
-      (:func:`_multigrid_solve`);
+      (:func:`_multigrid_solve`) until its Euclidean residual is at most
+      ``floor`` or ``_PCG_TOL`` relative, whichever comes first;
     * a K that either of them finds not positive definite, a K on which CG
       does not converge, and every K on any other mesh, is cut out of J and
       factorised by sparse LU in the order it is cut in (:func:`_lu_solve`):
@@ -461,7 +470,7 @@ def _factor_solve(J, rows, rhs, mesh: Mesh):
             return lapack.dpbtrs(chol, rhs, lower=1)[0]
         return _lu_solve(J[np.ix_(rows, rows)], rhs)
     if mesh.coarse_grid is not None:
-        sol = _multigrid_solve(J[np.ix_(rows, rows)], rows, rhs, mesh)
+        sol = _multigrid_solve(J[np.ix_(rows, rows)], rows, rhs, mesh, floor)
         if sol is not None:
             return sol
     order = np.argsort(mesh.nested_dissection_rank[rows])
@@ -484,8 +493,13 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     :attr:`Mesh.elimination_band` and K is positive definite, by
     multigrid-preconditioned CG when a wider grid's K is, otherwise by
     sparse LU on K cut out of the Jacobian; a slope field that is
-    identically zero adds no mass to it.  A singular Newton system is
-    retried twice with only the Jacobian re-assembled, its smoothing eps 100
+    identically zero adds no mass to it.  The direct solves are exact, and CG
+    stops once its Euclidean residual is at most ``_PCG_NEWTON_SHARE`` times
+    ``opts.tol`` (an inexact Newton step, Dembo-Eisenstat-Steihaug, SIAM
+    J. Numer. Anal. 19, 1982): that residual adds at most this share of the
+    tolerance to the max norm of the next residual on the inactive rows, so
+    a last step that would land within that share below the tolerance may
+    cost one more Newton step.  A singular Newton system is retried twice with only the Jacobian re-assembled, its smoothing eps 100
     times larger each time.
 
     The merit is the complementarity residual at the trial point.  The full
@@ -513,6 +527,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     u = prob.constraint.project(u0.copy(), mesh)
     op = prob.operator
     rule = opts.selection
+    floor = _PCG_NEWTON_SHARE * opts.tol  # where multigrid CG may stop
     if frozen is None and not any(mf.reads_s for mf in (prob.f, prob.f_gamma) if mf is not None):
         frozen = _select_terms(prob, FeFunction(mesh, u), rule)
     sources = None if frozen is None else _sources(prob, *frozen)
@@ -562,7 +577,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
                     J.data += mass
                 rhs = -(r + J @ d)[rows]
                 try:
-                    sol = _factor_solve(J, rows, rhs, mesh)
+                    sol = _factor_solve(J, rows, rhs, mesh, floor)
                 except RuntimeError:  # exactly singular factor
                     continue
                 if np.all(np.isfinite(sol)):

@@ -477,11 +477,11 @@ def _spy_singular_solves(monkeypatch, n_singular):
     solves, eps_seen = [], []
     factor_solve, jacobian = visolve._factor_solve, DoublePhaseOperator.jacobian
 
-    def nan_solve(J, rows, b, mesh):
+    def nan_solve(J, rows, b, mesh, floor):
         solves.append(len(b))
         if len(solves) <= n_singular:
             return np.full(len(b), np.nan)
-        return factor_solve(J, rows, b, mesh)
+        return factor_solve(J, rows, b, mesh, floor)
 
     def spy_jacobian(self, u, eps=None):
         eps_seen.append(eps)
@@ -556,7 +556,7 @@ def test_elimination_order_cuts_lu_fill(monkeypatch):
     u, eta, zeta, rep = solve_vi(prob)
     assert rep.converged and len(systems) >= 2
     assert all(A.shape[0] <= 8 * 8 for A, _ in lus)  # the n = 9 grid's interior
-    K, rows, rhs, _ = systems[-1]
+    K, rows, rhs, *_ = systems[-1]
     assert K.shape == (143 * 143,) * 2 and K.nnz > 6.5 * 143 * 143
     order = np.argsort(mesh.nested_dissection_rank[rows])
     lus.clear()
@@ -631,12 +631,12 @@ def test_newton_solutions_match_spsolve(monkeypatch, build):
     factor_solve, dpbtrf = visolve._factor_solve, visolve.lapack.dpbtrf
     multigrid_solve, lu_solve = visolve._multigrid_solve, visolve._lu_solve
 
-    def spy(J, rows, rhs, mesh):
+    def spy(J, rows, rhs, mesh, floor):
         tried = len(infos), len(mgs), len(lus)
-        sol = factor_solve(J, rows, rhs, mesh)
+        sol = factor_solve(J, rows, rhs, mesh, floor)
         K = J[np.ix_(rows, rows)]
-        seen.append((K, rhs, mesh.elimination_band, sol, infos[tried[0]:], mgs[tried[1]:],
-                     len(lus) > tried[2]))
+        seen.append((K, rows, rhs, floor, mesh.elimination_band, sol, infos[tried[0]:],
+                     mgs[tried[1]:], len(lus) > tried[2]))
         return sol
 
     def spy_dpbtrf(*args, **kwargs):
@@ -660,9 +660,11 @@ def test_newton_solutions_match_spsolve(monkeypatch, build):
     # the upper selection -100 s + 1 has a source, so u = 0 does not solve noncoercive
     u, eta, zeta, rep = solve_vi(prob, SolverOptions(max_iter=20, selection="upper"))
     assert seen
-    for K, rhs, band, sol, tried, mg, lu in seen:
+    for K, rows, rhs, floor, band, sol, tried, mg, lu in seen:
         ref = spla.spsolve(K.tocsc(), rhs)
         assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+        if mg and mg[0]:  # CG's own stop, and the exact stop against spsolve
+            _assert_multigrid_exact(K, rows, rhs, sol, floor, prob.mesh)
         assert band == prob.mesh.elimination_band
         # Cholesky when the mesh has a band, multigrid when it has none, LU when the
         # one tried failed
@@ -688,15 +690,29 @@ def test_newton_solutions_match_spsolve(monkeypatch, build):
 
 
 def _spy_multigrid(monkeypatch):
-    """Record (K, rows, rhs, solution or None) of every multigrid solve."""
+    """Record (K, rows, rhs, solution or None, floor) of every multigrid solve."""
     calls, original = [], visolve._multigrid_solve
 
-    def spy(K, rows, rhs, mesh):
-        calls.append((K, rows, rhs, original(K, rows, rhs, mesh)))
+    def spy(K, rows, rhs, mesh, floor=0.0):
+        calls.append((K, rows, rhs, original(K, rows, rhs, mesh, floor), floor))
         return calls[-1][3]
 
     monkeypatch.setattr(visolve, "_multigrid_solve", spy)
     return calls
+
+
+_MULTIGRID_SOLVE = visolve._multigrid_solve  # unpatched, for re-runs inside a spied solve
+
+
+def _assert_multigrid_exact(K, rows, rhs, sol, floor, mesh):
+    """``sol`` meets its CG stop, max(_PCG_TOL |rhs|, floor) on |rhs - K sol|, and
+    the same system solved to the relative residual _PCG_TOL alone (floor 0)
+    matches spsolve to 1e-10."""
+    residual = np.linalg.norm(rhs - K @ sol)
+    assert residual <= max(visolve._PCG_TOL * np.linalg.norm(rhs), floor)
+    exact = _MULTIGRID_SOLVE(K, rows, rhs, mesh)
+    ref = spla.spsolve(K.tocsc(), rhs)
+    assert np.linalg.norm(exact - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_indefinite_newton_matrix_without_a_band_falls_back_to_lu(monkeypatch):
@@ -710,7 +726,7 @@ def test_indefinite_newton_matrix_without_a_band_falls_back_to_lu(monkeypatch):
         warnings.simplefilter("error")
         u, eta, zeta, rep = solve_vi(prob)
     assert rep.converged and rep.newton_iterations == 1
-    (K, rows, rhs, sol), = calls
+    (K, rows, rhs, sol, _), = calls
     assert sol is None and len(lus) == 1
     x, y = prob.mesh.nodes[rows].T
     v = np.sin(np.pi * x) * np.sin(np.pi * y)  # about (2 pi^2 - 100) |v|^2 in the mass norm
@@ -731,21 +747,20 @@ def test_multigrid_drops_coarse_nodes_whose_children_are_all_active(monkeypatch)
         warnings.simplefilter("error")
         u, eta, zeta, rep = solve_vi(prob)
     assert rep.converged and max(rep.active_set_history) > mesh.n_nodes // 2
-    assert len(calls) == len(factorised) and all(sol is not None for *_, sol in calls)
+    assert len(calls) == len(factorised) and all(sol is not None for _, _, _, sol, _ in calls)
     # free coarse nodes none of whose fine children (the fine nodes that have them
     # as a parent) is a row
     lo, hi = grid._parents
     dropped = 0
-    for _, rows, _, _ in calls:
+    for _, rows, *_ in calls:
         inside = np.zeros(mesh.n_nodes, dtype=bool)
         inside[rows] = True
         has_row = np.zeros(grid.mesh.n_nodes, dtype=bool)
         has_row[lo[inside]] = has_row[hi[inside]] = True
         dropped += np.count_nonzero(~has_row[grid.mesh.free_node_mask])
     assert dropped > 0
-    for K, _, rhs, sol in calls:
-        ref = spla.spsolve(K.tocsc(), rhs)
-        assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+    for K, rows, rhs, sol, floor in calls:
+        _assert_multigrid_exact(K, rows, rhs, sol, floor, mesh)
 
 
 def test_multigrid_matches_spsolve_on_the_solve_2d_n256_system(monkeypatch):
@@ -765,10 +780,48 @@ def test_multigrid_matches_spsolve_on_the_solve_2d_n256_system(monkeypatch):
     assert rep.converged and len(calls) == rep.newton_iterations
     # no row is active, so the coarsest level is the n = 16 grid's interior
     assert coarsest == [(15 * 15,) * 2] * len(calls)
-    K, _, rhs, sol = calls[-1]
+    K, rows, rhs, sol, floor = calls[-1]
     assert K.shape == (255 * 255,) * 2
-    ref = spla.spsolve(K.tocsc(), rhs)
-    assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+    _assert_multigrid_exact(K, rows, rhs, sol, floor, prob.mesh)
+
+
+def test_multigrid_cg_stops_at_a_tenth_of_the_newton_tolerance(monkeypatch):
+    # CG stops once |rhs - K x| <= tol / 10, which leaves the solve_2d problem at
+    # n = 256 its four Newton steps.  Each CG iteration applies one V-cycle: the four
+    # Newton matrices took 56 in all at the relative residual _PCG_TOL alone
+    cfg = load_config(CONFIGS / "double_phase_2d.yaml")
+    cfg["mesh"]["n"] = 256
+    prob = build_problem(cfg)
+    calls = _spy_multigrid(monkeypatch)
+    cycles, v_cycle = [], visolve._v_cycle
+
+    def spy_v_cycle(levels, lu, b, k=0):
+        cycles.append(k)
+        return v_cycle(levels, lu, b, k)
+
+    monkeypatch.setattr(visolve, "_v_cycle", spy_v_cycle)
+    tol = 1e-9
+    u, eta, zeta, rep = solve_vi(prob, SolverOptions(tol=tol))
+    assert rep.converged and rep.newton_iterations == 4 and len(calls) == 4
+    assert cycles.count(0) <= 30
+    for K, _, rhs, sol, floor in calls:
+        assert floor == visolve._PCG_NEWTON_SHARE * tol
+        assert np.linalg.norm(rhs - K @ sol) <= max(visolve._PCG_TOL * np.linalg.norm(rhs), floor)
+
+
+def test_multigrid_returns_zero_for_a_zero_rhs_without_lu(monkeypatch):
+    # with a positive floor, rhs = 0 must not reach CG: its r^T z = 0 would read as
+    # a direction of non-positive curvature and send the system to sparse LU
+    prob, mesh = make_problem(2, 144, p="2.5", f=("1", "1"))
+    systems = _spy(monkeypatch, "_factor_solve")
+    u, eta, zeta, rep = solve_vi(prob)
+    J, rows, _, _, floor = systems[-1]
+    assert rep.converged and mesh.elimination_band is None and floor > 0
+    lus = _spy(monkeypatch, "_lu_solve")
+    cycles = _spy(monkeypatch, "_v_cycle")
+    sol = visolve._factor_solve(J, rows, np.zeros(len(rows)), mesh, floor)
+    assert not lus and not cycles
+    np.testing.assert_array_equal(sol, np.zeros(len(rows)))
 
 
 # -- nested dissection only for the LU fallback -------------------------------------
@@ -782,7 +835,7 @@ def test_positive_definite_solve_without_a_band_builds_no_nested_dissection(monk
     lus = _spy(monkeypatch, "_lu_solve")
     u, eta, zeta, rep = solve_vi(prob)
     assert rep.converged and calls and not lus
-    assert all(sol is not None and np.all(np.diff(rows) > 0) for _, rows, _, sol in calls)
+    assert all(sol is not None and np.all(np.diff(rows) > 0) for _, rows, _, sol, _ in calls)
     assert "nested_dissection_rank" not in mesh.__dict__
 
 
@@ -796,8 +849,8 @@ def test_lu_fallback_without_a_band_takes_nested_dissection_order(monkeypatch, n
     assert mesh.elimination_band is None and (mesh.coarse_grid is None) == (n % 2 == 1)
     seen, factor_solve = [], visolve._factor_solve
 
-    def spy(J, rows, rhs, mesh):
-        seen.append((J, rows, rhs, factor_solve(J, rows, rhs, mesh)))
+    def spy(J, rows, rhs, mesh, floor):
+        seen.append((J, rows, rhs, factor_solve(J, rows, rhs, mesh, floor)))
         return seen[-1][3]
 
     monkeypatch.setattr(visolve, "_factor_solve", spy)
