@@ -87,8 +87,8 @@ _TRI_QW = np.array([_TRI_W1, _TRI_W1, _TRI_W1, _TRI_W2, _TRI_W2, _TRI_W2])
 _ND_LEAF = 16
 
 # largest work m (b + 1)^2 (m free rows, half-bandwidth b) of a banded Cholesky in
-# node-index order.  Factorise-and-solve time (ms) of one 2D whole-space Newton
-# matrix on a 2-vCPU AMD EPYC, one BLAS thread:
+# node-index order, on a mesh without a coarse grid.  Factorise-and-solve time (ms)
+# of one 2D whole-space Newton matrix on a 2-vCPU AMD EPYC, one BLAS thread:
 #
 #   2D n            96     112    128    144    160    176    192
 #   m (b + 1)^2     8.5e7  1.6e8  2.7e8  4.3e8  6.6e8  9.6e8  1.4e9
@@ -96,11 +96,30 @@ _ND_LEAF = 16
 #   band Cholesky   3.2    5.0    8.3    12.0   17.8   23.9   33.3
 #   band array, MB  7.0    11.1   16.6   23.7   32.6   43.4   56.3
 #
-# The band won at every size, but its array grows as m (b + 1): the constant takes
-# n = 128 and stops there, so that n = 256 (4.3e9, a 134 MB array) stays off the band,
-# on multigrid-preconditioned CG; SuperLU in nested-dissection order (the "SuperLU, ND"
-# row) now takes only the Newton matrices that CG rejects
-_BAND_WORK = 3e8
+# The band beat SuperLU in nested-dissection order at every size, but its array
+# grows as m (b + 1): the constant takes an odd grid up to n = 131 and stops there
+_LU_BAND_WORK = 3e8
+# the same limit on a grid with a coarse grid, where the band's alternative is
+# multigrid-preconditioned CG with its set-up built once per inactive set.  Time
+# (ms) of a whole solve_vi on the same machine, the median over 2-3 processes of
+# repeated solves: the solve_2d problem (whole space, 4 Newton steps) and two
+# obstacle problems with f = 8, whose inactive rows change at nearly every step
+# (p = 2.5 and psi = -0.02, 6 steps; the extremal_2d exponents and psi = -0.5,
+# 23-31 steps):
+#
+#   2D n                 64     80     96     112    128
+#   m (b + 1)^2          1.7e7  4.1e7  8.5e7  1.6e8  2.7e8
+#   whole space, band    9.0    12.8   20.4   31.7   49.0
+#   whole space, MG      8.6    11.8   15.2   20.4   26.7
+#   psi = -0.02, band    10.8   21.4   37.9   61.5   107
+#   psi = -0.02, MG      17.5   33.5   51.0   71.1   107
+#   psi = -0.5, band                   480    909    1446
+#   psi = -0.5, MG                     530    919    1249
+#
+# Multigrid gains on the whole space grow with n; the obstacle problems rebuild
+# its set-up at most steps and break even only at n = 112-128.  The constant takes
+# even grids up to n = 100 and stops there, so n = 112 and up go to multigrid
+_BAND_WORK = 1e8
 
 
 _SPATIAL_VARS = ("x", "y")  # an expression's spatial variables are _SPATIAL_VARS[:dim]
@@ -333,11 +352,13 @@ class Mesh:
         m (b + 1)^2; while that is at most ``_BAND_WORK`` the Newton matrices
         are factorised on that band, otherwise by multigrid-preconditioned CG
         or, failing that, by sparse LU in :attr:`nested_dissection_rank`
-        order.  On a :func:`build_mesh` grid node-index order is the natural
-        order and b is 1 in 1D and n in 2D when the whole boundary is Gamma0;
-        2D grids up to n = 128 stay below the constant.  A subset of the free
-        rows has no wider band in the order it inherits, so one order serves
-        every active set.  Built on first use.
+        order.  A mesh without a :attr:`coarse_grid`, which multigrid needs,
+        keeps the band up to the larger work ``_LU_BAND_WORK``.  On a
+        :func:`build_mesh` grid node-index order is the natural order and b is
+        1 in 1D and n in 2D when the whole boundary is Gamma0; even 2D grids up
+        to n = 100 and odd ones up to n = 131 stay below their constant.  A
+        subset of the free rows has no wider band in the order it inherits, so
+        one order serves every active set.  Built on first use.
         """
         free = self.free_node_mask
         row = np.cumsum(free) - 1  # position of each free node among the free rows
@@ -345,7 +366,9 @@ class Mesh:
         heads, tails = self.elements[:, i].ravel(), self.elements[:, j].ravel()
         both = free[heads] & free[tails]
         b = int(np.max(np.abs(row[heads] - row[tails])[both], initial=0))
-        return b if np.count_nonzero(free) * (b + 1) ** 2 <= _BAND_WORK else None
+        coarsens = self.subdivisions is not None and self.subdivisions % 2 == 0  # as coarse_grid
+        limit = _BAND_WORK if coarsens else _LU_BAND_WORK
+        return b if np.count_nonzero(free) * (b + 1) ** 2 <= limit else None
 
     @cached_property
     def band_entries(self):

@@ -33,7 +33,12 @@ one of three paths (:func:`_factor_solve`):
   V-cycle on the grid's :attr:`Mesh.coarse_grid` chain, its coarse spaces
   restricted to the inactive rows.  CG stops at a relative residual of
   1e-12 or, sooner, once its Euclidean residual is a tenth of the Newton
-  tolerance, which bounds what it adds to the next Newton residual;
+  tolerance, which bounds what it adds to the next Newton residual.  The
+  multigrid set-up is built once per inactive set and reused while the
+  Newton steps keep it (:class:`_MultigridPlan`): the matrix's pattern, the
+  transfers, the coarse Galerkin matrices and the coarsest LU.  Each step
+  gathers its own matrix onto that pattern, multiplies by it in CG and
+  smooths with it on the fine level, under coarse levels that may lag;
 * every other Newton matrix, indefinite ones among them, goes to sparse LU on
   the matrix cut out of the Jacobian.  SuperLU factorises in the order it is
   given instead of choosing its own: node-index order on a mesh with a band,
@@ -62,6 +67,7 @@ their slopes are zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -111,8 +117,10 @@ _SHORT_STEPS = 20
 # damping, the grid size at which coarsening stops, CG's relative residual, the
 # share of the Newton tolerance at which its Euclidean residual stops it too, and
 # its iteration cap.  The four Newton matrices of the solve_2d problem at 2D
-# n = 256 take 9, 8, 6 and 4 iterations (13-15 to the relative residual alone);
-# CG stopped by the cap hands its matrix to sparse LU
+# n = 256 take 9, 9, 6 and 5 iterations, the last three under the first one's
+# coarse levels (13-15 to the relative residual alone on their own levels); CG
+# stopped by the cap hands its matrix to sparse LU, after one more run on coarse
+# levels built from it when those it ran on were built from an earlier matrix
 _JACOBI_OMEGA = 0.6
 _COARSEST_GRID = 16
 _PCG_TOL = 1e-12
@@ -340,38 +348,108 @@ def _band_gather(J, rows, mesh: Mesh):
     return ab.reshape((b + 1, len(rows)), order="F")
 
 
-def _multigrid_levels(K, rows, mesh: Mesh):
-    """Galerkin hierarchy of K = J[rows, rows] on the :attr:`Mesh.coarse_grid`
-    chain: ``([(A, P, R, w), ...], lu)``, or None when some level's matrix has
-    a diagonal entry that is not positive, and so is not positive definite.
+class _MultigridPlan:
+    """Multigrid set-up of the Newton matrices K = J[rows, rows] of one inactive
+    set, J on the mesh's shared CSR pattern.  A Newton loop makes a new plan
+    whenever its inactive ``rows`` change and reuses it while they repeat;
+    nothing is built before the first multigrid solve on them.  Built once per
+    inactive set: K's pattern and a mask of its slots in J's data
+    (:meth:`matrix`), each level's transfers (:attr:`transfers`), and the
+    coarse Galerkin matrices and coarsest LU of the first K that
+    :meth:`hierarchy` sees, built again only when CG on them fails.
+    """
 
-    Each level holds its matrix A (K first), the prolongation P from the next
-    level (:meth:`CoarseGrid.prolongation` from the coarse nodes whose own fine
-    node is one of A's rows), the restriction R = P^T and the damped inverse
-    diagonal w = ``_JACOBI_OMEGA`` / diag(A).  The next level's matrix is
-    R A P.  A coarse node is kept only where its own fine node is a row, so no
-    kept node has all its fine children outside the rows, which would give the
-    next matrix a zero row, and P's columns are independent: the next matrix
-    is positive definite whenever A is.  Coarsening stops at the grid with at
-    most ``_COARSEST_GRID`` subdivisions, or at one that has no coarse grid,
-    and ``lu`` is the sparse LU of that grid's matrix; None also when that
-    matrix is exactly singular.
+    def __init__(self, rows, mesh: Mesh):
+        self.rows, self.mesh = rows, mesh
+        self._coarse = None  # (levels below the fine one, lu) of the K they were built from
+
+    @cached_property
+    def _pattern(self):
+        """``(keep, indices, indptr)``: K's entries are J's at the slots that the
+        mask ``keep`` marks, in K's CSR order, since the rows come in node-index
+        order and keep J's sorted columns.  A mask is the smallest record of the
+        slots, and the fastest gather."""
+        indptr, indices, _, _ = self.mesh._assembly_plan
+        inside = np.zeros(self.mesh.n_nodes, dtype=bool)
+        inside[self.rows] = True
+        keep = np.repeat(inside, np.diff(indptr)) & inside[indices]
+        kept = np.concatenate(([0], np.cumsum(keep)))  # kept entries before each slot
+        pos = np.cumsum(inside) - 1  # position of each node among the rows
+        return (_freeze(keep), _freeze(pos[indices[keep]].astype(indices.dtype)),
+                _freeze(kept[np.append(indptr[self.rows], indptr[-1])].astype(indptr.dtype)))
+
+    @cached_property
+    def transfers(self):
+        """``[(P, R), ...]``: per level, the prolongation P from the coarse nodes
+        kept (:meth:`CoarseGrid.prolongation` from those whose own fine node is
+        one of the level's rows) and R = P^T, down to the grid with at most
+        ``_COARSEST_GRID`` subdivisions or one without a coarse grid."""
+        transfers, rows, mesh = [], self.rows, self.mesh
+        while mesh.subdivisions > _COARSEST_GRID and mesh.coarse_grid is not None:
+            P, rows = mesh.coarse_grid.prolongation(rows)
+            transfers.append((P, P.T.tocsr()))
+            mesh = mesh.coarse_grid.mesh
+        return transfers
+
+    @property
+    def lagged(self):
+        """Whether :meth:`hierarchy` will reuse coarse levels built from an earlier K."""
+        return self._coarse is not None
+
+    def matrix(self, J):
+        """K = J[rows, rows], bitwise the cut, explicit zeros included."""
+        keep, indices, indptr = self._pattern
+        return sp.csr_matrix((J.data[keep], indices, indptr), shape=(len(self.rows),) * 2)
+
+    def hierarchy(self, K, rebuild=False):
+        """The multigrid hierarchy of K, ``([(A, P, R, w), ...], lu)`` as
+        :func:`_multigrid_levels` gives it, or None when it finds K not positive
+        definite.  K and its Jacobi weights are the fine level; the coarse levels
+        and ``lu`` are built from K when none are kept or ``rebuild`` is set,
+        and reused otherwise."""
+        if self._coarse is None or rebuild:
+            built = _multigrid_levels(K, self.transfers)
+            self._coarse = None if built is None else (built[0][1:], built[1])
+            return built
+        diag = K.diagonal()
+        if not np.all(diag > 0):  # also catches NaN
+            return None
+        levels, lu = self._coarse
+        if self.transfers:
+            levels = [(K, *self.transfers[0], _JACOBI_OMEGA / diag)] + levels
+        return levels, lu
+
+
+def _multigrid_levels(K, transfers):
+    """Galerkin hierarchy of a Newton matrix K on a :class:`_MultigridPlan`'s
+    ``transfers``: ``([(A, P, R, w), ...], lu)``, or None when some level's
+    matrix has a diagonal entry that is not positive, and so is not positive
+    definite.
+
+    Each level holds its matrix A (K first), the transfers P and R to and from
+    the next level, and the damped inverse diagonal w = ``_JACOBI_OMEGA`` /
+    diag(A).  The next level's matrix is R A P.  A coarse node is kept only
+    where its own fine node is a row, so no kept node has all its fine children
+    outside the rows, which would give the next matrix a zero row, and P's
+    columns are independent: the next matrix is positive definite whenever A
+    is.  ``lu`` is the sparse LU of the last level's matrix; None also when
+    that matrix is exactly singular.  A plan builds this once per inactive
+    set, and again when CG on it fails; later Newton steps put their own K and
+    w on its fine level (:meth:`_MultigridPlan.hierarchy`).
     """
     levels, A = [], K
-    while True:
+    for P, R in transfers:
         diag = A.diagonal()
         if not np.all(diag > 0):  # also catches NaN
             return None
-        grid = mesh.coarse_grid if mesh.subdivisions > _COARSEST_GRID else None
-        if grid is None:
-            try:
-                return levels, spla.splu(A.tocsc())
-            except RuntimeError:  # exactly singular
-                return None
-        P, rows = grid.prolongation(rows)
-        R = P.T.tocsr()
         levels.append((A, P, R, _JACOBI_OMEGA / diag))
-        A, mesh = R @ (A @ P), grid.mesh
+        A = R @ (A @ P)
+    if not np.all(A.diagonal() > 0):
+        return None
+    try:
+        return levels, spla.splu(A.tocsc())
+    except RuntimeError:  # exactly singular
+        return None
 
 
 def _v_cycle(levels, lu, b, k=0):
@@ -389,27 +467,15 @@ def _v_cycle(levels, lu, b, k=0):
     return x
 
 
-def _multigrid_solve(K, rows, rhs, mesh: Mesh, floor=0.0):
-    """Solution of K x = rhs by conjugate gradients preconditioned by one
-    :func:`_v_cycle` per iteration, from x = 0 until the Euclidean residual
-    ||rhs - K x|| is at most max(``_PCG_TOL`` ||rhs||, ``floor``); None when K or
-    the preconditioner shows a direction of non-positive curvature (K is not
-    positive definite), or when CG has not stopped after ``_PCG_MAX_ITER``
-    iterations.  An rhs that already meets the stop, rhs = 0 among them, gives
-    x = 0 without an iteration.
-
-    Every inner product is ``np.sum`` of an elementwise product, not a BLAS
-    dot, whose blocking depends on the thread count: so the solution is the
-    same bitwise under any number of BLAS threads.
-    """
-    hierarchy = _multigrid_levels(K, rows, mesh)
+def _pcg(K, rhs, stop, hierarchy):
+    """Conjugate gradients for K x = rhs from x = 0, preconditioned by one
+    :func:`_v_cycle` on ``hierarchy`` per iteration, until the squared
+    Euclidean residual is at most ``stop``; None when ``hierarchy`` is None,
+    when K or the preconditioner shows a direction of non-positive curvature,
+    or when CG has not stopped after ``_PCG_MAX_ITER`` iterations."""
     if hierarchy is None:
         return None
     x, r = np.zeros(len(rhs)), rhs.copy()
-    rr = np.sum(rhs * rhs)
-    stop = max(_PCG_TOL**2 * rr, floor**2)
-    if rr <= stop or stop == 0:  # x = 0 meets the stop, or rhs is too small to measure
-        return x
     z = _v_cycle(*hierarchy, r)
     p, rz = z, np.sum(r * z)
     for _ in range(_PCG_MAX_ITER):
@@ -428,6 +494,35 @@ def _multigrid_solve(K, rows, rhs, mesh: Mesh, floor=0.0):
     return None
 
 
+def _multigrid_solve(K, rows, rhs, mesh: Mesh, floor=0.0, plan=None):
+    """Solution of K x = rhs by conjugate gradients preconditioned by a
+    multigrid V-cycle (:func:`_pcg`), from x = 0 until the Euclidean residual
+    ||rhs - K x|| is at most max(``_PCG_TOL`` ||rhs||, ``floor``); None when K
+    is not positive definite, or CG fails.  An rhs that already meets the stop,
+    rhs = 0 among them, gives x = 0 without an iteration.
+
+    The V-cycle runs on the hierarchy of ``plan``, the :class:`_MultigridPlan`
+    of ``rows`` (a new one when None): K on the fine level, under coarse levels
+    that may have been built from the K of an earlier Newton step.  CG that
+    fails on such lagged levels runs once more on levels built from K.
+
+    Every inner product is ``np.sum`` of an elementwise product, not a BLAS
+    dot, whose blocking depends on the thread count: so the solution is the
+    same bitwise under any number of BLAS threads.
+    """
+    rr = np.sum(rhs * rhs)
+    stop = max(_PCG_TOL**2 * rr, floor**2)
+    if rr <= stop or stop == 0:  # x = 0 meets the stop, or rhs is too small to measure
+        return np.zeros(len(rhs))
+    if plan is None:
+        plan = _MultigridPlan(rows, mesh)
+    lagged = plan.lagged
+    x = _pcg(K, rhs, stop, plan.hierarchy(K))
+    if x is None and lagged:
+        x = _pcg(K, rhs, stop, plan.hierarchy(K, rebuild=True))
+    return x
+
+
 def _lu_solve(K, rhs):
     """Solution of K x = rhs by sparse LU in K's own row order.  SuperLU keeps
     the given column order (``NATURAL``) and prefers diagonal pivots
@@ -440,21 +535,24 @@ def _lu_solve(K, rhs):
     return spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True}).solve(rhs)
 
 
-def _factor_solve(J, rows, rhs, mesh: Mesh, floor):
+def _factor_solve(J, rows, rhs, mesh: Mesh, floor, plan):
     """Solve K x = rhs for the Newton matrix K = J[rows, rows], J exactly
     symmetric on the mesh's shared pattern and ``rows`` the inactive free nodes
     in node-index order (:attr:`Mesh.free_nodes_by_rank`); x comes in the same
-    order.
+    order.  ``plan`` is the :class:`_MultigridPlan` of ``rows``.
 
     Three paths:
 
     * on a mesh with an :attr:`Mesh.elimination_band`, K's lower band is
       gathered from J (:func:`_band_gather`) and factorised by banded Cholesky
       (LAPACK ``dpbtrf``);
-    * on a mesh without a band but with a :attr:`Mesh.coarse_grid`, K is cut
-      out of J and solved by multigrid-preconditioned CG
-      (:func:`_multigrid_solve`) until its Euclidean residual is at most
-      ``floor`` or ``_PCG_TOL`` relative, whichever comes first;
+    * on a mesh without a band but with a :attr:`Mesh.coarse_grid`, K is
+      gathered from J on the plan's pattern and solved by
+      multigrid-preconditioned CG (:func:`_multigrid_solve`) until its
+      Euclidean residual is at most ``floor`` or ``_PCG_TOL`` relative,
+      whichever comes first.  The plan's transfers, coarse Galerkin matrices
+      and coarsest LU are built on its first solve and reused by later Newton
+      steps on the same rows; each step's own K is the fine level;
     * a K that either of them finds not positive definite, a K on which CG
       does not converge, and every K on any other mesh, is cut out of J and
       factorised by sparse LU in the order it is cut in (:func:`_lu_solve`):
@@ -470,7 +568,7 @@ def _factor_solve(J, rows, rhs, mesh: Mesh, floor):
             return lapack.dpbtrs(chol, rhs, lower=1)[0]
         return _lu_solve(J[np.ix_(rows, rows)], rhs)
     if mesh.coarse_grid is not None:
-        sol = _multigrid_solve(J[np.ix_(rows, rows)], rows, rhs, mesh, floor)
+        sol = _multigrid_solve(plan.matrix(J), rows, rhs, mesh, floor, plan)
         if sol is not None:
             return sol
     order = np.argsort(mesh.nested_dissection_rank[rows])
@@ -493,14 +591,17 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     :attr:`Mesh.elimination_band` and K is positive definite, by
     multigrid-preconditioned CG when a wider grid's K is, otherwise by
     sparse LU on K cut out of the Jacobian; a slope field that is
-    identically zero adds no mass to it.  The direct solves are exact, and CG
-    stops once its Euclidean residual is at most ``_PCG_NEWTON_SHARE`` times
-    ``opts.tol`` (an inexact Newton step, Dembo-Eisenstat-Steihaug, SIAM
-    J. Numer. Anal. 19, 1982): that residual adds at most this share of the
-    tolerance to the max norm of the next residual on the inactive rows, so
-    a last step that would land within that share below the tolerance may
-    cost one more Newton step.  A singular Newton system is retried twice with only the Jacobian re-assembled, its smoothing eps 100
-    times larger each time.
+    identically zero adds no mass to it.  The loop makes a new
+    :class:`_MultigridPlan` whenever the inactive rows change, and the steps
+    that keep them reuse its multigrid set-up.  The direct solves are exact,
+    and CG stops once its Euclidean residual is at most
+    ``_PCG_NEWTON_SHARE`` times ``opts.tol`` (an inexact Newton step,
+    Dembo-Eisenstat-Steihaug, SIAM J. Numer. Anal. 19, 1982): that residual
+    adds at most this share of the tolerance to the max norm of the next
+    residual on the inactive rows, so a last step that would land within that
+    share below the tolerance may cost one more Newton step.  A singular
+    Newton system is retried twice with only the Jacobian re-assembled, its
+    smoothing eps 100 times larger each time.
 
     The merit is the complementarity residual at the trial point.  The full
     step (t = 1) is accepted when it cuts the max norm or the Euclidean norm
@@ -528,6 +629,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     op = prob.operator
     rule = opts.selection
     floor = _PCG_NEWTON_SHARE * opts.tol  # where multigrid CG may stop
+    plan = None  # the _MultigridPlan of the last inactive rows
     if frozen is None and not any(mf.reads_s for mf in (prob.f, prob.f_gamma) if mf is not None):
         frozen = _select_terms(prob, FeFunction(mesh, u), rule)
     sources = None if frozen is None else _sources(prob, *frozen)
@@ -558,6 +660,8 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
         delta[act_hi] = hi_f[act_hi] - u_free[act_hi]
         rows = free[inact]
         if len(rows):
+            if plan is None or not np.array_equal(plan.rows, rows):
+                plan = _MultigridPlan(rows, mesh)
             uf = at[0]
             # penalty and selection slopes do not depend on the smoothing eps
             slopes = []
@@ -577,13 +681,14 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
                     J.data += mass
                 rhs = -(r + J @ d)[rows]
                 try:
-                    sol = _factor_solve(J, rows, rhs, mesh, floor)
+                    sol = _factor_solve(J, rows, rhs, mesh, floor, plan)
                 except RuntimeError:  # exactly singular factor
                     continue
                 if np.all(np.isfinite(sol)):
                     break
             else:
                 raise SolverError("Newton system singular after smoothing retries")
+            del J  # not held through the line search, whose merit sets the peak memory
             delta[inact] = sol
         report.active_set_history.append(int(np.count_nonzero(~inact)))
         report.newton_iterations += 1

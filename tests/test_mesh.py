@@ -7,7 +7,8 @@ import scipy.sparse as sp
 from dpvi import operator as operator_module
 from dpvi.expr import eval_expression, parse_expression
 from dpvi.mesh import (
-    _BAND_WORK, _TRI_BARY, CoarseGrid, FeFunction, Layout, Mesh, build_mesh, fe_interpolate,
+    _BAND_WORK, _LU_BAND_WORK, _TRI_BARY, CoarseGrid, FeFunction, Layout, Mesh, build_mesh,
+    fe_interpolate,
 )
 from dpvi.multifun import assemble_source
 from dpvi.operator import DoublePhaseOperator
@@ -553,27 +554,35 @@ def test_free_nodes_by_rank():
 @pytest.mark.parametrize("dim,n,gamma,relabel", [
     (1, 1, None, False), (1, 40, "x - 0.5", False), (1, 40, None, True), (2, 1, None, False),
     (2, 16, "x - 0.5", False), (2, 16, "y - x", True), (2, 112, None, False),
-    (2, 128, None, False), (2, 144, None, False),
+    (2, 128, None, False), (2, 131, None, False), (2, 144, None, False),
 ])
 def test_elimination_band_is_the_band_of_the_free_rows(dim, n, gamma, relabel):
     # the half-bandwidth of the assembled pattern's free rows in node-index order,
-    # kept while m (b + 1)^2 is at most the crossover
+    # kept while m (b + 1)^2 is at most the crossover: multigrid's on a grid with a
+    # coarse grid, sparse LU's on any other mesh
     m = build_mesh(dim, n, gamma)
     if relabel:
         m = _relabelled(m, n)
     free = np.flatnonzero(m.free_node_mask)
     pattern = m.csr(np.ones(len(m._assembly_plan[1])))[free][:, free].tocoo()
     b = int(np.max(np.abs(pattern.row - pattern.col), initial=0))
-    assert m.elimination_band == (b if len(free) * (b + 1) ** 2 <= _BAND_WORK else None)
+    limit = _BAND_WORK if m.coarse_grid is not None else _LU_BAND_WORK
+    assert m.elimination_band == (b if len(free) * (b + 1) ** 2 <= limit else None)
 
 
 def test_elimination_band_on_grids():
     # node (i, j) and (i + 1, j + 1) are n free rows apart when the whole boundary is Gamma0
     assert build_mesh(1, 4096).elimination_band == 1
     assert build_mesh(2, 16).elimination_band == 16
-    assert build_mesh(2, 112).elimination_band == 112
-    assert build_mesh(2, 128).elimination_band == 128  # the widest ladder grid below the crossover
+    assert build_mesh(2, 100).elimination_band == 100  # the widest even grid on the band
+    assert build_mesh(2, 102).elimination_band is None
+    assert build_mesh(2, 128).elimination_band is None  # multigrid from here on the ladder
     assert build_mesh(2, 256).elimination_band is None
+    # without a coarse grid the band's alternative is sparse LU, which it beats for longer
+    assert build_mesh(2, 131).elimination_band == 131
+    assert build_mesh(2, 133).elimination_band is None
+    grid = build_mesh(2, 128)
+    assert Mesh(2, grid.nodes, grid.elements, grid.boundary_facets).elimination_band == 128
 
 
 # -- build_mesh against its cell-by-cell construction ----------------------------------

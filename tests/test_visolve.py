@@ -477,11 +477,11 @@ def _spy_singular_solves(monkeypatch, n_singular):
     solves, eps_seen = [], []
     factor_solve, jacobian = visolve._factor_solve, DoublePhaseOperator.jacobian
 
-    def nan_solve(J, rows, b, mesh, floor):
+    def nan_solve(J, rows, b, mesh, floor, plan):
         solves.append(len(b))
         if len(solves) <= n_singular:
             return np.full(len(b), np.nan)
-        return factor_solve(J, rows, b, mesh, floor)
+        return factor_solve(J, rows, b, mesh, floor, plan)
 
     def spy_jacobian(self, u, eps=None):
         eps_seen.append(eps)
@@ -631,9 +631,9 @@ def test_newton_solutions_match_spsolve(monkeypatch, build):
     factor_solve, dpbtrf = visolve._factor_solve, visolve.lapack.dpbtrf
     multigrid_solve, lu_solve = visolve._multigrid_solve, visolve._lu_solve
 
-    def spy(J, rows, rhs, mesh, floor):
+    def spy(J, rows, rhs, mesh, floor, plan):
         tried = len(infos), len(mgs), len(lus)
-        sol = factor_solve(J, rows, rhs, mesh, floor)
+        sol = factor_solve(J, rows, rhs, mesh, floor, plan)
         K = J[np.ix_(rows, rows)]
         seen.append((K, rows, rhs, floor, mesh.elimination_band, sol, infos[tried[0]:],
                      mgs[tried[1]:], len(lus) > tried[2]))
@@ -693,8 +693,8 @@ def _spy_multigrid(monkeypatch):
     """Record (K, rows, rhs, solution or None, floor) of every multigrid solve."""
     calls, original = [], visolve._multigrid_solve
 
-    def spy(K, rows, rhs, mesh, floor=0.0):
-        calls.append((K, rows, rhs, original(K, rows, rhs, mesh, floor), floor))
+    def spy(K, rows, rhs, mesh, floor=0.0, plan=None):
+        calls.append((K, rows, rhs, original(K, rows, rhs, mesh, floor, plan), floor))
         return calls[-1][3]
 
     monkeypatch.setattr(visolve, "_multigrid_solve", spy)
@@ -777,9 +777,11 @@ def test_multigrid_matches_spsolve_on_the_solve_2d_n256_system(monkeypatch):
 
     monkeypatch.setattr(visolve.spla, "splu", spy_splu)
     u, eta, zeta, rep = solve_vi(prob, SolverOptions(tol=1e-9))
-    assert rep.converged and len(calls) == rep.newton_iterations
-    # no row is active, so the coarsest level is the n = 16 grid's interior
-    assert coarsest == [(15 * 15,) * 2] * len(calls)
+    assert rep.converged and len(calls) == rep.newton_iterations == 4
+    # no row is active, so every step has the same rows: the coarse levels are built
+    # once, and the coarsest level is the n = 16 grid's interior
+    assert all(np.array_equal(rows, calls[0][1]) for _, rows, *_ in calls)
+    assert coarsest == [(15 * 15,) * 2]
     K, rows, rhs, sol, floor = calls[-1]
     assert K.shape == (255 * 255,) * 2
     _assert_multigrid_exact(K, rows, rhs, sol, floor, prob.mesh)
@@ -815,13 +817,72 @@ def test_multigrid_returns_zero_for_a_zero_rhs_without_lu(monkeypatch):
     prob, mesh = make_problem(2, 144, p="2.5", f=("1", "1"))
     systems = _spy(monkeypatch, "_factor_solve")
     u, eta, zeta, rep = solve_vi(prob)
-    J, rows, _, _, floor = systems[-1]
+    J, rows, _, _, floor, _ = systems[-1]
     assert rep.converged and mesh.elimination_band is None and floor > 0
     lus = _spy(monkeypatch, "_lu_solve")
     cycles = _spy(monkeypatch, "_v_cycle")
-    sol = visolve._factor_solve(J, rows, np.zeros(len(rows)), mesh, floor)
+    plan = visolve._MultigridPlan(rows, mesh)
+    sol = visolve._factor_solve(J, rows, np.zeros(len(rows)), mesh, floor, plan)
     assert not lus and not cycles
     np.testing.assert_array_equal(sol, np.zeros(len(rows)))
+
+
+def test_multigrid_plan_gathers_the_cut_matrix_and_is_rebuilt_when_the_rows_change(monkeypatch):
+    # the n = 144 obstacle solve, whose active set moves: on every Newton step the
+    # plan's K is J[rows, rows] bitwise, explicit zeros included, and a step gets a new
+    # plan exactly when its rows differ from the step before
+    prob = make_problem(
+        2, 144, p="2.5", f=("8", "8"),
+        constraint=lambda m: ConstraintSet.obstacle(FeFunction.constant(m, -0.02)),
+    )[0]
+    mesh = prob.mesh
+    systems = _spy(monkeypatch, "_factor_solve")
+    levels = _spy(monkeypatch, "_multigrid_levels")
+    u, eta, zeta, rep = solve_vi(prob)
+    assert rep.converged and mesh.elimination_band is None
+    zeros = 0
+    for J, rows, _, _, _, plan in systems:
+        cut, K = J[np.ix_(rows, rows)], plan.matrix(J)
+        assert plan.rows is rows or np.array_equal(plan.rows, rows)
+        for a in ("indptr", "indices", "data"):
+            assert getattr(K, a).dtype == getattr(cut, a).dtype
+            assert getattr(K, a).tobytes() == getattr(cut, a).tobytes()
+        zeros += np.count_nonzero(K.data == 0)
+    assert zeros > 0
+    # the Newton loop's own steps, after the warm start's: its first step plans anew
+    steps = systems[-rep.newton_iterations:]
+    assert steps[0][5] is not systems[-rep.newton_iterations - 1][5]
+    same = [np.array_equal(a[1], b[1]) for a, b in zip(steps, steps[1:])]
+    assert any(same) and not all(same)
+    assert all((b[5] is a[5]) == kept for a, b, kept in zip(steps, steps[1:], same))
+    # the coarse levels are built once per plan, on its first solve
+    assert len(levels) == len({id(plan) for *_, plan in systems})
+
+
+def test_lagged_coarse_levels_that_fail_cg_are_rebuilt_from_the_current_matrix(monkeypatch):
+    # coarse levels built from 1e-8 K make the V-cycle's coarse correction 1e8 times
+    # too large, and CG on them fails; the solve rebuilds them from K and takes no LU
+    prob, mesh = make_problem(2, 144, p="2.5", f=("1", "1"))
+    systems = _spy(monkeypatch, "_factor_solve")
+    u, eta, zeta, rep = solve_vi(prob)
+    J, rows, rhs, _, floor, _ = systems[-1]
+    plan = visolve._MultigridPlan(rows, mesh)
+    K = plan.matrix(J)
+    assert plan.hierarchy(1e-8 * K) is not None and plan.lagged
+    lus = _spy(monkeypatch, "_lu_solve")
+    levels = _spy(monkeypatch, "_multigrid_levels")
+    runs, pcg = [], visolve._pcg
+
+    def spy_pcg(*args):
+        runs.append(pcg(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(visolve, "_pcg", spy_pcg)
+    sol = visolve._multigrid_solve(K, rows, rhs, mesh, floor, plan)
+    assert not lus and [x is None for x in runs] == [True, False]
+    (rebuilt, _), = levels
+    assert rebuilt is K and plan.lagged
+    _assert_multigrid_exact(K, rows, rhs, sol, floor, mesh)
 
 
 # -- nested dissection only for the LU fallback -------------------------------------
@@ -849,8 +910,8 @@ def test_lu_fallback_without_a_band_takes_nested_dissection_order(monkeypatch, n
     assert mesh.elimination_band is None and (mesh.coarse_grid is None) == (n % 2 == 1)
     seen, factor_solve = [], visolve._factor_solve
 
-    def spy(J, rows, rhs, mesh, floor):
-        seen.append((J, rows, rhs, factor_solve(J, rows, rhs, mesh, floor)))
+    def spy(J, rows, rhs, mesh, floor, plan):
+        seen.append((J, rows, rhs, factor_solve(J, rows, rhs, mesh, floor, plan)))
         return seen[-1][3]
 
     monkeypatch.setattr(visolve, "_factor_solve", spy)
