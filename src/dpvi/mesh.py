@@ -27,10 +27,8 @@ first use with one sort over the undirected element edges, gives the
 pattern (the diagonal plus the element edges) and the CSR slots of every
 element edge above and below the diagonal and of every node's diagonal.
 The Newton matrices take the free nodes in node-index order on every mesh
-(:attr:`Mesh.free_nodes_by_rank`).  Each mesh decides, once, whether banded
-Cholesky in that order is cheap (:attr:`Mesh.elimination_band`); a
-nested-dissection order found from the node coordinates alone, built only
-when a mesh without a band falls back to sparse LU, orders that LU.
+(:attr:`Mesh.free_nodes`).  Each mesh decides, once, whether banded Cholesky
+in that order is cheap (:attr:`Mesh.elimination_band`).
 A mesh with a band also keeps, once, where each entry of that band sits in
 the CSR data (:attr:`Mesh.band_entries`), so the band of any Newton matrix is
 gathered straight from the data of the full matrix.
@@ -83,20 +81,18 @@ _TRI_BARY = np.array(
 )
 _TRI_QW = np.array([_TRI_W1, _TRI_W1, _TRI_W1, _TRI_W2, _TRI_W2, _TRI_W2])
 
-# parts of at most this many nodes end the nested dissection
-_ND_LEAF = 16
-
 # largest work m (b + 1)^2 (m free rows, half-bandwidth b) of a banded Cholesky in
 # node-index order, on a mesh without a coarse grid.  Factorise-and-solve time (ms)
-# of one 2D whole-space Newton matrix on a 2-vCPU AMD EPYC, one BLAS thread:
+# of one 2D whole-space Newton matrix on a 2-vCPU AMD EPYC, one BLAS thread, the
+# median of three processes:
 #
 #   2D n            96     112    128    144    160    176    192
 #   m (b + 1)^2     8.5e7  1.6e8  2.7e8  4.3e8  6.6e8  9.6e8  1.4e9
-#   SuperLU, ND     9.1    13.0   17.6   25.8   31.6   39.2   50.5
-#   band Cholesky   3.2    5.0    8.3    12.0   17.8   23.9   33.3
+#   SuperLU, MMD    20.0   30.7   41.8   56.0   68.9   88.0   116.5
+#   band Cholesky   6.3    10.1   15.8   23.9   33.2   47.0   64.2
 #   band array, MB  7.0    11.1   16.6   23.7   32.6   43.4   56.3
 #
-# The band beat SuperLU in nested-dissection order at every size, but its array
+# The band beat SuperLU in its own minimum-degree order at every size, but its array
 # grows as m (b + 1): the constant takes an odd grid up to n = 131 and stops there
 _LU_BAND_WORK = 3e8
 # the same limit on a grid with a coarse grid, where the band's alternative is
@@ -175,11 +171,7 @@ class Mesh:
     band_entries : three read-only int arrays or None
         The CSR slots and node pairs of that band, built on first use (see
         the property).
-    nested_dissection_rank : (n_nodes,) int array
-        Position of each node in a nested-dissection order, which orders only
-        the sparse-LU fallback on a mesh without a band; built on first use
-        (see the property).
-    free_nodes_by_rank : int array
+    free_nodes : int array
         The free nodes in node-index order, the Newton matrices' row order on
         every mesh; built on first use.
     local_edges : two int arrays
@@ -337,7 +329,7 @@ class Mesh:
         return _freeze(_dot(self.grad_basis[:, i], self.grad_basis[:, j]))
 
     @cached_property
-    def free_nodes_by_rank(self):
+    def free_nodes(self):
         """Read-only indices of the free (non-gamma0) nodes in node-index order, the
         order of the Newton matrices' rows on every mesh.  Built on first use."""
         return _freeze(np.flatnonzero(self.free_node_mask))
@@ -351,14 +343,14 @@ class Mesh:
         of an element edge.  A banded Cholesky of m free rows costs about
         m (b + 1)^2; while that is at most ``_BAND_WORK`` the Newton matrices
         are factorised on that band, otherwise by multigrid-preconditioned CG
-        or, failing that, by sparse LU in :attr:`nested_dissection_rank`
-        order.  A mesh without a :attr:`coarse_grid`, which multigrid needs,
-        keeps the band up to the larger work ``_LU_BAND_WORK``.  On a
-        :func:`build_mesh` grid node-index order is the natural order and b is
-        1 in 1D and n in 2D when the whole boundary is Gamma0; even 2D grids up
-        to n = 100 and odd ones up to n = 131 stay below their constant.  A
-        subset of the free rows has no wider band in the order it inherits, so
-        one order serves every active set.  Built on first use.
+        or, failing that, by sparse LU in SuperLU's own minimum-degree order.
+        A mesh without a :attr:`coarse_grid`, which multigrid needs, keeps the
+        band up to the larger work ``_LU_BAND_WORK``.  On a :func:`build_mesh`
+        grid node-index order is the natural order and b is 1 in 1D and n in 2D
+        when the whole boundary is Gamma0; even 2D grids up to n = 100 and odd
+        ones up to n = 131 stay below their constant.  A subset of the free
+        rows has no wider band in the order it inherits, so one order serves
+        every active set.  Built on first use.
         """
         free = self.free_node_mask
         row = np.cumsum(free) - 1  # position of each free node among the free rows
@@ -389,59 +381,6 @@ class Mesh:
         slots = np.flatnonzero((indices <= rows) & free[rows] & free[indices])
         slots = slots[np.lexsort((rows[slots], indices[slots]))]
         return _freeze(slots), _freeze(rows[slots]), _freeze(indices[slots].astype(np.intp))
-
-    @cached_property
-    def nested_dissection_rank(self):
-        """Read-only position of each node in a nested-dissection elimination order.
-
-        Coordinate nested dissection (George, SIAM J. Numer. Anal. 10, 1973),
-        from the node coordinates alone: a part is sorted (stably) along its
-        longest coordinate extent and splits at the median coordinate; the
-        nodes on that coordinate are its separator, ranked after both halves,
-        which hold the nodes below and above it.  Parts of at most
-        ``_ND_LEAF`` nodes are not split, and keep their last sorted order.
-        All parts of one level split together.  On a :func:`build_mesh` grid
-        every part is a rectangle of nodes, so the separator is a grid line
-        that cuts it in two.  In 1D the nodes are ranked along the line (the
-        natural order of :func:`build_mesh`): the matrix is then tridiagonal
-        and its LU has no fill.  The order induced on any subset of the nodes
-        has no more fill than the whole-mesh order, because a fill path in a
-        subgraph is one in the whole graph, so one order serves every active
-        set.  Built on first use.
-        """
-        n = self.n_nodes
-        rank = np.empty(n, dtype=np.intp)
-        if self.dim == 1:
-            rank[np.argsort(self.nodes[:, 0], kind="stable")] = np.arange(n)
-            return _freeze(rank)
-        nodes = np.arange(n)  # unranked nodes, grouped by part
-        part = np.zeros(n, dtype=np.intp)  # their part, 0 .. len(start) - 1
-        start = np.zeros(1, dtype=np.intp)  # first rank of each part
-        while True:
-            size = np.bincount(part, minlength=len(start))
-            offset = np.arange(len(nodes)) - (np.cumsum(size) - size)[part]
-            leaf = size[part] <= _ND_LEAF
-            rank[nodes[leaf]] = start[part[leaf]] + offset[leaf]
-            split = size > _ND_LEAF
-            if not split.any():
-                return _freeze(rank)
-            nodes, offset = nodes[~leaf], offset[~leaf]
-            part = (np.cumsum(split) - 1)[part[~leaf]]
-            start, size = start[split], size[split]
-            first = np.cumsum(size) - size
-            xy = self.nodes[nodes]
-            extent = np.maximum.reduceat(xy, first) - np.minimum.reduceat(xy, first)
-            c = xy[np.arange(len(nodes)), np.argmax(extent, axis=1)[part]]
-            order = np.lexsort((c, part))  # part is sorted, so offset still holds
-            nodes, c = nodes[order], c[order]
-            med = c[first + size // 2][part]
-            # sorted, each part is its left half, then its separator, then its right half
-            sep, right = c == med, c > med
-            n_left = np.bincount(part[c < med], minlength=len(size))
-            n_sep = np.bincount(part[sep], minlength=len(size))
-            rank[nodes[sep]] = (start + size - n_sep - n_left)[part[sep]] + offset[sep]
-            start = np.stack([start, start + n_left], axis=1).ravel()
-            nodes, part = nodes[~sep], (2 * part + right)[~sep]
 
     # -- queries -----------------------------------------------------------
 

@@ -22,7 +22,7 @@ descent direction for the Euclidean norm.  Shorter steps must cut the max
 norm.
 
 Each Newton step ends in one linear solve on the inactive free rows, taken in
-node-index order on every mesh (:attr:`Mesh.free_nodes_by_rank`).  It takes
+node-index order on every mesh (:attr:`Mesh.free_nodes`).  It takes
 one of three paths (:func:`_factor_solve`):
 
 * on a mesh whose node-index band is cheap (:attr:`Mesh.elimination_band`),
@@ -40,10 +40,8 @@ one of three paths (:func:`_factor_solve`):
   gathers its own matrix onto that pattern, multiplies by it in CG and
   smooths with it on the fine level, under coarse levels that may lag;
 * every other Newton matrix, indefinite ones among them, goes to sparse LU on
-  the matrix cut out of the Jacobian.  SuperLU factorises in the order it is
-  given instead of choosing its own: node-index order on a mesh with a band,
-  otherwise the mesh's nested-dissection order, which is built only then and
-  is no worse on the subset of rows an active set leaves.
+  the matrix cut out of the Jacobian, in SuperLU's own minimum-degree order on
+  every mesh.
 
 A solve whose accepted steps stay shorter than ``_SHORT_STEP`` for
 ``_SHORT_STEPS`` steps in a row stops, as one whose line search finds no
@@ -524,21 +522,22 @@ def _multigrid_solve(K, rows, rhs, mesh: Mesh, floor=0.0, plan=None):
 
 
 def _lu_solve(K, rhs):
-    """Solution of K x = rhs by sparse LU in K's own row order.  SuperLU keeps
-    the given column order (``NATURAL``) and prefers diagonal pivots
+    """Solution of K x = rhs by sparse LU.  SuperLU orders K by minimum degree
+    on the pattern of K + K^T (``MMD_AT_PLUS_A``, Liu, ACM TOMS 11, 1985),
+    which suits K's symmetric pattern, and prefers diagonal pivots
     (``SymmetricMode``); the default pivot threshold still allows row
     interchanges, which an indefinite K may need.  K's CSR arrays are also its
     CSC arrays, so no conversion is needed.  Raises RuntimeError on an
     exactly singular factor."""
     K.eliminate_zeros()  # entries that cancel exactly only add fill to an LU
     K = sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape)
-    return spla.splu(K, permc_spec="NATURAL", options={"SymmetricMode": True}).solve(rhs)
+    return spla.splu(K, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).solve(rhs)
 
 
 def _factor_solve(J, rows, rhs, mesh: Mesh, floor, plan):
     """Solve K x = rhs for the Newton matrix K = J[rows, rows], J exactly
     symmetric on the mesh's shared pattern and ``rows`` the inactive free nodes
-    in node-index order (:attr:`Mesh.free_nodes_by_rank`); x comes in the same
+    in node-index order (:attr:`Mesh.free_nodes`); x comes in the same
     order.  ``plan`` is the :class:`_MultigridPlan` of ``rows``.
 
     Three paths:
@@ -555,10 +554,8 @@ def _factor_solve(J, rows, rhs, mesh: Mesh, floor, plan):
       steps on the same rows; each step's own K is the fine level;
     * a K that either of them finds not positive definite, a K on which CG
       does not converge, and every K on any other mesh, is cut out of J and
-      factorised by sparse LU in the order it is cut in (:func:`_lu_solve`):
-      node-index order on a mesh with a band; on one without, the rows sorted
-      by :attr:`Mesh.nested_dissection_rank`, built here on first use, with the
-      solution scattered back to node-index order.
+      factorised by sparse LU in SuperLU's own minimum-degree order
+      (:func:`_lu_solve`).
 
     Raises RuntimeError on an exactly singular LU factor.
     """
@@ -566,15 +563,11 @@ def _factor_solve(J, rows, rhs, mesh: Mesh, floor, plan):
         chol, info = lapack.dpbtrf(_band_gather(J, rows, mesh), lower=1, overwrite_ab=1)
         if info == 0:
             return lapack.dpbtrs(chol, rhs, lower=1)[0]
-        return _lu_solve(J[np.ix_(rows, rows)], rhs)
-    if mesh.coarse_grid is not None:
+    elif mesh.coarse_grid is not None:
         sol = _multigrid_solve(plan.matrix(J), rows, rhs, mesh, floor, plan)
         if sol is not None:
             return sol
-    order = np.argsort(mesh.nested_dissection_rank[rows])
-    sol = np.empty_like(rhs)
-    sol[order] = _lu_solve(J[np.ix_(rows[order], rows[order])], rhs[order])
-    return sol
+    return _lu_solve(J[np.ix_(rows, rows)], rhs)
 
 
 def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, frozen=None):
@@ -622,7 +615,7 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
     gradients are not sampled again.
     """
     mesh = prob.mesh
-    free = mesh.free_nodes_by_rank  # so the inactive rows come in node-index order
+    free = mesh.free_nodes  # so the inactive rows come in node-index order
     lo, hi = prob.constraint.bounds(mesh)
     lo_f, hi_f = lo[free], hi[free]
     u = prob.constraint.project(u0.copy(), mesh)

@@ -443,110 +443,14 @@ def test_assembly_plan_is_the_sort_of_every_directed_key(dim, n, gamma, renumber
     assert all(not a.flags.writeable for a in (*plan[:3], *itertools.chain(*plan[3].values())))
 
 
-# -- nested-dissection elimination order ------------------------------------------
-
-
-@pytest.mark.parametrize("dim,n", [(1, 1), (1, 40), (2, 1), (2, 3), (2, 17), (2, 64)])
-def test_elimination_rank_is_a_read_only_permutation(dim, n):
-    for m in (build_mesh(dim, n), _relabelled(build_mesh(dim, n), n)):
-        rank = m.nested_dissection_rank
-        np.testing.assert_array_equal(np.sort(rank), np.arange(m.n_nodes))
-        assert m.nested_dissection_rank is rank  # built once per mesh
-        with pytest.raises(ValueError):
-            rank[0] = 1
-
-
-def test_elimination_rank_is_natural_in_1d():
-    np.testing.assert_array_equal(build_mesh(1, 40).nested_dissection_rank, np.arange(41))
-    m = _relabelled(build_mesh(1, 40), 3)  # any 1D mesh is ranked along the line
-    np.testing.assert_array_equal(m.nodes[np.argsort(m.nested_dissection_rank), 0],
-                                  np.linspace(0.0, 1.0, 41))
-
-
-def test_elimination_rank_orders_separators_last():
-    # on the 2D grid the first split takes the middle column x = 1/2 last
-    m = build_mesh(2, 16)
-    last = np.argsort(m.nested_dissection_rank)[-17:]
-    np.testing.assert_array_equal(m.nodes[last, 0], 0.5)
-
-
-def _adjacency_bisection_rank(mesh, leaf=16):
-    """Reference order: recursive coordinate bisection over the CSR pattern.  A
-    part splits at the median of its longest coordinate extent, the nodes on
-    the right that touch the left (within the part) form its separator, and the
-    separator is ordered after both halves.  Ties go left only if nothing else
-    would, and a part with every coordinate equal splits by position.  In 1D
-    the nodes are ranked along the line."""
-    n = mesh.n_nodes
-    rank = np.empty(n, dtype=np.intp)
-    if mesh.dim == 1:
-        rank[np.argsort(mesh.nodes[:, 0], kind="stable")] = np.arange(n)
-        return rank
-    indptr, indices, _, _ = mesh._assembly_plan
-    row = np.repeat(np.arange(n), np.diff(indptr))
-    col = indices.astype(np.intp)
-    nodes = np.arange(n)  # unranked nodes, grouped by part
-    part = np.zeros(n, dtype=np.intp)  # their part, 0 .. len(start) - 1
-    start = np.zeros(1, dtype=np.intp)  # first rank of each part
-    label = np.empty(n, dtype=np.intp)  # part of each unranked node, -1 once ranked
-    while True:
-        size = np.bincount(part, minlength=len(start))
-        offset = np.arange(len(nodes)) - (np.cumsum(size) - size)[part]
-        is_leaf = size[part] <= leaf
-        rank[nodes[is_leaf]] = start[part[is_leaf]] + offset[is_leaf]
-        split = size > leaf
-        if not split.any():
-            return rank
-        nodes, offset = nodes[~is_leaf], offset[~is_leaf]
-        part = (np.cumsum(split) - 1)[part[~is_leaf]]
-        start, size = start[split], size[split]
-        label.fill(-1)
-        label[nodes] = part
-        inner = (label[row] == label[col]) & (label[row] >= 0)
-        row, col = row[inner], col[inner]
-        first = np.cumsum(size) - size
-        xy = mesh.nodes[nodes]
-        extent = np.maximum.reduceat(xy, first) - np.minimum.reduceat(xy, first)
-        c = xy[np.arange(len(nodes)), np.argmax(extent, axis=1)[part]]
-        order = np.lexsort((c, part))
-        nodes, c = nodes[order], c[order]
-        med = c[first + size // 2][part]
-        left = c < med
-        left |= (np.bincount(part, left, len(size)) == 0)[part] & (c <= med)
-        full = np.bincount(part, left, len(size)) == size
-        left = np.where(full[part], offset < (size // 2)[part], left)
-        on_left = np.zeros(n, dtype=bool)
-        on_left[nodes] = left
-        sep = np.zeros(n, dtype=bool)
-        sep[row[~on_left[row] & on_left[col]]] = True
-        sep = sep[nodes]
-        n_sep = np.bincount(part[sep], minlength=len(size))
-        n_left = np.bincount(part[left], minlength=len(size))
-        sep_offset = np.cumsum(sep) - 1 - (np.cumsum(n_sep) - n_sep)[part]
-        rank[nodes[sep]] = (start + size - n_sep)[part[sep]] + sep_offset[sep]
-        start = np.stack([start, start + n_left], axis=1).ravel()
-        nodes, part = nodes[~sep], (2 * part + ~left)[~sep]
-
-
-@pytest.mark.parametrize("dim,gamma", [(1, None), (1, "x - 0.5"),
-                                       (2, None), (2, "x - 0.5"), (2, "y - x")])
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 64])
-def test_elimination_rank_is_the_adjacency_bisection_on_grids(dim, n, gamma):
-    # on a build_mesh grid every part is a rectangle of nodes, so the nodes on the
-    # median coordinate are exactly those of the right half that touch the left
-    m = build_mesh(dim, n, gamma)
-    np.testing.assert_array_equal(m.nested_dissection_rank, _adjacency_bisection_rank(m))
-
-
-def test_free_nodes_by_rank():
+def test_free_nodes():
     # in node-index order on every mesh, with a band or without one
     small, wide = build_mesh(2, 9, "x - 0.5"), build_mesh(2, 144, "x - 0.5")
     assert small.elimination_band is not None and wide.elimination_band is None
     for m in (small, wide):
-        free = m.free_nodes_by_rank
+        free = m.free_nodes
         np.testing.assert_array_equal(free, np.flatnonzero(m.free_node_mask))
-        assert m.free_nodes_by_rank is free  # built once per mesh
-        assert "nested_dissection_rank" not in m.__dict__
+        assert m.free_nodes is free  # built once per mesh
         with pytest.raises(ValueError):
             free[0] = 0
 

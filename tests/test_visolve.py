@@ -534,14 +534,14 @@ def test_immutability_of_functions_and_meshes():
         mesh.nodes[0, 0] = 0.5
 
 
-# -- Newton systems factorised in the mesh's elimination order -------------------
+# -- the factorisations of the Newton systems ------------------------------------
 
 
 def test_elimination_order_cuts_lu_fill(monkeypatch):
-    # the last system (p = 2.5, u != 0) keeps all seven points per row; n = 144 is
-    # above the band crossover, so an LU fallback would sort its rows by nested
-    # dissection.  It is positive definite, so multigrid solves it and only the coarsest
-    # grid's matrices reach splu: the LU fallback is driven on it directly, in that order
+    # SuperLU's minimum-degree order on K cut in node-index order.  The last system
+    # at 2D n = 144 (p = 2.5, u != 0) keeps all seven points per row.  It is positive
+    # definite, so multigrid solves it and only the coarsest grid's matrices reach
+    # splu: the LU fallback is driven on it directly, against SuperLU's default COLAMD
     prob, mesh = make_problem(2, 144, p="2.5", f=("1", "1"))
     assert mesh.elimination_band is None
     systems = _spy(monkeypatch, "_multigrid_solve")
@@ -558,12 +558,22 @@ def test_elimination_order_cuts_lu_fill(monkeypatch):
     assert all(A.shape[0] <= 8 * 8 for A, _ in lus)  # the n = 9 grid's interior
     K, rows, rhs, *_ = systems[-1]
     assert K.shape == (143 * 143,) * 2 and K.nnz > 6.5 * 143 * 143
-    order = np.argsort(mesh.nested_dissection_rank[rows])
+    assert np.all(np.diff(rows) > 0)
     lus.clear()
-    visolve._lu_solve(K[np.ix_(order, order)], rhs[order])
+    visolve._lu_solve(K.copy(), rhs)  # K's pattern is the plan's, read-only
     (K, lu), = lus
     default = splu(K)
     assert lu.L.nnz + lu.U.nnz <= 0.8 * (default.L.nnz + default.U.nnz)
+    # an indefinite K (p = 2, -100 s + 1) on a band mesh, where Cholesky rejects it,
+    # against SuperLU kept in that node-index order
+    prob, mesh = make_problem(2, 64, f=("-100*s + 1", "-100*s + 1"))
+    assert mesh.elimination_band is not None
+    lus.clear()
+    u, eta, zeta, rep = solve_vi(prob)
+    assert rep.converged and lus
+    K, lu = lus[0]
+    natural = splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
+    assert lu.L.nnz + lu.U.nnz <= 0.5 * (natural.L.nnz + natural.U.nnz)
 
 
 @pytest.mark.parametrize("dim, n, gamma, relabel", [
@@ -583,7 +593,7 @@ def test_band_gather_is_the_lower_band_of_the_cut_matrix(dim, n, gamma, relabel)
     jac, stiffness = (DoublePhaseOperator(mesh, ExponentData.from_expressions(mesh, *e)).jacobian(u)
                       for e in (("1.8", "2.6", "x"), ("2", "3", "0")))
     jac.data += mesh.layout("interior").mass_data(np.abs(u.values_at_quad()))
-    free = mesh.free_nodes_by_rank
+    free = mesh.free_nodes
     for J, share in itertools.product((jac, stiffness), (1.0, 0.7, 0.3, 0.05)):
         rows = free[rng.random(len(free)) < share]
         K = J[np.ix_(rows, rows)]
@@ -616,15 +626,15 @@ def _tridiagonal_1d():
     return make_problem(1, 64, p="3", q="4", mu="x", f=("-1", "-1"))[0]
 
 
-def _nested_dissection_2d():
+def _multigrid_2d():
     # above the band crossover; p = 2 needs one Newton step from the flat start
     return make_problem(2, 144, p="2", f=("1", "1"))[0]
 
 
 @pytest.mark.parametrize("build", [_whole_space_2d, _obstacle_2d, _noncoercive,
-                                   _tridiagonal_1d, _nested_dissection_2d],
+                                   _tridiagonal_1d, _multigrid_2d],
                          ids=["whole_space", "obstacle", "noncoercive", "tridiagonal_1d",
-                              "nested_dissection"])
+                              "multigrid"])
 def test_newton_solutions_match_spsolve(monkeypatch, build):
     prob = build()
     seen, infos, mgs, lus = [], [], [], []
@@ -682,7 +692,7 @@ def test_newton_solutions_match_spsolve(monkeypatch, build):
         indefinite = [np.linalg.eigvalsh(K.toarray()).min() < 0 for K, *_ in seen]
         assert any(indefinite)
         assert all(lu for (*_, lu), neg in zip(seen, indefinite) if neg)
-    if build is _nested_dissection_2d:
+    if build is _multigrid_2d:
         assert rep.converged and paths == {"multigrid"} and prob.mesh.elimination_band is None
 
 
@@ -885,11 +895,11 @@ def test_lagged_coarse_levels_that_fail_cg_are_rebuilt_from_the_current_matrix(m
     _assert_multigrid_exact(K, rows, rhs, sol, floor, mesh)
 
 
-# -- nested dissection only for the LU fallback -------------------------------------
+# -- sparse LU only as the fallback ---------------------------------------------------
 
 
 def test_positive_definite_solve_without_a_band_builds_no_nested_dissection(monkeypatch):
-    # multigrid takes the rows in node-index order, which needs no elimination order
+    # multigrid takes the rows in node-index order and never falls back to LU
     prob, mesh = make_problem(2, 144, p="2.5", f=("1", "1"))
     assert mesh.elimination_band is None
     calls = _spy_multigrid(monkeypatch)
@@ -897,15 +907,14 @@ def test_positive_definite_solve_without_a_band_builds_no_nested_dissection(monk
     u, eta, zeta, rep = solve_vi(prob)
     assert rep.converged and calls and not lus
     assert all(sol is not None and np.all(np.diff(rows) > 0) for _, rows, _, sol, _ in calls)
-    assert "nested_dissection_rank" not in mesh.__dict__
 
 
 @pytest.mark.parametrize("n, f", [(144, "-100*s + 1"), (145, "1"), (145, "-100*s + 1")],
                          ids=["indefinite_n144", "odd_n145", "odd_indefinite_n145"])
 def test_lu_fallback_without_a_band_takes_nested_dissection_order(monkeypatch, n, f):
     # the indefinite n = 144 system fails multigrid; the odd n = 145 grid has no coarse
-    # grid.  Either LU factorises K cut in nested-dissection order and returns the
-    # solution in the caller's node-index order
+    # grid.  Either LU gets K cut in node-index order and the caller's rhs, and leaves
+    # the ordering to SuperLU
     prob, mesh = make_problem(2, n, f=(f, f))
     assert mesh.elimination_band is None and (mesh.coarse_grid is None) == (n % 2 == 1)
     seen, factor_solve = [], visolve._factor_solve
@@ -918,15 +927,11 @@ def test_lu_fallback_without_a_band_takes_nested_dissection_order(monkeypatch, n
     lus = _spy(monkeypatch, "_lu_solve")
     u, eta, zeta, rep = solve_vi(prob)
     assert rep.converged and len(lus) == len(seen) > 0
-    rank = mesh.__dict__["nested_dissection_rank"]
     for (J, rows, rhs, sol), (K_lu, rhs_lu) in zip(seen, lus):
         assert np.all(np.diff(rows) > 0)
-        perm = np.argsort(rank[rows])
-        order = rows[perm]
-        assert np.all(np.diff(rank[order]) > 0)
-        assert (K_lu != J[np.ix_(order, order)]).nnz == 0
-        np.testing.assert_array_equal(rhs_lu, rhs[perm])
         K = J[np.ix_(rows, rows)]
+        assert (K_lu != K).nnz == 0
+        assert rhs_lu.dtype == rhs.dtype and rhs_lu.tobytes() == rhs.tobytes()
         ref = spla.spsolve(K.tocsc(), rhs)
         assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
 
