@@ -243,11 +243,12 @@ def _dirichlet_solve(prob: VIProblem, k_expr, opts):
 
 
 def _check_one_sided_envelopes(prob, k1_field, k2_field, s_lo, s_hi):
-    """Sampled check that f1 <= k1 and f2 >= k2 over the relevant state range."""
+    """Sampled check that f1 <= k1 and f2 >= k2 over the relevant state range; a
+    reaction that does not read s is sampled once, at ``s_lo``."""
     if prob.f is None:
         return
     mesh = prob.mesh
-    for s in np.linspace(s_lo, s_hi, 33):
+    for s in np.linspace(s_lo, s_hi, 33) if prob.f.reads_s else [s_lo]:
         s_arr = np.full(mesh.quad_weights.shape, float(s))
         lo, hi = prob.f.eval_interval(mesh.quad_points, s_arr)
         gap1 = np.max(lo - k1_field)

@@ -34,12 +34,15 @@ the CSR data (:attr:`Mesh.band_entries`), so the band of any Newton matrix is
 gathered straight from the data of the full matrix.
 
 A :func:`build_mesh` grid records its subdivisions and Gamma predicate, so the
-grid with half its subdivisions can be built again (:attr:`Mesh.coarse_grid`).
-A coarse grid's P1 functions are P1 functions on the fine grid too: one
-:class:`CoarseGrid` injects fine nodal values onto the coarse nodes and
-prolongs coarse functions exactly onto the fine grid, by index arithmetic, in
-1D and 2D alike; it also gives that prolongation as a sparse matrix, cut down
-to a set of fine rows, for the multigrid hierarchy of a Newton matrix.
+grid with half its subdivisions is known without building it
+(:attr:`Mesh.coarse_grid`).  A coarse grid's P1 functions are P1 functions on
+the fine grid too: one :class:`CoarseGrid` injects fine nodal values onto the
+coarse nodes and prolongs coarse functions exactly onto the fine grid, by index
+arithmetic, in 1D and 2D alike.  For the multigrid hierarchy of a Newton matrix
+it builds that prolongation as a sparse matrix for a set of fine rows, straight
+from each row's parents.  A coarse grid has a coarse grid of its own and builds
+its :class:`Mesh` only when a coarse problem is solved on it, so a multigrid
+hierarchy walks a chain of grids without building a coarse mesh.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ class Mesh:
         no predicate or any other mesh.
     coarse_grid : CoarseGrid or None
         The grid with half the subdivisions and its transfers, built on first
-        use (see the property).
+        use without its mesh (see the property).
     elimination_band : int or None
         Half-bandwidth of the free rows in node-index order when the Newton
         matrices are factorised in that order, else None (see the property).
@@ -273,20 +276,35 @@ class Mesh:
         layout, the slots ``(upper, lower)`` of its element edges above and below
         the diagonal (element-major, local node pairs i < j).  The pattern is the
         diagonal plus the element edges, built on first matrix assembly from
-        one sort of the undirected edge keys; meshes never change.
+        one stable sort of the undirected edge keys; meshes never change.
 
-        With the unique edges (lo, hi), lo < hi, sorted by (lo, hi), row r holds
-        its edges with hi = r (by lo), its diagonal, then its edges with lo = r
-        (by hi).  So an edge's upper slot is its position in that sort plus the
-        edges ending at or before lo and lo + 1 diagonals; its lower slot is its
-        position in the stable sort by hi plus the edges starting before hi and
-        hi diagonals.
+        That sort gives the unique edges (lo, hi), lo < hi, sorted by (lo, hi):
+        the first key of each run of equal keys, and the run each element edge
+        falls in.  Row r holds its edges with hi = r (by lo), its diagonal, then
+        its edges with lo = r (by hi).  So an edge's upper slot is its position
+        in that sort plus the edges ending at or before lo and lo + 1 diagonals;
+        its lower slot is its position in the stable sort by hi plus the edges
+        starting before hi and hi diagonals.
         """
-        n, layouts = self.n_nodes, self._layouts.values()
-        heads = np.concatenate([lay.conn[:, lay.edges[0]].ravel() for lay in layouts])
-        tails = np.concatenate([lay.conn[:, lay.edges[1]].ravel() for lay in layouts])
-        keys, inverse = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails),
-                                  return_inverse=True)
+        n, parts = self.n_nodes, []
+        for lay in self._layouts.values():  # keys lo n + hi, element-major, one edge at a time
+            part = np.empty((len(lay.conn), len(lay.edges[0])), dtype=np.intp)
+            for k, (i, j) in enumerate(zip(*lay.edges)):
+                a, b = lay.conn[:, i], lay.conn[:, j]
+                np.minimum(a, b, out=part[:, k])
+                part[:, k] *= n
+                part[:, k] += np.maximum(a, b)
+            parts.append(part.ravel())
+        edge_keys = np.concatenate(parts)
+        order = np.argsort(edge_keys, kind="stable")
+        edge_keys = edge_keys[order]
+        new = np.empty(len(order), dtype=bool)  # where a run of equal keys starts
+        new[:1] = True
+        np.not_equal(edge_keys[1:], edge_keys[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        keys = edge_keys[starts]
+        inverse = np.empty_like(order)  # each element edge's position among the keys
+        inverse[order] = np.repeat(np.arange(len(keys)), np.diff(starts, append=len(order)))
         lo, hi = np.divmod(keys, n)
         n_upper, n_lower = np.bincount(lo, minlength=n), np.bincount(hi, minlength=n)
         nodes, position, nnz = np.arange(n), np.arange(len(keys)), n + 2 * len(keys)
@@ -310,7 +328,8 @@ class Mesh:
     def coarse_grid(self):
         """The :class:`CoarseGrid` of ``build_mesh(dim, n // 2, gamma_predicate)``
         for a :func:`build_mesh` grid with an even number n of subdivisions, else
-        None.  Built on first use."""
+        None.  Built on first use; it builds that mesh only on first use of its
+        :attr:`CoarseGrid.mesh`."""
         n = self.subdivisions
         if n is None or n % 2:
             return None
@@ -325,8 +344,11 @@ class Mesh:
     def edge_gram(self):
         """Read-only (n_elements, n_edges) products grad(hat_i).grad(hat_j) over the
         element edges (i, j) of :attr:`local_edges`.  Built on first use."""
-        i, j = self.local_edges
-        return _freeze(_dot(self.grad_basis[:, i], self.grad_basis[:, j]))
+        gb, (i, j) = self.grad_basis, self.local_edges
+        gram = np.empty((self.n_elements, len(i)))
+        for k in range(len(i)):  # (n_elements, dim) slices, not fancy-indexed copies
+            gram[:, k] = _dot(gb[:, i[k]], gb[:, j[k]])
+        return _freeze(gram)
 
     @cached_property
     def free_nodes(self):
@@ -354,10 +376,15 @@ class Mesh:
         """
         free = self.free_node_mask
         row = np.cumsum(free) - 1  # position of each free node among the free rows
-        i, j = self.local_edges
-        heads, tails = self.elements[:, i].ravel(), self.elements[:, j].ravel()
-        both = free[heads] & free[tails]
-        b = int(np.max(np.abs(row[heads] - row[tails])[both], initial=0))
+        # every two nodes of an element share an edge, so an element's widest edge
+        # between free nodes runs from its first free row to its last; a node that
+        # is not free is never first or last
+        first, last = np.where(free, row, len(row)), np.where(free, row, -1)
+        lo, hi = first[self.elements[:, 0]], last[self.elements[:, 0]]
+        for k in range(1, self.dim + 1):
+            np.minimum(lo, first[self.elements[:, k]], out=lo)
+            np.maximum(hi, last[self.elements[:, k]], out=hi)
+        b = int(np.max(hi - lo, initial=0))
         coarsens = self.subdivisions is not None and self.subdivisions % 2 == 0  # as coarse_grid
         limit = _BAND_WORK if coarsens else _LU_BAND_WORK
         return b if np.count_nonzero(free) * (b + 1) ** 2 <= limit else None
@@ -650,12 +677,16 @@ class CoarseGrid:
     """The :func:`build_mesh` grid with half the subdivisions of a finer one, and
     the two transfers of nodal values between them.
 
-    ``mesh`` is ``build_mesh(dim, n // 2, gamma_predicate)`` for the fine
-    grid's dimension, even n and Gamma predicate, so its Gamma/Gamma0
-    partition is the one that call gives.  Coarse node i (1D) or (i, j) (2D)
-    is fine node 2i or (2i, 2j).  Every coarse triangle is the union of four
-    fine ones, since the fine cells split along the same a-c diagonal, so each
-    coarse P1 function is a fine one.  The transfers are index arithmetic:
+    The grid is ``build_mesh(dim, n // 2, gamma_predicate)`` for the fine grid's
+    dimension, even n and Gamma predicate.  It keeps ``dim``, ``subdivisions``
+    (n // 2), ``gamma_predicate`` and ``n_nodes``, and builds that mesh
+    (:attr:`mesh`), whose Gamma/Gamma0 partition is the one that call gives,
+    only on first use; its own :attr:`coarse_grid` needs no mesh either, so a
+    multigrid hierarchy walks the chain of grids without building one.
+    Coarse node i (1D) or (i, j) (2D) is fine node 2i or (2i, 2j).  Every
+    coarse triangle is the union of four fine ones, since the fine cells split
+    along the same a-c diagonal, so each coarse P1 function is a fine one.  The
+    transfers are index arithmetic:
 
     * :meth:`inject` reads fine nodal values at the coarse nodes;
     * :meth:`prolong` is that exact embedding.  Each fine node averages its
@@ -664,8 +695,9 @@ class CoarseGrid:
       edge midpoint averages the edge's ends (in 1D this is linear
       interpolation) and a cell midpoint the ends of the cell's a-c diagonal,
       on which it lies.  ``inject(prolong(c))`` is ``c`` bitwise;
-    * :meth:`prolongation` is that embedding as a sparse matrix, restricted to
-      a set of fine rows and to the coarse nodes at one of them.
+    * :meth:`prolongation` is that embedding as a sparse matrix, built for a
+      set of fine rows and the coarse nodes at one of them straight from
+      their parents.
 
     The fine grid is not referenced, so a grid may cache its coarse grid.
     """
@@ -673,7 +705,8 @@ class CoarseGrid:
     def __init__(self, dim, n, gamma_predicate=None):
         if n % 2:
             raise ValueError("a coarse grid needs an even number of subdivisions")
-        self.mesh = build_mesh(dim, n // 2, gamma_predicate)
+        self.dim, self.subdivisions, self.gamma_predicate = dim, n // 2, gamma_predicate
+        self.n_nodes = (n // 2 + 1) ** dim
         axis = np.arange(n + 1)
 
         def flat(index, size):  # grid index along each axis -> node index
@@ -681,6 +714,18 @@ class CoarseGrid:
 
         self._nodes = flat(axis[::2], n + 1)
         self._parents = (flat(axis // 2, n // 2 + 1), flat((axis + 1) // 2, n // 2 + 1))
+
+    @cached_property
+    def mesh(self):
+        """``build_mesh(dim, subdivisions, gamma_predicate)``, built on first use."""
+        return build_mesh(self.dim, self.subdivisions, self.gamma_predicate)
+
+    @cached_property
+    def coarse_grid(self):
+        """The :class:`CoarseGrid` of this grid when its subdivisions are even, else
+        None, as :attr:`Mesh.coarse_grid`; built on first use, without a mesh."""
+        n = self.subdivisions
+        return None if n % 2 else CoarseGrid(self.dim, n, self.gamma_predicate)
 
     def inject(self, coeffs):
         """Values of the fine nodal ``coeffs`` at the coarse nodes."""
@@ -692,28 +737,30 @@ class CoarseGrid:
         lo, hi = self._parents
         return 0.5 * (c[lo] + c[hi])
 
-    @cached_property
-    def _matrix(self):
-        """:meth:`prolong` as a CSR matrix, fine nodes by coarse nodes; built once."""
-        lo, hi = self._parents
-        fine = np.arange(len(lo))
-        ij = np.concatenate([fine, fine]), np.concatenate([lo, hi])
-        # a coarse node's own fine node has it as both parents: the duplicates sum to 1
-        return sp.coo_matrix((np.full(2 * len(lo), 0.5), ij),
-                             shape=(len(lo), self.mesh.n_nodes)).tocsr()
-
     def prolongation(self, rows):
         """:meth:`prolong` as a sparse matrix from the coarse nodes whose own fine
         node is one of the fine ``rows`` (node indices, in any order) to those
         rows, and those coarse nodes in increasing order.
 
+        Row r holds 0.5 at each of its two parents, lo <= hi, that is kept, in
+        that column order; a coarse node's own fine node holds one 1 instead.
         Each column has a 1 in its own fine node's row, where every other
         column has a 0, so the columns are linearly independent.
         """
         inside = np.zeros(len(self._parents[0]), dtype=bool)
         inside[rows] = True
-        keep = np.flatnonzero(inside[self._nodes])
-        return self._matrix[rows][:, keep], keep
+        kept = inside[self._nodes]
+        column = np.cumsum(kept) - 1  # each kept coarse node's column
+        parents = np.stack([p[rows] for p in self._parents], axis=1)
+        own = parents[:, 0] == parents[:, 1]
+        entry = kept[parents]
+        entry[own, 1] = False
+        weight = np.full(parents.shape, 0.5)
+        weight[own, 0] = 1.0
+        indptr = np.concatenate(([0], np.cumsum(entry)[1::2]))  # entries up to each row's end
+        P = sp.csr_matrix((weight[entry], column[parents[entry]], indptr),
+                          shape=(len(parents), np.count_nonzero(kept)))
+        return P, np.flatnonzero(kept)
 
 
 def fe_interpolate(expr, mesh: Mesh):

@@ -381,12 +381,15 @@ class _MultigridPlan:
         """``[(P, R), ...]``: per level, the prolongation P from the coarse nodes
         kept (:meth:`CoarseGrid.prolongation` from those whose own fine node is
         one of the level's rows) and R = P^T, down to the grid with at most
-        ``_COARSEST_GRID`` subdivisions or one without a coarse grid."""
-        transfers, rows, mesh = [], self.rows, self.mesh
-        while mesh.subdivisions > _COARSEST_GRID and mesh.coarse_grid is not None:
-            P, rows = mesh.coarse_grid.prolongation(rows)
+        ``_COARSEST_GRID`` subdivisions or one without a coarse grid.  It walks
+        the chain of :class:`CoarseGrid` objects from the mesh's
+        :attr:`Mesh.coarse_grid`, which needs no coarse mesh: each P is built
+        for its level's rows from the grid's index arithmetic alone."""
+        transfers, rows, grid = [], self.rows, self.mesh  # the mesh, then its coarse grids
+        while grid.subdivisions > _COARSEST_GRID and grid.coarse_grid is not None:
+            P, rows = grid.coarse_grid.prolongation(rows)
             transfers.append((P, P.T.tocsr()))
-            mesh = mesh.coarse_grid.mesh
+            grid = grid.coarse_grid
         return transfers
 
     @property

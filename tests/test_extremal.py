@@ -17,6 +17,7 @@ from dpvi.extremal import (
     verify_subsolution,
     verify_supersolution,
 )
+from dpvi.expr import parse_expression
 from dpvi.mesh import FeFunction, build_mesh, fe_interpolate
 from dpvi.multifun import IntervalMultifunction, TruncationData, TwoArgIntervalMultifunction
 from dpvi.operator import DoublePhaseOperator
@@ -158,6 +159,53 @@ def test_envelope_sampling_violation_raises():
     prob, mesh = make_problem(1, 8, f=("10", "10"))
     with pytest.raises(ValueError, match="one-sided bound violated"):
         construct_obstacle_bounds(prob, k1="1", k2="-1")
+
+
+def _eval_calls_in_envelope_check(monkeypatch):
+    """Counts of ``prob.f.eval_interval`` calls made by each envelope check."""
+    counts, check = [], extremal._check_one_sided_envelopes
+
+    def spy(prob, *args):
+        calls, evaluate = [], prob.f.eval_interval
+        monkeypatch.setattr(prob.f, "eval_interval", lambda *a: calls.append(a) or evaluate(*a))
+        check(prob, *args)
+        counts.append(len(calls))
+
+    monkeypatch.setattr(extremal, "_check_one_sided_envelopes", spy)
+    return counts
+
+
+@pytest.mark.parametrize("config, samples", [("obstacle", 1), ("noncoercive", 33)])
+def test_envelope_check_samples_s_only_when_the_reaction_reads_it(monkeypatch, config,
+                                                                  samples):
+    # obstacle.yaml's reaction ignores s, so one sample says what 33 would;
+    # noncoercive.yaml's -100 s +- 1 reads it
+    cfg = load_config(CONFIGS / f"{config}.yaml")
+    prob = build_problem(cfg)
+    assert prob.f.reads_s == (samples > 1)
+    counts = _eval_calls_in_envelope_check(monkeypatch)
+    bounds = cfg["bounds"]
+    oi = construct_obstacle_bounds(prob, bounds["k1"], bounds["k2"],
+                                   c_psi=cfg["constraint"]["c_psi"], margin=bounds["margin"])
+    assert counts == [samples] and oi.certified()
+
+
+@pytest.mark.parametrize("f, k1, k2, text", [
+    ("10", "1", "-20", "f1(x,-0.25) exceeds k1 by 9.000e+00"),
+    ("-10", "20", "-1", "f2(x,-0.25) drops below k2 by 9.000e+00"),
+])
+def test_violated_s_free_envelope_names_the_lowest_state(monkeypatch, f, k1, k2, text):
+    # the one sample is s_lo, the first of the 33 the check took before, so the
+    # message is the one those gave
+    prob, mesh = make_problem(1, 8, f=(f, f))
+    assert not prob.f.reads_s
+    calls = []
+    evaluate = prob.f.eval_interval
+    monkeypatch.setattr(prob.f, "eval_interval", lambda *a: calls.append(a) or evaluate(*a))
+    fields = (mesh.sample(parse_expression(k, ("x",))) for k in (k1, k2))
+    with pytest.raises(ValueError) as err:
+        extremal._check_one_sided_envelopes(prob, *fields, -0.25, 0.75)
+    assert str(err.value) == f"one-sided bound violated: {text}" and len(calls) == 1
 
 
 # -- enclosure solve -----------------------------------------------------------

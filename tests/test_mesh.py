@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from dpvi import operator as operator_module
 from dpvi.expr import eval_expression, parse_expression
 from dpvi.mesh import (
-    _BAND_WORK, _LU_BAND_WORK, _TRI_BARY, CoarseGrid, FeFunction, Layout, Mesh, build_mesh,
-    fe_interpolate,
+    _BAND_WORK, _LU_BAND_WORK, _TRI_BARY, CoarseGrid, FeFunction, Layout, Mesh, _dot,
+    build_mesh, fe_interpolate,
 )
 from dpvi.multifun import assemble_source
 from dpvi.operator import DoublePhaseOperator
@@ -418,18 +418,26 @@ def _reversed(mesh):
     return Mesh(mesh.dim, mesh.nodes[::-1], new[mesh.elements], facets)
 
 
+def _constructed(mesh):
+    """The same mesh, node numbering included, made by the constructor."""
+    return Mesh(mesh.dim, mesh.nodes, mesh.elements, mesh.boundary_facets)
+
+
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("dim,n,gamma,renumber", [
-    (1, 8, "x - 0.5", None), (2, 1, None, None), (2, 16, "x - 0.5", None),
-    (2, 64, "y - x", None), (2, 12, "y - x", _reversed),
-    (2, 9, "x - 0.5", lambda m: _relabelled(m, 9)),
-], ids=["1d_gamma", "2d_n1", "2d_gamma", "2d_diagonal_gamma", "2d_reversed", "2d_relabelled"])
+    (1, 8, "x - 0.5", None), (1, 9, None, None), (2, 1, None, None), (2, 7, None, None),
+    (2, 16, "x - 0.5", None), (2, 64, "y - x", None), (2, 12, "y - x", _reversed),
+    (2, 10, "y - x", _constructed), (2, 9, "x - 0.5", lambda m: _relabelled(m, 9)),
+    (1, 12, "x - 0.3", lambda m: _relabelled(m, 12)),
+], ids=["1d_gamma", "1d", "2d_n1", "2d", "2d_gamma", "2d_diagonal_gamma", "2d_reversed",
+        "2d_not_built", "2d_relabelled", "1d_relabelled"])
 def test_assembly_plan_is_the_sort_of_every_directed_key(dim, n, gamma, renumber):
-    # built from the unique undirected edges, the plan has the bits and dtypes of
-    # the sort over both directions of every edge and over the diagonal
+    # built from one stable sort of the unique undirected edges, the plan has the
+    # bits and dtypes of np.unique over both directions of every edge and over the
+    # diagonal
     m = build_mesh(dim, n, gamma)
     if renumber is not None:
         m = renumber(m)
@@ -441,6 +449,20 @@ def test_assembly_plan_is_the_sort_of_every_directed_key(dim, n, gamma, renumber
         (upper, lower), (ref_upper, ref_lower) = plan[3][where], ref[3][where]
         assert _same_bits(upper, ref_upper) and _same_bits(lower, ref_lower)
     assert all(not a.flags.writeable for a in (*plan[:3], *itertools.chain(*plan[3].values())))
+
+
+@pytest.mark.parametrize("dim,n,gamma,relabel", [
+    (1, 9, None, False), (1, 9, "x - 0.5", True), (2, 1, None, False),
+    (2, 12, "y - x", False), (2, 12, None, True),
+])
+def test_edge_gram_is_bitwise_the_dot_of_the_gathered_gradients(dim, n, gamma, relabel):
+    m = build_mesh(dim, n, gamma)
+    if relabel:
+        m = _relabelled(m, n)
+    i, j = m.local_edges
+    ref = _dot(m.grad_basis[:, i], m.grad_basis[:, j])
+    assert _same_bits(m.edge_gram, ref)
+    assert m.edge_gram is m.edge_gram and not m.edge_gram.flags.writeable
 
 
 def test_free_nodes():
@@ -595,10 +617,26 @@ def test_coarse_grid_is_build_mesh_at_half_the_subdivisions(dim, n, gamma):
     grid = fine.coarse_grid
     assert fine.coarse_grid is grid and isinstance(grid, CoarseGrid)
     ref = build_mesh(dim, n // 2, gamma)
-    assert grid.mesh.subdivisions == n // 2 and grid.mesh.dim == dim
-    assert grid.mesh.boundary_facets == ref.boundary_facets  # the same Gamma/Gamma0 partition
-    np.testing.assert_array_equal(grid.mesh.gamma0_node_mask, ref.gamma0_node_mask)
-    np.testing.assert_array_equal(grid.mesh.nodes, ref.nodes)
+    # the grid's own record, and its coarse grid, come without a mesh
+    assert (grid.dim, grid.subdivisions, grid.n_nodes) == (dim, n // 2, ref.n_nodes)
+    assert grid.gamma_predicate is fine.gamma_predicate
+    coarser = grid.coarse_grid
+    if (n // 2) % 2:
+        assert coarser is None
+    else:
+        assert isinstance(coarser, CoarseGrid) and coarser.subdivisions == n // 4
+        assert coarser.n_nodes == build_mesh(dim, n // 4).n_nodes
+        assert "mesh" not in coarser.__dict__
+    assert grid.coarse_grid is coarser and "mesh" not in grid.__dict__
+    # once built, the mesh is build_mesh's, and built once
+    coarse = grid.mesh
+    assert grid.mesh is coarse and coarse.n_nodes == grid.n_nodes
+    assert coarse.subdivisions == n // 2 and coarse.dim == dim
+    assert coarse.gamma_predicate is grid.gamma_predicate
+    assert coarse.boundary_facets == ref.boundary_facets  # the same Gamma/Gamma0 partition
+    np.testing.assert_array_equal(coarse.gamma0_node_mask, ref.gamma0_node_mask)
+    np.testing.assert_array_equal(coarse.nodes, ref.nodes)
+    np.testing.assert_array_equal(coarse.elements, ref.elements)
     # coarse node i (1D) or (i, j) (2D) is fine node 2i or (2i, 2j)
     np.testing.assert_array_equal(grid.inject(fine.nodes[:, 0]), ref.nodes[:, 0])
     np.testing.assert_array_equal(grid.inject(fine.nodes[:, -1]), ref.nodes[:, -1])
@@ -627,6 +665,39 @@ def test_prolongation_matrix_is_prolong_on_the_rows(dim, n, gamma):
     c = np.zeros(grid.mesh.n_nodes)
     c[keep] = rng.normal(size=len(keep))
     np.testing.assert_array_equal(P @ c[keep], grid.prolong(c)[rows])
+
+
+def _sliced_prolongation(grid, rows):
+    """:meth:`CoarseGrid.prolong` as the whole fine-by-coarse CSR matrix from a COO
+    matrix whose duplicates sum (a coarse node's own fine node has it as both
+    parents), then cut to the fine ``rows`` and the kept coarse columns."""
+    lo, hi = grid._parents
+    fine = np.arange(len(lo))
+    ij = np.concatenate([fine, fine]), np.concatenate([lo, hi])
+    full = sp.coo_matrix((np.full(2 * len(lo), 0.5), ij), shape=(len(lo), grid.n_nodes)).tocsr()
+    inside = np.zeros(len(lo), dtype=bool)
+    inside[rows] = True
+    keep = np.flatnonzero(inside[grid._nodes])
+    return full[rows][:, keep], keep
+
+
+@pytest.mark.parametrize("dim,n,gamma", _NESTED + [(2, 2, None), (2, 32, "x - 0.5")])
+def test_prolongation_is_bitwise_the_sliced_matrix(dim, n, gamma):
+    # straight from the parents: the same indptr, indices and data, dtypes included,
+    # as the whole matrix cut down, on random subsets in any order and on all rows
+    fine = build_mesh(dim, n, gamma)
+    grid = fine.coarse_grid
+    rng = np.random.default_rng(dim * 100 + n)
+    subsets = [rng.permutation(fine.n_nodes)[:size] for size in
+               (1, fine.n_nodes // 3, 2 * fine.n_nodes // 3)]
+    subsets += [np.sort(subsets[-1]), fine.free_nodes, np.arange(fine.n_nodes)]
+    for rows in subsets:
+        (P, keep), (ref, ref_keep) = grid.prolongation(rows), _sliced_prolongation(grid, rows)
+        assert P.format == "csr" and P.shape == ref.shape
+        for a, b in ((P.indptr, ref.indptr), (P.indices, ref.indices), (P.data, ref.data),
+                     (keep, ref_keep)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert "mesh" not in grid.__dict__
 
 
 @pytest.mark.parametrize("dim,n,gamma", _NESTED)

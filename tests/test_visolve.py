@@ -898,7 +898,7 @@ def test_lagged_coarse_levels_that_fail_cg_are_rebuilt_from_the_current_matrix(m
 # -- sparse LU only as the fallback ---------------------------------------------------
 
 
-def test_positive_definite_solve_without_a_band_builds_no_nested_dissection(monkeypatch):
+def test_positive_definite_solve_without_a_band_takes_multigrid_not_lu(monkeypatch):
     # multigrid takes the rows in node-index order and never falls back to LU
     prob, mesh = make_problem(2, 144, p="2.5", f=("1", "1"))
     assert mesh.elimination_band is None
@@ -909,9 +909,24 @@ def test_positive_definite_solve_without_a_band_builds_no_nested_dissection(monk
     assert all(sol is not None and np.all(np.diff(rows) > 0) for _, rows, _, sol, _ in calls)
 
 
+def test_multigrid_walks_the_coarse_grids_without_building_a_mesh(monkeypatch):
+    # the transfers need only each grid's subdivisions and parents: no coarse Mesh
+    prob, mesh = make_problem(2, 144, p="2.5", f=("1", "1"))
+    calls = _spy_multigrid(monkeypatch)
+    u, eta, zeta, rep = solve_vi(prob)
+    assert rep.converged and calls
+    grid, chain = mesh.coarse_grid, []
+    while grid is not None and "coarse_grid" in grid.__dict__:
+        chain.append(grid)
+        grid = grid.coarse_grid
+    # 144 -> 72 -> 36 -> 18 -> 9, the first grid with at most _COARSEST_GRID = 16
+    assert [g.subdivisions for g in chain + [grid]] == [72, 36, 18, 9]
+    assert all("mesh" not in g.__dict__ for g in chain + [grid])
+
+
 @pytest.mark.parametrize("n, f", [(144, "-100*s + 1"), (145, "1"), (145, "-100*s + 1")],
                          ids=["indefinite_n144", "odd_n145", "odd_indefinite_n145"])
-def test_lu_fallback_without_a_band_takes_nested_dissection_order(monkeypatch, n, f):
+def test_lu_fallback_without_a_band_gets_the_cut_matrix(monkeypatch, n, f):
     # the indefinite n = 144 system fails multigrid; the odd n = 145 grid has no coarse
     # grid.  Either LU gets K cut in node-index order and the caller's rhs, and leaves
     # the ordering to SuperLU
