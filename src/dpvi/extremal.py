@@ -29,12 +29,15 @@ there only when that bound already solves its problem.
 
 The greatest side's first solve in ``extremal_pair``, the one whose Newton
 steps grow with the mesh from the fixed bound, starts instead from a nested
-start on grids large enough (nested iteration, Hackbusch 1985): the same
-auxiliary problem solved on the grid with half the subdivisions, itself
-started one level further down, then prolonged and clipped into the bounds.
-Coarse solves are ordinary ``solve_vi`` calls and only supply a start; the
-bounds, certificates, every fine solve and every check stay on the
-problem's mesh.
+start on grids large enough for their dimension (nested iteration, Hackbusch
+1985): the same auxiliary problem solved on the grid with half the
+subdivisions, itself started one level further down, then prolonged and
+clipped into the bounds.  On every level, the solve from such a prolonged
+start takes the start's own contact set, which is nearly right, as its first
+active set; the NCP test would also mark active a band of new midpoints near
+the free boundary and release it a few nodes per step.  Coarse solves are
+ordinary ``solve_vi`` calls and only supply a start; the bounds,
+certificates, every fine solve and every check stay on the problem's mesh.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .visolve import (
     VIProblem,
     _coarse_problem,
     _infeasibility,
+    _Prolonged,
     _residual_vector,
     _select_terms,
     _sources,
@@ -81,19 +85,30 @@ __all__ = [
 _MAX_OUTER = 50  # bound on the steps of each monotone (extremal or fixed-point) iteration
 
 # a coarse level of the greatest side's nested start is solved only on a coarse grid
-# of at least this many nodes.  Newton steps of the greatest side's first enclosed
-# solve on bench.cases.ExtremalCase (2D obstacle, f = 8), cold from the lower bound
-# and nested, coarsest level first:
+# of at least this many nodes, per dimension.  Newton steps of the greatest side's
+# first enclosed solve, cold from the lower bound and nested (coarsest level first,
+# every level above it from its prolonged start's contact set):
 #
-#   2D n    cold    nested, per level
-#   32      13      9 + 9 (from 16: +5 counted, so no)
-#   64      24      13 + 11
-#   128     41      13 + 11 + 10
-#   256     101     13 + 11 + 10 + 12
+#   1D n   cold        nested, per level           (1D obstacle.yaml: psi = -0.5, f = 8)
+#   64     13          not nested (from 16: 3 + 2 + 2)
+#   128    26          13 + 2
+#   256    53          13 + 2 + 2
+#   512    106         13 + 2 + 2 + 2
+#   1024   200, fails  13 + 2 + 2 + 2 + 1
+#   4096   200, fails  13 + 2 + 2 + 2 + 1 + 1 + 1
 #
-# Below the constant a cold solve takes at most 13 steps, and a coarse level only
-# adds counted steps
-_NEST_MIN_NODES = 1000
+#   2D n   cold        nested, per level           (bench.cases.ExtremalCase, f = 8)
+#   32     13          not nested (from 16: 9 + 7)
+#   64     24          13 + 9
+#   128    41          13 + 9 + 7
+#   256    101         13 + 9 + 7 + 8
+#
+# 2D: below 1000 a cold solve takes at most 13 steps, and a coarse level only adds
+# counted steps.  1D: 34 is one node more than the largest coarse grid of a shipped
+# config (obstacle.yaml, n = 64: 33 nodes), so no shipped config nests and its
+# artifacts keep their bytes, although nesting would save it steps.  Powers of two
+# nest from n = 128 in 1D and n = 64 in 2D
+_NEST_MIN_NODES = {1: 34, 2: 1000}
 
 
 class EnclosureError(RuntimeError):
@@ -473,14 +488,17 @@ def _nested_start(prob: VIProblem, oi: TruncationData, opts):
     between the bounds injected there, by one :func:`solve_vi` call with
     ``opts`` whose start is, recursively, this start one level down.  Its
     solution is prolonged (:meth:`CoarseGrid.prolong`) and clipped into the
-    bounds.  The start is ``oi.lower``, as without nesting, when the coarse
-    grid would have fewer than ``_NEST_MIN_NODES`` nodes, when the problem
-    cannot be rebuilt there, or when the coarse solve does not converge.
-    Only the start comes from the coarse grid: the fine solve, its bounds and
-    every check stay on the problem's mesh.
+    bounds, and returned as a :class:`dpvi.visolve._Prolonged`: a solve
+    started from it, the coarse solve of the level above or the fine solve,
+    takes the start's contact set as its first active set.  The start is
+    ``oi.lower``, a plain start, as without nesting, when the coarse grid
+    would have fewer than ``_NEST_MIN_NODES`` nodes for the mesh's dimension,
+    when the problem cannot be rebuilt there, or when the coarse solve does
+    not converge.  Only the start comes from the coarse grid: the fine solve,
+    its bounds and every check stay on the problem's mesh.
     """
     mesh, n = prob.mesh, prob.mesh.subdivisions
-    big = n is not None and (n // 2 + 1) ** mesh.dim >= _NEST_MIN_NODES
+    big = n is not None and (n // 2 + 1) ** mesh.dim >= _NEST_MIN_NODES[mesh.dim]
     grid = mesh.coarse_grid if big else None
     coarse_prob = None if grid is None else _coarse_problem(prob, grid)
     if coarse_prob is None:
@@ -495,7 +513,7 @@ def _nested_start(prob: VIProblem, oi: TruncationData, opts):
         return oi.lower
     if not report.converged:
         return oi.lower
-    return FeFunction(mesh, np.clip(grid.prolong(u.coeffs), oi.lower.coeffs, oi.upper.coeffs))
+    return _Prolonged(mesh, np.clip(grid.prolong(u.coeffs), oi.lower.coeffs, oi.upper.coeffs))
 
 
 def extremal_pair(prob: VIProblem, oi: OrderedInterval,
@@ -510,9 +528,12 @@ def extremal_pair(prob: VIProblem, oi: OrderedInterval,
     its own candidate; here each is checked against the other's.
 
     The greatest side starts from :func:`_nested_start`: on a grid whose
-    half-size grid has at least ``_NEST_MIN_NODES`` nodes, that adds one
-    ``solve_vi`` call per coarse level, with the greatest side's options,
-    before the first fine solve; elsewhere it is the lower bound.
+    half-size grid has at least ``_NEST_MIN_NODES`` nodes for its dimension
+    (even n >= 66 in 1D, >= 62 in 2D), that adds one ``solve_vi`` call per
+    coarse level, with the greatest side's options, before the first fine
+    solve, and every solve above the coarsest level takes its prolonged
+    start's contact set as its first active set; elsewhere the start is the
+    lower bound.
     """
     opts = opts or SolverOptions()
     if not oi.certified():

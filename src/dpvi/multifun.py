@@ -130,11 +130,14 @@ class IntervalMultifunction:
 
     def select(self, u: FeFunction, rule="lower"):
         """:func:`_select`; with endpoints that do not read s, the field of each
-        rule is computed once and returned read-only."""
+        rule is computed once, at a zero state in place of u's values, which
+        it need not sample, and returned read-only."""
         if self.reads_s:
             return _select(self, u, rule)
         if rule not in self._fixed:
-            self._fixed[rule] = _freeze(_select(self, u, rule))
+            layout = self.layout
+            lo, hi = self.eval_interval(layout.points, np.zeros(layout.weights.shape))
+            self._fixed[rule] = _freeze(pick_endpoint(rule, lo, hi))
         return self._fixed[rule]
 
 

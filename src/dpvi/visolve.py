@@ -573,8 +573,28 @@ def _factor_solve(J, rows, rhs, mesh: Mesh, floor, plan):
     return _lu_solve(J[np.ix_(rows, rows)], rhs)
 
 
-def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, frozen=None):
+class _Prolonged(FeFunction):
+    """A coarse grid's solution, prolonged and clipped into its bounds, as
+    ``extremal._nested_start`` builds it (nested iteration, Hackbusch 1985).
+    Only the type records where a start came from: :func:`solve_vi` takes
+    its contact set as the first active set.  Arithmetic on it gives a plain
+    :class:`FeFunction`."""
+
+
+def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, frozen=None,
+                 contact=False):
     """Semismooth Newton / primal active-set iteration for the multi-valued VI.
+
+    With ``contact`` set, the first step's active set is the start's own
+    contact set: the free nodes where ``u0``, projected, sits on a bound.
+    :func:`solve_vi` sets it for a :class:`_Prolonged` start only, whose
+    contact set is the coarse solution's and nearly right.  The NCP test
+    below would also mark active each new midpoint near the free boundary
+    whose interpolation residual, about f h, exceeds its gap to the bound (a
+    band about sqrt(2 h) wide), and later steps would release that band a few
+    nodes at a time.  A start far from its answer, such as a bound, has no
+    such contact set.  Every later step takes the NCP test, and the merit and
+    the stopping test are the same either way.
 
     The rule-selected reaction endpoints are evaluated at the running
     iterate, with their slopes entering the Newton matrix.  Selections that
@@ -647,9 +667,12 @@ def _inner_solve(prob: VIProblem, u0: np.ndarray, opts: SolverOptions, report, f
         if short == _SHORT_STEPS:
             return *at, phi, f"no progress: {short} steps in a row shorter than {_SHORT_STEP:g}"
         rf, u_free = r[free], u[free]
-        # active where the bound wins the pointwise min/max in the NCP
-        act_lo = np.isfinite(lo_f) & (u_free - lo_f <= rf)
-        act_hi = np.isfinite(hi_f) & (hi_f - u_free <= -rf) & ~act_lo
+        if contact:  # the first step from a prolonged start: where it sits on a bound
+            act_lo, act_hi, contact = u_free == lo_f, u_free == hi_f, False
+        else:  # active where the bound wins the pointwise min/max in the NCP
+            act_lo = np.isfinite(lo_f) & (u_free - lo_f <= rf)
+            act_hi = np.isfinite(hi_f) & (hi_f - u_free <= -rf)
+        act_hi &= ~act_lo
         inact = ~(act_lo | act_hi)
         delta = np.zeros(len(free))
         delta[act_lo] = lo_f[act_lo] - u_free[act_lo]
@@ -781,10 +804,13 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
     """Solve the multi-valued VI; returns (u, eta, zeta, report).
 
     One Newton loop (:func:`_inner_solve`) runs from ``opts.initial`` or the
-    warm start, with at most ``opts.max_iter`` steps; the iterate, its
-    selections and ``report.residual`` are those of the loop's last accepted
-    merit evaluation, not evaluated again.  The returned iterate is feasible to machine
-    precision, the selections satisfy eta(x) in f(x, u(x)) pointwise (by
+    warm start, with at most ``opts.max_iter`` steps.  Its first active set
+    is the NCP prediction at the start, or, when ``opts.initial`` is a
+    :class:`_Prolonged` start (``extremal``'s nested start), the start's own
+    contact set; no option selects this.  The iterate, its selections and
+    ``report.residual`` are those of the loop's last accepted merit
+    evaluation, not evaluated again.  The returned iterate is feasible to
+    machine precision, the selections satisfy eta(x) in f(x, u(x)) pointwise (by
     construction of the selection rule), and the complementarity residual is
     at most ``opts.tol`` when ``report.converged`` is set.  Otherwise the last
     iterate is returned flagged non-converged, and the message names the
@@ -804,7 +830,8 @@ def solve_vi(prob: VIProblem, opts: Optional[SolverOptions] = None):
         u = prob.constraint.project(opts.initial.coeffs.copy(), mesh)
     else:
         u = _warm_start(prob, opts)
-    uf, eta, zeta, report.residual, cause = _inner_solve(prob, u, opts, report)
+    contact = isinstance(opts.initial, _Prolonged)
+    uf, eta, zeta, report.residual, cause = _inner_solve(prob, u, opts, report, contact=contact)
     report.converged = report.residual <= opts.tol
     if not report.converged:
         report.message = f"not converged: residual {report.residual:.3e}; {cause}"

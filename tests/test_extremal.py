@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from dpvi import extremal
 from dpvi.cli import build_problem, load_config, main, make_interval, solver_options
@@ -27,6 +28,7 @@ from dpvi.visolve import (
     SolverError,
     SolverOptions,
     VIProblem,
+    _Prolonged,
     build_auxiliary,
     solve_vi,
     vi_residual,
@@ -696,7 +698,8 @@ def test_nested_start_finishes_the_cold_pair_in_few_fine_steps(monkeypatch):
     assert all(mesh is prob.mesh for mesh, *_ in calls[2:])
     _, selection, initial, first = calls[2]
     assert selection == "lower" and initial is not oi.lower
-    assert first.converged and first.newton_iterations <= 12
+    assert isinstance(initial, _Prolonged)
+    assert first.converged and first.newton_iterations <= 9
     steps = sum(report.newton_iterations for *_, report in calls)
     cold_steps = sum(report.newton_iterations for *_, report in calls0)
     assert cold_steps == 29 and steps <= cold_steps
@@ -707,7 +710,7 @@ def _steps(calls):
 
 
 def test_small_grids_take_no_coarse_solve(monkeypatch):
-    # 2D n = 32: the coarse grid n = 16 has 289 < _NEST_MIN_NODES nodes
+    # 2D n = 32: the coarse grid n = 16 has 289 < _NEST_MIN_NODES[2] nodes
     prob, opts = _obstacle_case(32)
     with monkeypatch.context() as m:
         _cold(m)
@@ -776,3 +779,47 @@ def test_problems_that_cannot_be_rebuilt_take_no_coarse_solve(monkeypatch):
     frozen = VIProblem(prob.operator, prob.constraint, j.freeze(oi.lower))
     assert extremal._nested_start(frozen, oi, opts) is oi.lower
     assert not calls
+
+
+def test_only_a_prolonged_start_takes_its_contact_set_first():
+    # obstacle.yaml at 1D n = 256: the nested start (from n = 128, itself from n = 64)
+    # touches psi where the answer does; the NCP test would mark a band more active
+    cfg = load_config(CONFIGS / "obstacle.yaml")
+    cfg["mesh"]["n"] = 256
+    prob = build_problem(cfg)
+    opts = SolverOptions(tol=1e-10, selection="lower")
+    oi = construct_obstacle_bounds(prob, "8", "8", c_psi=0.1, margin=1e-3, opts=opts)
+    start = extremal._nested_start(prob, oi, opts)
+    assert isinstance(start, _Prolonged)
+    assert type(start + 0.0) is FeFunction and type(2.0 * start) is FeFunction
+    free = prob.mesh.free_node_mask
+    contact = int(np.count_nonzero(free & (start.coeffs == prob.constraint.lower.coeffs)))
+    aux = build_auxiliary(prob, oi)
+    u, *_, report = solve_vi(aux, dataclasses.replace(opts, initial=start))
+    plain = FeFunction(prob.mesh, start.coeffs)
+    u0, *_, report0 = solve_vi(aux, dataclasses.replace(opts, initial=plain))
+    assert report.converged and report0.converged
+    assert np.max(np.abs(u.coeffs - u0.coeffs)) <= 10 * opts.tol
+    # the first active set: the start's contact set, against the NCP's band
+    assert report.active_set_history[0] == contact < report0.active_set_history[0]
+    assert report.newton_iterations <= 2 < report0.newton_iterations
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_obstacle_pipeline_nests_on_the_1d_ladder(monkeypatch, tmp_path, n):
+    # obstacle.yaml lifted to 1D n = 1024 and 4096: from the lower bound, the greatest
+    # side's first solve spends its 200 steps and extremal exits 3
+    cfg = load_config(CONFIGS / "obstacle.yaml")
+    cfg["mesh"]["n"] = n
+    config = tmp_path / "obstacle.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    calls = _recording(monkeypatch)
+    assert main(["extremal", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    # the bound solve, then one solve per level from n = 64 up to the first fine solve
+    levels = [mesh.subdivisions for mesh, *_ in calls]
+    first = levels.index(n, 1)
+    assert levels[:first + 1] == [n] + [64 * 2**k for k in range(first)]
+    assert type(calls[1][2]) is FeFunction  # the coarsest level starts from its lower bound
+    assert all(isinstance(initial, _Prolonged) for _, _, initial, _ in calls[2:first + 1])
+    above = [report.newton_iterations for mesh, *_, report in calls if mesh.subdivisions > 64]
+    assert max(above) <= 10

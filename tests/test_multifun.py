@@ -252,6 +252,28 @@ def test_fixed_truncated_selection(rule, on_boundary, monkeypatch):
         assert not slope.any() and _bits(slope) == _bits(want)
 
 
+@pytest.mark.parametrize("on_boundary", [False, True])
+@pytest.mark.parametrize("rule", ["lower", "upper", "midpoint"])
+def test_state_free_selection_samples_no_state(rule, on_boundary, monkeypatch):
+    # the field is bitwise the selection at the state's own values, yet the
+    # state is not sampled; endpoints out of order still raise
+    f, _, states = _truncated_on_gamma_mesh("x - y", "2 + x*y", on_boundary)
+    layout = f.layout
+    want = pick_endpoint(rule, *f.eval_interval(layout.points, layout.values(states[3].coeffs)))
+    bad = IntervalMultifunction(f.mesh, "x", "x - 1", on_boundary=on_boundary)
+    sampled = []
+    values = type(layout).values
+    monkeypatch.setattr(type(layout), "values",
+                        lambda self, coeffs: sampled.append(1) or values(self, coeffs))
+    assert _bits(f.select(states[3], rule)) == _bits(want)
+    with pytest.raises(ValueError, match=r"\(f1 > f2\)"):
+        bad.select(states[3], rule)
+    assert not sampled
+    g = IntervalMultifunction(f.mesh, "s - 1", "s + 1", on_boundary=on_boundary)
+    g.select(states[3], rule)  # a reaction that reads s samples it
+    assert sampled == [1]
+
+
 @pytest.mark.parametrize("rule", ["lower", "upper", "midpoint"])
 @pytest.mark.parametrize("f1, f2", [("-1", "1"), ("s - 1", "s - 1")])
 def test_truncation_that_jumps_or_reads_s_is_not_fixed(f1, f2, rule):
